@@ -7,11 +7,19 @@
 //
 //	go test -run '^$' -bench ... -benchmem ./... | tee bench.txt
 //	go run ./cmd/ecs-benchcmp -baseline BENCH_baseline.json bench.txt [more.txt...]
+//	go run ./cmd/ecs-benchcmp -write -baseline BENCH_baseline.json bench.txt [more.txt...]
 //
 // By default the tool is informational and always exits 0: one-shot CI
 // bench runs are too noisy for ns/op gating. Pass -max-alloc-regress to
 // fail when any benchmark's allocs/op (which is deterministic) exceeds
 // its baseline by more than the given factor.
+//
+// With -write the tool records instead of comparing: every benchmark in
+// the given output (which must come from a -benchmem run) is added to
+// the baseline or replaces its entry there, "recorded" is stamped with
+// today's UTC date, and the note and every other entry are kept. Record
+// with the command and -benchtime the baseline's note names, so the
+// numbers match what CI measures.
 package main
 
 import (
@@ -22,36 +30,41 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 )
 
 type entry struct {
 	NsOp     float64 `json:"ns_op"`
 	AllocsOp float64 `json:"allocs_op"`
+	// hasAllocs reports that the bench line carried allocs/op, i.e. the
+	// run used -benchmem; -write refuses lines without it.
+	hasAllocs bool
 }
 
 type baseline struct {
 	Note       string           `json:"note"`
 	Recorded   string           `json:"recorded"`
 	Benchmarks map[string]entry `json:"benchmarks"`
+	// PreFlatEngine is the historical record of the engine the flat
+	// layout replaced; it is carried through -write untouched.
+	PreFlatEngine json.RawMessage `json:"pre_flat_engine,omitempty"`
 }
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "tracked baseline JSON")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0,
 		"fail when allocs/op exceeds baseline by more than this factor (0 = never fail)")
+	write := flag.Bool("write", false,
+		"record the runs' ns/op and allocs/op into the baseline and stamp today's date instead of comparing")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ecs-benchcmp [-baseline file] bench-output.txt...")
+		fmt.Fprintln(os.Stderr, "usage: ecs-benchcmp [-baseline file] [-write] bench-output.txt...")
 		os.Exit(2)
 	}
 
-	raw, err := os.ReadFile(*baselinePath)
+	base, err := readBaseline(*baselinePath)
 	if err != nil {
 		fatal(err)
-	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *baselinePath, err))
 	}
 
 	current := map[string]entry{}
@@ -60,6 +73,17 @@ func main() {
 		if err := parseBenchFile(path, current, &order); err != nil {
 			fatal(err)
 		}
+	}
+
+	if *write {
+		if err := record(&base, current, order, time.Now().UTC().Format("2006-01-02")); err != nil {
+			fatal(err)
+		}
+		if err := writeBaseline(*baselinePath, base); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("recorded %d benchmark(s) into %s\n", len(order), *baselinePath)
+		return
 	}
 
 	fmt.Printf("## Benchmark comparison vs baseline (%s)\n\n", base.Recorded)
@@ -111,6 +135,51 @@ func main() {
 	}
 }
 
+func readBaseline(path string) (baseline, error) {
+	var base baseline
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return base, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return base, nil
+}
+
+// record adds or replaces the baseline entry of every benchmark in order
+// with its parsed run and stamps the baseline with today's date.
+func record(base *baseline, current map[string]entry, order []string, today string) error {
+	if len(order) == 0 {
+		return fmt.Errorf("no benchmark results to record")
+	}
+	for _, name := range order {
+		if !current[name].hasAllocs {
+			return fmt.Errorf("%s has no allocs/op; record from a -benchmem run", name)
+		}
+	}
+	if base.Benchmarks == nil {
+		base.Benchmarks = map[string]entry{}
+	}
+	for _, name := range order {
+		base.Benchmarks[name] = current[name]
+	}
+	base.Recorded = today
+	return nil
+}
+
+// writeBaseline writes base as indented JSON, benchmarks sorted by name.
+func writeBaseline(path string, base baseline) error {
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	enc.SetEscapeHTML(false) // the note quotes shell commands, which may hold &, < and >
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(base); err != nil {
+		return err
+	}
+	return os.WriteFile(path, []byte(sb.String()), 0o644)
+}
+
 // parseBenchFile extracts "BenchmarkX  N  v ns/op [v B/op] [v allocs/op]"
 // lines, normalizing away the -GOMAXPROCS suffix.
 func parseBenchFile(path string, out map[string]entry, order *[]string) error {
@@ -137,7 +206,7 @@ func parseBenchFile(path string, out map[string]entry, order *[]string) error {
 			case "ns/op":
 				e.NsOp = v
 			case "allocs/op":
-				e.AllocsOp = v
+				e.AllocsOp, e.hasAllocs = v, true
 			}
 		}
 		if e.NsOp == 0 {

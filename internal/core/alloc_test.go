@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"ecsort/internal/dist"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
 )
@@ -52,22 +56,115 @@ func TestSortERAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	truth := oracle.RandomBalanced(1024, 6, rand.New(rand.NewSource(17)))
-	s := model.NewSession(truth, model.ER, model.Workers(1))
-	ar := newERArena(1024)
-	if _, err := sortERArena(s, ar); err != nil { // warm the arena
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := sortERArena(s, ar); err != nil {
-			t.Fatal(err)
+	// 1024 elements take ten merge levels and 512 take nine, so reuses
+	// start with the arena's buffers in both parities: the level being
+	// built must never share headers with the level its plans index.
+	for _, n := range []int{1024, 512} {
+		truth := oracle.RandomBalanced(n, 6, rand.New(rand.NewSource(17)))
+		labels := truth.Labels()
+		elemSeen, labelSeen := make([]bool, n), make([]bool, 6)
+		s := model.NewSession(truth, model.ER, model.Workers(1))
+		ar := newERArena(n)
+		sorts := 0
+		sortAndCheck := func() {
+			final, err := sortERArena(s, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorts++
+			if msg := partitionMismatch(final, labels, elemSeen, labelSeen); msg != "" {
+				t.Fatalf("n=%d, sort %d on one arena: %s", n, sorts, msg)
+			}
 		}
-	})
-	// Steady state: every rotation round and pair merge runs out of the
-	// arena (the map-keyed pairPlan path allocated per merge AND per
-	// rotation round).
-	if allocs > 2 {
-		t.Errorf("SortER steady state = %v allocs/op, want <= 2", allocs)
+		sortAndCheck() // warm the arena
+		allocs := testing.AllocsPerRun(10, sortAndCheck)
+		// Steady state: every rotation round and pair merge runs out of the
+		// arena (the map-keyed pairPlan path allocated per merge AND per
+		// rotation round).
+		if allocs > 2 {
+			t.Errorf("n=%d: SortER steady state = %v allocs/op, want <= 2", n, allocs)
+		}
+	}
+}
+
+// TestPairPlanPointerFree pins the ER plan layout the arena is sized
+// for: up to n/2 plans per level at 24 B each, holding only int32
+// indices, so the plan list gives the GC nothing to scan.
+func TestPairPlanPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(pairPlan{})
+	if typ.Size() != 24 {
+		t.Errorf("pairPlan is %d B, want 24", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Int32 {
+			t.Errorf("pairPlan.%s is %s, want int32", f.Name, f.Type)
+		}
+	}
+}
+
+// partitionMismatch describes how a differs from the partition labels
+// induces on 0..len(labels)-1, or returns "" when they agree. It
+// allocates nothing, so it can run inside AllocsPerRun; labels must be
+// 0..len(labelSeen)-1.
+func partitionMismatch(a Answer, labels []int, elemSeen, labelSeen []bool) string {
+	clear(elemSeen)
+	clear(labelSeen)
+	if a.Size() != len(labels) {
+		return "answer does not cover every element"
+	}
+	for c := 0; c < a.K(); c++ {
+		l := labels[a.Rep(c)]
+		if labelSeen[l] {
+			return "two classes share a label"
+		}
+		labelSeen[l] = true
+		for _, e := range a.Class(c) {
+			if elemSeen[e] {
+				return "an element appears twice"
+			}
+			elemSeen[e] = true
+			if labels[e] != l {
+				return "a class mixes labels"
+			}
+		}
+	}
+	return ""
+}
+
+// TestSortBytesPerCall bounds the heap bytes one public SortER or
+// SortCRUnknownK call allocates on n = 2^14 zeta(2) labels. Each call
+// builds its own arena, sized once from n; before the arenas were
+// presized, slice growth cost ~810 B per element (ER) and ~400 (CR).
+func TestSortBytesPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	const n = 1 << 14
+	const maxBytesPerElem = 200 // measured: ~166 (ER), ~155 (CRUnknownK)
+	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
+	for _, tc := range []struct {
+		name string
+		mode model.Mode
+		sort func(*model.Session) (Result, error)
+	}{
+		{"SortER", model.ER, SortER},
+		{"SortCRUnknownK", model.CR, SortCRUnknownK},
+	} {
+		best := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for run := 0; run < 3; run++ { // the minimum discounts stray allocations
+			s := model.NewSession(truth, tc.mode, model.Workers(1))
+			runtime.ReadMemStats(&before)
+			if _, err := tc.sort(s); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if perElem := best / n; perElem > maxBytesPerElem {
+			t.Errorf("%s allocates %d B per call (%d B per element), want <= %d B per element",
+				tc.name, best, perElem, maxBytesPerElem)
+		}
 	}
 }
 

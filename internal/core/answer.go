@@ -68,13 +68,20 @@ func Singleton(e int) Answer {
 // views into one shared backing array, so setup is two allocations
 // instead of 2n.
 func Singletons(n int) []Answer {
-	pool := make([]int, n)
 	answers := make([]Answer, n)
+	fillSingletons(make([]int, n), answers)
+	return answers
+}
+
+// fillSingletons sets pool[i] = i and makes answers[i] the singleton
+// answer viewing it.
+//
+//ecsort:hotpath
+func fillSingletons(pool []int, answers []Answer) {
 	for i := range answers {
 		pool[i] = i
 		answers[i] = Answer{elems: pool[i : i+1 : i+1], offs: singletonOffs}
 	}
-	return answers
 }
 
 // K returns the number of classes in the answer.
@@ -145,16 +152,159 @@ func (a Answer) Classes() [][]int {
 // partition with two memmoves.
 func (a Answer) Flat() (elems, offs []int) { return a.elems, a.offs }
 
-// appendMatched writes the merge of a and b implied by a pair plan's
-// match state as one flat answer appended to the elems/offs destination
-// slices (typically the ER arena's level pools) and returns the answer
-// viewing the appended region plus the extended slices. Output classes
-// are a's classes in order, each extended by its matched b class if any,
-// then b's unmatched classes — exactly the ordering the map-based ER
-// engine produced, so results are bit-for-bit identical.
+// MergePairER merges two answers in the ER model using the Latin-square
+// rotation schedule: at most max(K(a), K(b)) rounds of disjoint
+// representative tests (the engine of Theorem 2, where this is at most k
+// rounds per merge). For round-sharing across independent merges at the
+// same level of a merge tree — with all plan state held in an arena
+// sized once per sort — see SortER.
+func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
+	// The rep→class table is sized by the largest representative, not
+	// the universe, so a small merge in a huge universe stays cheap.
+	maxRep := 0
+	for i := 0; i < a.K(); i++ {
+		maxRep = max(maxRep, a.Rep(i))
+	}
+	for j := 0; j < b.K(); j++ {
+		maxRep = max(maxRep, b.Rep(j))
+	}
+	ar := &erArena{
+		classOf:  make([]int32, maxRep+1),
+		match:    make([]int32, 2*min(a.K(), b.K())),
+		matchedB: make([]bool, max(a.K(), b.K())),
+	}
+	level := []Answer{a, b}
+	plan := ar.newPlan(level, 0, 1, 0, 0)
+	var batch []model.Pair
+	for {
+		batch = plan.emitNext(ar, level, batch[:0])
+		if len(batch) == 0 {
+			out, _, _ := plan.appendMatched(ar, level, nil, nil)
+			return out, nil
+		}
+		res, err := s.Round(batch)
+		if err != nil {
+			return Answer{}, err
+		}
+		plan.absorb(ar, batch, res)
+	}
+}
+
+// pairPlan is the incremental state of one ER pair-merge. Rotation round r
+// pairs class i of the smaller side with class (i+r) mod K of the larger
+// side, so every class appears in at most one test per round and all
+// K(a)·K(b) class pairs are covered after max(K(a), K(b)) rounds. Classes
+// that have already found their partner are skipped: classes within one
+// answer are mutually distinct, so a matched class needs no further tests.
+//
+// A plan is a pointer-free record of int32 indices: its answers are
+// positions in the level being merged, and its match state lives in the
+// arena's level-wide backing — match[mo:mo+K(a)] is matchOf (the b-class
+// matched to each a-class, or -1), the next K(a) entries hold the list of
+// still-unmatched a-classes in ascending order (its first left entries are
+// live), and matchedB[mb:mb+K(b)] flags the matched b-classes. The arena's
+// element-indexed classOf maps each representative to its class index.
+type pairPlan struct {
+	a, b int32 // level indices of the merged answers; K(a) <= K(b)
+	r    int32 // next rotation round to emit
+	mo   int32 // offset of matchOf and the unmatched list in ar.match
+	mb   int32 // offset of matchedB in ar.matchedB
+	left int32 // length of the unmatched list
+}
+
+// newPlan sets up the merge of level[x] and level[y], smaller side first,
+// with its match state at ar.match[mo:] (2·K(a) entries) and
+// ar.matchedB[mb:] (K(b) entries).
 //
 //ecsort:hotpath
-func appendMatched(a, b Answer, matchOf []int32, matchedB []bool, elems, offs []int) (Answer, []int, []int) {
+func (ar *erArena) newPlan(level []Answer, x, y, mo, mb int) pairPlan {
+	if level[x].K() > level[y].K() {
+		x, y = y, x
+	}
+	a, b := level[x], level[y]
+	ka := a.K()
+	matchOf, unmatched := ar.match[mo:mo+ka], ar.match[mo+ka:mo+2*ka]
+	for i := range matchOf {
+		matchOf[i] = -1
+		unmatched[i] = int32(i)
+		ar.classOf[a.Rep(i)] = int32(i)
+	}
+	matchedB := ar.matchedB[mb : mb+b.K()]
+	for j := range matchedB {
+		matchedB[j] = false
+		ar.classOf[b.Rep(j)] = int32(j)
+	}
+	return pairPlan{a: int32(x), b: int32(y), mo: int32(mo), mb: int32(mb), left: int32(ka)}
+}
+
+// emitNext appends the disjoint tests of the next non-empty rotation
+// round to dst and returns the extended slice; dst comes back unchanged
+// when the schedule is exhausted. The caller must pass the emitted
+// tests' results to absorb before calling emitNext again.
+//
+// A round walks only the unmatched list, dropping the a-classes the last
+// round matched as it goes, so once every a-class has its partner the
+// schedule ends without visiting the remaining rounds.
+//
+//ecsort:hotpath
+func (p *pairPlan) emitNext(ar *erArena, level []Answer, dst []model.Pair) []model.Pair {
+	a, b := level[p.a], level[p.b]
+	ka, kb := int32(a.K()), int32(b.K())
+	matchOf := ar.match[p.mo : p.mo+ka]
+	list := ar.match[p.mo+ka : p.mo+ka+p.left]
+	matchedB := ar.matchedB[p.mb : p.mb+kb]
+	mark := len(dst)
+	for ; p.r < kb && len(list) > 0; p.r++ {
+		w := 0
+		for _, i := range list {
+			if matchOf[i] >= 0 {
+				continue
+			}
+			list[w] = i
+			w++
+			j := i + p.r
+			if j >= kb {
+				j -= kb
+			}
+			if !matchedB[j] {
+				dst = append(dst, model.Pair{A: a.Rep(int(i)), B: b.Rep(int(j))})
+			}
+		}
+		list = list[:w]
+		if len(dst) > mark {
+			p.r++
+			break
+		}
+	}
+	p.left = int32(len(list))
+	return dst
+}
+
+// absorb records the results of one executed round emitted by emitNext.
+//
+//ecsort:hotpath
+func (p *pairPlan) absorb(ar *erArena, pairs []model.Pair, res []bool) {
+	for idx, eq := range res {
+		if eq {
+			i, j := ar.classOf[pairs[idx].A], ar.classOf[pairs[idx].B]
+			ar.match[p.mo+i] = j
+			ar.matchedB[p.mb+j] = true
+		}
+	}
+}
+
+// appendMatched writes the finished merge as one flat answer appended to
+// the elems/offs destination slices (typically the arena's level pools)
+// and returns the answer viewing the appended region plus the extended
+// slices. Output classes are a's classes in order, each extended by its
+// matched b class if any, then b's unmatched classes — exactly the
+// ordering the map-based ER engine produced, so results are bit-for-bit
+// identical.
+//
+//ecsort:hotpath
+func (p *pairPlan) appendMatched(ar *erArena, level []Answer, elems, offs []int) (Answer, []int, []int) {
+	a, b := level[p.a], level[p.b]
+	matchOf, matchedB := ar.match[p.mo:], ar.matchedB[p.mb:]
 	base, offBase := len(elems), len(offs)
 	offs = append(offs, base)
 	for i := 0; i < a.K(); i++ {
@@ -181,111 +331,4 @@ func appendMatched(a, b Answer, matchOf []int32, matchedB []bool, elems, offs []
 		}
 	}
 	return out, elems, offs
-}
-
-// MergePairER merges two answers in the ER model using the Latin-square
-// rotation schedule: at most max(K(a), K(b)) rounds of disjoint
-// representative tests (the engine of Theorem 2, where this is at most k
-// rounds per merge). For round-sharing across independent merges at the
-// same level of a merge tree — with all plan scratch pooled in a
-// reusable arena — see SortER.
-func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
-	if a.K() > b.K() {
-		a, b = b, a
-	}
-	// The rep→class table is sized by the largest representative, not
-	// the universe, so a small merge in a huge universe stays cheap.
-	maxRep := 0
-	for i := 0; i < a.K(); i++ {
-		maxRep = max(maxRep, a.Rep(i))
-	}
-	for j := 0; j < b.K(); j++ {
-		maxRep = max(maxRep, b.Rep(j))
-	}
-	classOf := make([]int32, maxRep+1)
-	matchOf := make([]int32, a.K())
-	for i := range matchOf {
-		matchOf[i] = -1
-		classOf[a.Rep(i)] = int32(i)
-	}
-	matchedB := make([]bool, b.K())
-	for j := range matchedB {
-		classOf[b.Rep(j)] = int32(j)
-	}
-	plan := pairPlan{a: a, b: b, matchOf: matchOf, matchedB: matchedB, classOf: classOf}
-	var batch []model.Pair
-	for {
-		batch = plan.emitNext(batch[:0])
-		if len(batch) == 0 {
-			out, _, _ := appendMatched(a, b, matchOf, matchedB, nil, nil)
-			return out, nil
-		}
-		res, err := s.Round(batch)
-		if err != nil {
-			return Answer{}, err
-		}
-		plan.absorb(batch, res)
-	}
-}
-
-// pairPlan is the incremental state of one ER pair-merge. Rotation round r
-// pairs class i of the smaller side with class (i+r) mod K of the larger
-// side, so every class appears in at most one test per round and all
-// K(a)·K(b) class pairs are covered after max(K(a), K(b)) rounds. Classes
-// that have already found their partner are skipped: classes within one
-// answer are mutually distinct, so a matched class needs no further tests.
-//
-// A plan owns no storage: matchOf and matchedB are carved from a level's
-// arena (or allocated once by MergePairER) and classOf is the shared
-// element-indexed representative→class table, so the ER steady state
-// allocates nothing per merge or per rotation round.
-type pairPlan struct {
-	a, b Answer // K(a) <= K(b) after normalization
-	r    int    // next rotation round to emit
-	slot int    // output position in the level's answer list
-	// matchOf[i] is the b-class index matched to a-class i, or -1.
-	matchOf []int32
-	// matchedB[j] reports b-class j has found its partner.
-	matchedB []bool
-	// classOf maps representative element -> class index within its own
-	// answer; shared across a level (element sets are disjoint).
-	classOf []int32
-}
-
-// emitNext appends the disjoint tests of the next non-empty rotation
-// round to dst and returns the extended slice; dst comes back unchanged
-// when the schedule is exhausted. The caller must pass the emitted
-// tests' results to absorb before calling emitNext again.
-//
-//ecsort:hotpath
-func (p *pairPlan) emitNext(dst []model.Pair) []model.Pair {
-	kb := p.b.K()
-	mark := len(dst)
-	for ; p.r < kb; p.r++ {
-		for i := 0; i < p.a.K(); i++ {
-			j := (i + p.r) % kb
-			if p.matchOf[i] >= 0 || p.matchedB[j] {
-				continue
-			}
-			dst = append(dst, model.Pair{A: p.a.Rep(i), B: p.b.Rep(j)})
-		}
-		if len(dst) > mark {
-			p.r++
-			return dst
-		}
-	}
-	return dst
-}
-
-// absorb records the results of one executed round emitted by emitNext.
-//
-//ecsort:hotpath
-func (p *pairPlan) absorb(pairs []model.Pair, res []bool) {
-	for idx, eq := range res {
-		if eq {
-			i, j := p.classOf[pairs[idx].A], p.classOf[pairs[idx].B]
-			p.matchOf[i] = j
-			p.matchedB[j] = true
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ecsort/internal/dist"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
 )
@@ -40,6 +41,34 @@ func BenchmarkSortCR(b *testing.B) {
 		if _, err := SortCR(model.NewSession(truth, model.CR, model.Workers(1)), k); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSortZeta is the tracked-baseline benchmark of the offline
+// sorts on the paper's heavy-tailed input: n = 2^16 labels drawn from
+// zeta(2), sorted with SortER and with SortCRUnknownK, one fresh session
+// per sort as the public entry points run. Workers(1) keeps allocs/op
+// independent of the runner's core count, so the per-sort arena cost is
+// what the allocation gate sees.
+func BenchmarkSortZeta(b *testing.B) {
+	const n = 1 << 16
+	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
+	for _, bc := range []struct {
+		name string
+		mode model.Mode
+		run  func(*model.Session) (Result, error)
+	}{
+		{"ER", model.ER, SortER},
+		{"CRUnknownK", model.CR, SortCRUnknownK},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.run(model.NewSession(truth, bc.mode, model.Workers(1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -17,11 +17,10 @@ import (
 //
 // SortER needs no knowledge of k. The session must be in ER mode.
 //
-// One arena serves the whole sort: level outputs double-buffer between
-// two flat pools sized by n, rotation tests stream into one reusable
-// batch, and every plan's match state is carved from level-wide backing,
-// so — like the CR path — the ER steady state allocates nothing per
-// merge or per rotation round.
+// One arena serves the whole sort, sized once from n: level outputs
+// double-buffer between two flat pools, rotation tests stream into one
+// batch, and every plan is a pointer-free record indexing the level and
+// the arena's match backing, so the sort never grows a slice.
 func SortER(s *model.Session) (Result, error) {
 	if s.Mode() != model.ER {
 		return Result{}, fmt.Errorf("core: SortER requires an ER session, got %v", s.Mode())
@@ -37,153 +36,92 @@ func SortER(s *model.Session) (Result, error) {
 	return Result{Classes: final.Classes(), Stats: s.Stats()}, nil
 }
 
-// sortERArena runs the Theorem 2 merge tree on a reusable arena and
-// returns the final answer, which views the arena's pools — callers that
-// outlive the arena must materialize it (Classes). Reusing one arena
-// across sorts keeps the steady state allocation-free.
+// sortERArena runs the Theorem 2 merge tree on an arena sized for the
+// session's n and returns the final answer, which views the arena's
+// pools — callers that outlive the arena must materialize it (Classes).
+// An arena may serve several sorts in turn; each reuse allocates nothing.
 //
 //ecsort:hotpath
 func sortERArena(s *model.Session, ar *erArena) (Answer, error) {
-	answers := ar.seedSingletons()
+	answers := ar.singletons()
 	for len(answers) > 1 {
 		next, err := mergeLevelER(s, ar, answers)
 		if err != nil {
 			return Answer{}, err
 		}
-		ar.nextAns = answers // recycle the headers for the level after next
 		answers = next
 	}
 	return answers[0], nil
 }
 
-// erArena is the reusable scratch of the ER merge tree: double-buffered
-// flat pools for the answers of the current and next level (a level
-// never covers more than n elements), the shared rotation batch and
-// result buffer, and level-wide backing carved into per-plan match
-// state. Buffers grow on demand and are retained across levels and
-// sorts. An erArena is not safe for concurrent use.
+// erArena is the per-sort state of the ER merge tree: the level buffers
+// plus the plan state, sized by newERArena from n alone. A level runs at
+// most ⌊n/2⌋ plans, a rotation round tests at most ⌊n/2⌋ disjoint pairs,
+// and the plans' match state — two entries per a-class in match, one per
+// b-class in matchedB — fits in n entries each, because the classes of a
+// level partition at most n elements. An erArena is not safe for
+// concurrent use.
 type erArena struct {
-	n int
-
-	// elems/offs double-buffer the flat answer storage of the current
-	// and next level; cur indexes the pool the live answers view.
-	elems [2][]int
-	offs  [2][]int
-	cur   int
-
-	answers []Answer // header slice seeded with the singleton level
-	nextAns []Answer // spare header slice the next level builds into
+	levels
 
 	plans   []pairPlan
-	active  []int // indices into plans still merging, in creation order
+	active  []int32 // indices into plans still merging, in creation order
 	spans   []erSpan
 	batch   []model.Pair
 	results []bool
 
 	classOf  []int32 // element-indexed representative -> class index
-	matchOf  []int32 // level-wide backing carved into per-plan matchOf
-	matchedB []bool  // level-wide backing carved into per-plan matchedB
+	match    []int32 // level-wide backing: per plan, matchOf then its unmatched list
+	matchedB []bool  // level-wide backing: per plan, matchedB
 }
 
 // erSpan marks one plan's slice of a batched rotation round.
 type erSpan struct {
-	plan   int // index into the level's plans
-	lo, hi int // its tests occupy batch[lo:hi]
+	plan   int32 // index into the level's plans
+	lo, hi int32 // its tests occupy batch[lo:hi]
 }
 
 func newERArena(n int) *erArena {
+	half := n / 2
 	return &erArena{
-		n:        n,
+		levels:   newLevels(n),
+		plans:    make([]pairPlan, 0, half),
+		active:   make([]int32, 0, half),
+		spans:    make([]erSpan, 0, half),
+		batch:    make([]model.Pair, 0, half),
+		results:  make([]bool, half),
 		classOf:  make([]int32, n),
-		matchOf:  make([]int32, n),
+		match:    make([]int32, n),
 		matchedB: make([]bool, n),
 	}
 }
 
-// seedSingletons resets the arena to the singleton level: answers[i]
-// views pool element i (step 0 of the merge tree).
-//
-//ecsort:hotpath
-func (ar *erArena) seedSingletons() []Answer {
-	ar.cur = 0
-	pool := growInts(ar.elems[0][:0], ar.n)
-	answers := ar.answers
-	if cap(answers) < ar.n {
-		answers = make([]Answer, ar.n)
-	}
-	answers = answers[:ar.n]
-	for i := range answers {
-		pool[i] = i
-		answers[i] = Answer{elems: pool[i : i+1 : i+1], offs: singletonOffs}
-	}
-	ar.elems[0] = pool
-	ar.answers = answers
-	return answers
-}
-
-// appendAnswer copies a into the elems/offs destination pools and
-// returns the copied view — the carry-over path for an odd answer, so
-// the source pool can be recycled next level.
-//
-//ecsort:hotpath
-func appendAnswer(a Answer, elems, offs []int) (Answer, []int, []int) {
-	base, offBase := len(elems), len(offs)
-	elems = append(elems, a.elems...)
-	offs = append(offs, a.offs...)
-	out := Answer{
-		elems: elems[base : base+a.Size() : base+a.Size()],
-		offs:  offs[offBase : offBase+len(a.offs) : offBase+len(a.offs)],
-	}
-	return out, elems, offs
-}
-
 // mergeLevelER merges answers pairwise — (0,1), (2,3), ... — sharing
 // rounds across the level: the i-th rotation round of every active merge
-// is combined into one parallel round of disjoint tests. Outputs are
-// written into the arena's spare pool, which then becomes current; the
-// input answers' pool is recycled, so callers must not retain answers
-// across calls.
+// is combined into one parallel round of disjoint tests. Plan i writes
+// output answer i. Outputs go to the arena's spare buffers, which then
+// become current; the input level's buffers are recycled two levels on,
+// so callers must not retain answers across calls.
 //
 //ecsort:hotpath
 func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, error) {
-	dst := 1 - ar.cur
-	elems, offs := ar.elems[dst][:0], ar.offs[dst][:0]
-	next := ar.nextAns[:0]
+	elems, offs, next := ar.spare()
+	next = next[:(len(answers)+1)/2]
 	plans := ar.plans[:0]
-	moUsed, mbUsed := 0, 0
-	for start := 0; start < len(answers); start += 2 {
-		if start+1 == len(answers) {
-			var out Answer
-			out, elems, offs = appendAnswer(answers[start], elems, offs)
-			next = append(next, out)
-			continue
-		}
-		a, b := answers[start], answers[start+1]
-		if a.K() > b.K() {
-			a, b = b, a
-		}
-		mo := ar.matchOf[moUsed : moUsed+a.K() : moUsed+a.K()]
-		mb := ar.matchedB[mbUsed : mbUsed+b.K() : mbUsed+b.K()]
-		moUsed += a.K()
-		mbUsed += b.K()
-		for i := range mo {
-			mo[i] = -1
-			ar.classOf[a.Rep(i)] = int32(i)
-		}
-		for j := range mb {
-			mb[j] = false
-			ar.classOf[b.Rep(j)] = int32(j)
-		}
-		plans = append(plans, pairPlan{
-			a: a, b: b, slot: len(next),
-			matchOf: mo, matchedB: mb, classOf: ar.classOf,
-		})
-		next = append(next, Answer{}) // placeholder until the plan finishes
+	mo, mb := 0, 0
+	for start := 0; start+1 < len(answers); start += 2 {
+		p := ar.newPlan(answers, start, start+1, mo, mb)
+		mo += 2 * answers[p.a].K()
+		mb += answers[p.b].K()
+		plans = append(plans, p)
+	}
+	if len(answers)%2 == 1 {
+		next[len(next)-1], elems, offs = appendAnswer(answers[len(answers)-1], elems, offs)
 	}
 
 	active := ar.active[:0]
 	for i := range plans {
-		active = append(active, i)
+		active = append(active, int32(i))
 	}
 	batch, spans := ar.batch, ar.spans
 	for len(active) > 0 {
@@ -192,12 +130,12 @@ func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, er
 		for _, pi := range active {
 			p := &plans[pi]
 			lo := len(batch)
-			batch = p.emitNext(batch)
+			batch = p.emitNext(ar, answers, batch)
 			if len(batch) == lo { // schedule exhausted: finalize the merge
-				next[p.slot], elems, offs = appendMatched(p.a, p.b, p.matchOf, p.matchedB, elems, offs)
+				next[pi], elems, offs = p.appendMatched(ar, answers, elems, offs)
 				continue
 			}
-			spans = append(spans, erSpan{plan: pi, lo: lo, hi: len(batch)})
+			spans = append(spans, erSpan{plan: pi, lo: int32(lo), hi: int32(len(batch))})
 			still = append(still, pi)
 		}
 		active = still
@@ -208,16 +146,10 @@ func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, er
 		if err != nil {
 			return nil, err
 		}
-		if cap(res) > cap(ar.results) {
-			ar.results = res
-		}
 		for _, sp := range spans {
-			plans[sp.plan].absorb(batch[sp.lo:sp.hi], res[sp.lo:sp.hi])
+			plans[sp.plan].absorb(ar, batch[sp.lo:sp.hi], res[sp.lo:sp.hi])
 		}
 	}
-	ar.plans, ar.active = plans, active
-	ar.batch, ar.spans = batch, spans
-	ar.elems[dst], ar.offs[dst] = elems, offs
-	ar.cur = dst
+	ar.flip()
 	return next, nil
 }

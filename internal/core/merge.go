@@ -267,32 +267,87 @@ func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 	return mergeGroupScratch(s, sc, group)
 }
 
-// crArena is the per-sort state of the batched level merges of SortCR and
-// its variants: the shared merge scratch plus double-buffered flat pools
-// for the answers of the current and next level. Total elements across a
-// level never exceed n, so after warm-up a whole sort allocates nothing
-// per level.
-type crArena struct {
-	sc    mergeScratch
+// levels double-buffers the flat storage of a merge tree's levels: the
+// element pool, offset pool and answer headers of the current level and
+// of the level being built from it. Every buffer is sized once from n,
+// because a level covers at most n elements in at most n classes and,
+// from the first merge on, holds at most ⌈n/2⌉ answers. The level being
+// built never shares a buffer with the level it reads.
+type levels struct {
 	elems [2][]int
 	offs  [2][]int
-	cur   int // pool index holding the current level's answers
-	next  []Answer
+	ans   [2][]Answer
+	cur   int // index of the buffers the current level views
 }
 
-// newCRArena seeds the arena with the singleton level: answers[i] views
-// pool element i.
-func newCRArena(n int) (*crArena, []Answer) {
-	ar := &crArena{}
-	pool := make([]int, n)
-	answers := make([]Answer, n)
-	for i := range answers {
-		pool[i] = i
-		answers[i] = Answer{elems: pool[i : i+1 : i+1], offs: singletonOffs}
+func newLevels(n int) levels {
+	half := n - n/2
+	return levels{
+		elems: [2][]int{make([]int, n), make([]int, 0, n)},
+		offs:  [2][]int{make([]int, 0, n+half), make([]int, 0, n+half)},
+		ans:   [2][]Answer{make([]Answer, n), make([]Answer, 0, half)},
 	}
-	ar.elems[0] = pool
-	ar.offs[0] = make([]int, 0)
-	return ar, answers
+}
+
+// singletons makes the singleton level current and returns it:
+// answers[i] views pool element i.
+//
+//ecsort:hotpath
+func (lv *levels) singletons() []Answer {
+	lv.cur = 0
+	fillSingletons(lv.elems[0], lv.ans[0])
+	return lv.ans[0]
+}
+
+// spare returns the emptied buffers the next level is built into.
+//
+//ecsort:hotpath
+func (lv *levels) spare() (elems, offs []int, ans []Answer) {
+	dst := 1 - lv.cur
+	return lv.elems[dst][:0], lv.offs[dst][:0], lv.ans[dst][:0]
+}
+
+// flip makes the level built in the spare buffers current.
+func (lv *levels) flip() { lv.cur = 1 - lv.cur }
+
+// appendAnswer copies a into the elems/offs destination pools and
+// returns the copied view — the carry-over path for an answer with no
+// partner, so the source pool can be recycled next level.
+//
+//ecsort:hotpath
+func appendAnswer(a Answer, elems, offs []int) (Answer, []int, []int) {
+	base, offBase := len(elems), len(offs)
+	elems = append(elems, a.elems...)
+	offs = append(offs, a.offs...)
+	out := Answer{
+		elems: elems[base : base+a.Size() : base+a.Size()],
+		offs:  offs[offBase : offBase+len(a.offs) : offBase+len(a.offs)],
+	}
+	return out, elems, offs
+}
+
+// crArena is the per-sort state of the batched level merges of SortCR and
+// its variants: the level buffers plus the merge scratch, whose pair and
+// result buffers hold a logical round of n tests, one per processor. Only
+// a logical round wider than that grows the pair buffer, once per level
+// and to its exact width.
+type crArena struct {
+	levels
+	sc mergeScratch
+}
+
+// newCRArena sizes the arena for n elements and returns it with the
+// singleton level.
+func newCRArena(n int) (*crArena, []Answer) {
+	ar := &crArena{
+		levels: newLevels(n),
+		sc: mergeScratch{
+			pairs:   make([]model.Pair, 0, n),
+			results: make([]bool, n),
+			spans:   make([]mergeSpan, 0, n-n/2),
+		},
+	}
+	return ar, ar.singletons()
 }
 
 // mergePairsCR merges answers two at a time — (0,1), (2,3), ... — with all
@@ -302,12 +357,44 @@ func mergePairsCR(s *model.Session, ar *crArena, answers []Answer) ([]Answer, er
 	return mergeGroupsCR(s, ar, answers, 2)
 }
 
+// groupShape returns the number of cross-answer representative tests
+// appendCross emits for a group, Σ_{u<v} K(u)·K(v), and the group's
+// (answer, class) slot count, Σ K(u).
+//
+//ecsort:hotpath
+func groupShape(group []Answer) (tests, slots int) {
+	sq := 0
+	for _, a := range group {
+		slots += a.K()
+		sq += a.K() * a.K()
+	}
+	return (slots*slots - sq) / 2, slots
+}
+
+// reserve sizes the pair buffer for a logical round of tests and the
+// union-find and class tables for groups of up to slots slots, so the
+// merges of one level never grow them one group at a time.
+//
+//ecsort:hotpath
+func (sc *mergeScratch) reserve(tests, slots int) {
+	if cap(sc.pairs) < tests {
+		sc.pairs = make([]model.Pair, 0, tests)
+	}
+	if cap(sc.classID) < slots {
+		sc.classID = make([]int, slots)
+		sc.cursor = make([]int, slots)
+	}
+	if sc.dsu.Len() < slots {
+		sc.dsu.Reset(slots)
+	}
+}
+
 // mergeGroupsCR partitions answers into consecutive groups of size g and
 // merges each group, batching every group's cross tests into one logical
 // round. A trailing group smaller than g (possibly a single answer) is
 // merged or carried over. Outputs are written into the arena's spare
-// pool, which then becomes current; the input answers' pool is recycled
-// as the next spare, so callers must not retain answers across calls.
+// buffers, which then become current; the input level's buffers are
+// recycled two levels on, so callers must not retain answers across calls.
 //
 //ecsort:hotpath
 func mergeGroupsCR(s *model.Session, ar *crArena, answers []Answer, g int) ([]Answer, error) {
@@ -315,47 +402,38 @@ func mergeGroupsCR(s *model.Session, ar *crArena, answers []Answer, g int) ([]An
 		return nil, errSmallGroup
 	}
 	sc := &ar.sc
+	tests, slots := 0, 0
+	for start := 0; start < len(answers); start += g {
+		t, k := groupShape(answers[start:min(start+g, len(answers))])
+		tests, slots = tests+t, max(slots, k)
+	}
+	sc.reserve(tests, slots)
 	sc.pairs = sc.pairs[:0]
 	sc.spans = sc.spans[:0]
 	for start := 0; start < len(answers); start += g {
 		end := min(start+g, len(answers))
 		lo := len(sc.pairs)
-		if end-start > 1 {
-			sc.pairs = appendCross(sc.pairs, answers[start:end])
-		}
+		sc.pairs = appendCross(sc.pairs, answers[start:end])
 		sc.spans = append(sc.spans, mergeSpan{start: start, end: end, lo: lo, hi: len(sc.pairs)})
 	}
 	res, err := sc.round(s)
 	if err != nil {
 		return nil, err
 	}
-	dst := 1 - ar.cur
-	elems, offs := ar.elems[dst][:0], ar.offs[dst][:0]
-	next := ar.next[:0]
+	elems, offs, next := ar.spare()
 	for _, sp := range sc.spans {
 		group := answers[sp.start:sp.end]
 		var out Answer
 		if len(group) == 1 {
 			// Carry-over: copy into the destination pool so the source
 			// pool can be recycled next level.
-			a := group[0]
-			base, offBase := len(elems), len(offs)
-			elems = append(elems, a.elems...)
-			for _, o := range a.offs {
-				offs = append(offs, o)
-			}
-			out = Answer{
-				elems: elems[base : base+a.Size() : base+a.Size()],
-				offs:  offs[offBase : offBase+len(a.offs) : offBase+len(a.offs)],
-			}
+			out, elems, offs = appendAnswer(group[0], elems, offs)
 		} else {
 			sc.unite(group, res[sp.lo:sp.hi])
 			out, elems, offs = sc.buildMerged(group, elems, offs)
 		}
 		next = append(next, out)
 	}
-	ar.elems[dst], ar.offs[dst] = elems, offs
-	ar.cur = dst
-	ar.next = answers // recycle the input slice for the level after next
+	ar.flip()
 	return next, nil
 }

@@ -218,7 +218,8 @@ type Session struct {
 
 	stats Stats
 
-	// scratch for ER-disjointness checks, reused across rounds.
+	// scratch for ER-disjointness checks, reused across rounds and
+	// allocated by the first ER round (CR sessions never need it).
 	lastUsed []int // lastUsed[e] == round stamp when e last appeared
 	stamp    int
 }
@@ -243,10 +244,6 @@ func NewSession(o Oracle, mode Mode, opts ...Option) *Session {
 	}
 	if s.procs < 1 {
 		s.procs = 1
-	}
-	s.lastUsed = make([]int, s.n)
-	for i := range s.lastUsed {
-		s.lastUsed[i] = -1
 	}
 	return s
 }
@@ -389,7 +386,12 @@ func (s *Session) Compare(i, j int) bool {
 
 // validateER checks a whole ER batch: range, self-comparison, and the
 // exclusive-read disjointness rule, which spans the full logical round.
+// The stamp is incremented before use, so it is never zero and the
+// zeroed lastUsed table needs no -1 fill.
 func (s *Session) validateER(pairs []Pair) error {
+	if s.lastUsed == nil {
+		s.lastUsed = make([]int, s.n)
+	}
 	s.stamp++
 	for _, p := range pairs {
 		if p.A < 0 || p.A >= s.n || p.B < 0 || p.B >= s.n {

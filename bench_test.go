@@ -199,7 +199,7 @@ func BenchmarkFigure1Schedule(b *testing.B) {
 }
 
 // BenchmarkOracleHandshake measures one full HMAC challenge–response
-// handshake between two agent goroutines.
+// handshake, both sides signing on the calling goroutine.
 func BenchmarkOracleHandshake(b *testing.B) {
 	labels := []int{0, 0, 1, 1}
 	h := NewHandshakeOracle(labels, 9)

@@ -17,9 +17,11 @@
 // hint requirements. "auto" plans the cheapest applicable regimen from
 // the -k/-lambda hints and reports its choice. The -oracle flag picks
 // the comparison mechanism: plain labels (fast), simulated secret
-// handshakes (HMAC challenge–response between agent goroutines),
-// simulated fault diagnosis, or graph isomorphism. Interrupting a run
-// (Ctrl-C) cancels the sort between parallel rounds.
+// handshakes (an HMAC challenge–response per test, both sides on the
+// calling goroutine; -oracle agents runs them as goroutine message
+// passing, as the service's handshake-agents kind does), simulated fault
+// diagnosis, or graph isomorphism. Interrupting a run (Ctrl-C) cancels
+// the sort between parallel rounds.
 package main
 
 import (

@@ -428,7 +428,10 @@ type LabelOracle = oracle.Label
 func NewLabelOracle(labels []int) *LabelOracle { return oracle.NewLabel(labels) }
 
 // HandshakeOracle simulates cryptographic secret handshakes: each test
-// runs an HMAC-SHA256 challenge–response between two agent goroutines.
+// runs an HMAC-SHA256 challenge–response between the two agents, both
+// sides on the caller's goroutine, each signing with only its own group
+// key. It answers whole chunks too (BatchOracle). The goroutine
+// message-passing variant is OracleKindHandshakeAgents.
 type HandshakeOracle = oracle.Handshake
 
 // NewHandshakeOracle enrolls agents into groups given by labels; agents

@@ -1,8 +1,11 @@
 // Secret handshakes: the paper's motivating story. Interns at a political
 // convention each belong to one of several parties and will only reveal a
 // shared affiliation through a pairwise secret handshake. Here the
-// handshake is a real HMAC-SHA256 challenge–response run between two agent
-// goroutines; a transcript reveals nothing but same-party/different-party.
+// handshake is a real HMAC-SHA256 challenge–response in which each intern
+// signs the exchanged nonces with only its own party key, both sides
+// simulated on the calling goroutine; a transcript reveals nothing but
+// same-party/different-party. (The service's "handshake-agents" kind runs
+// the same protocol as goroutine message passing between agents.)
 //
 // Because the agents perform the handshakes themselves, each agent can be
 // in at most one handshake per round — the exclusive-read (ER) model — so

@@ -73,7 +73,10 @@ func BenchmarkSortZeta(b *testing.B) {
 }
 
 // BenchmarkMergeGroup is the tracked-baseline benchmark of one compounding
-// group merge — the phase 2 step every flush and sort funnels through.
+// group merge — the phase 2 step every flush and sort funnels through. It
+// owns its scratch arena, warmed by one merge before timing, so a GC that
+// empties the exported entry points' scratch pool cannot show up in
+// allocs/op; TestMergeGroupCRAllocs covers the pooled MergeGroupCR.
 func BenchmarkMergeGroup(b *testing.B) {
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
@@ -89,10 +92,14 @@ func BenchmarkMergeGroup(b *testing.B) {
 	for i, a := range answers {
 		group[i] = NewAnswer(a.Classes())
 	}
+	var sc mergeScratch
+	if _, err := mergeGroupScratch(s, &sc, group); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MergeGroupCR(s, group); err != nil {
+		if _, err := mergeGroupScratch(s, &sc, group); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,7 +138,7 @@ func TestHandshakeQuick(t *testing.T) {
 func TestHandshakeKeysDifferAcrossSeeds(t *testing.T) {
 	a := NewHandshake([]int{0, 1}, 1)
 	b := NewHandshake([]int{0, 1}, 2)
-	if string(a.keys[0]) == string(b.keys[0]) {
+	if string(agentKey(a, 0)) == string(agentKey(b, 0)) {
 		t.Fatal("different master seeds produced the same group key")
 	}
 }

@@ -36,8 +36,10 @@ const (
 	// KindLabel is the reference oracle: Labels[i] defines element i's
 	// class, each test a slice lookup.
 	KindLabel = "label"
-	// KindHandshake runs an in-process HMAC challenge–response secret
-	// handshake per test (oracle.Handshake); group membership from Labels.
+	// KindHandshake runs an HMAC challenge–response secret handshake per
+	// test (oracle.Handshake), both sides on the calling goroutine and a
+	// worker-pool chunk per oracle call; group membership from Labels.
+	// Goroutine message passing is KindHandshakeAgents.
 	KindHandshake = "handshake"
 	// KindHandshakeAgents routes every test through a two-goroutine
 	// message-passing protocol session on an agents.Network of key agents

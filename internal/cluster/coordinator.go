@@ -299,13 +299,38 @@ func (co *Coordinator) CreateCollection(ctx context.Context, key string, spec se
 	return info, nil
 }
 
-// DropCollection drops key on its owner and frees its route.
-func (co *Coordinator) DropCollection(ctx context.Context, key string) error {
+// forward routes one keyed operation to key's owner: it resolves the
+// owner, encodes args as the request body (nil sends none) and makes
+// the call. The returned bytes are the owner's success body — for the
+// relayed ops, the exact HTTP body a single node writes.
+func (co *Coordinator) forward(ctx context.Context, o op, key string, args any) ([]byte, error) {
 	idx, err := co.owner(key)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := co.call(ctx, idx, opDrop, key, nil); err != nil {
+	var body []byte
+	if args != nil {
+		if body, err = json.Marshal(args); err != nil {
+			return nil, err
+		}
+	}
+	return co.call(ctx, idx, o, key, body)
+}
+
+// forwardAs forwards one keyed operation and decodes the owner's body
+// into a T for Go callers.
+func forwardAs[T any](ctx context.Context, co *Coordinator, o op, key string, args any) (T, error) {
+	var v T
+	out, err := co.forward(ctx, o, key, args)
+	if err != nil {
+		return v, err
+	}
+	return v, json.Unmarshal(out, &v)
+}
+
+// DropCollection drops key on its owner and frees its route.
+func (co *Coordinator) DropCollection(ctx context.Context, key string) error {
+	if _, err := co.forward(ctx, opDrop, key, nil); err != nil {
 		return err
 	}
 	co.mu.Lock()
@@ -322,110 +347,37 @@ func (co *Coordinator) DropCollection(ctx context.Context, key string) error {
 
 // Ingest forwards a batch to key's owner.
 func (co *Coordinator) Ingest(ctx context.Context, key string, items []int, flush bool) (service.IngestResult, error) {
-	var res service.IngestResult
-	idx, err := co.owner(key)
-	if err != nil {
-		return res, err
-	}
-	body, err := json.Marshal(ingestArgs{Items: items, Flush: flush})
-	if err != nil {
-		return res, err
-	}
-	out, err := co.call(ctx, idx, opIngest, key, body)
-	if err != nil {
-		return res, err
-	}
-	return res, json.Unmarshal(out, &res)
+	return forwardAs[service.IngestResult](ctx, co, opIngest, key, ingestArgs{Items: items, Flush: flush})
 }
 
 // Classes fetches key's current partition from its owner.
 func (co *Coordinator) Classes(ctx context.Context, key string, fresh bool) (*service.Snapshot, error) {
-	idx, err := co.owner(key)
-	if err != nil {
-		return nil, err
-	}
-	body, _ := json.Marshal(classArgs{Fresh: fresh})
-	out, err := co.call(ctx, idx, opClasses, key, body)
-	if err != nil {
-		return nil, err
-	}
-	var snap service.Snapshot
-	if err := json.Unmarshal(out, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	return forwardAs[*service.Snapshot](ctx, co, opClasses, key, classArgs{Fresh: fresh})
 }
 
 // ClassOf point-looks-up one element's class on key's owner.
 func (co *Coordinator) ClassOf(ctx context.Context, key string, element int, fresh bool) (service.ClassView, error) {
-	var view service.ClassView
-	idx, err := co.owner(key)
-	if err != nil {
-		return view, err
-	}
-	body, _ := json.Marshal(classOfArgs{Element: element, Fresh: fresh})
-	out, err := co.call(ctx, idx, opClassOf, key, body)
-	if err != nil {
-		return view, err
-	}
-	return view, json.Unmarshal(out, &view)
+	return forwardAs[service.ClassView](ctx, co, opClassOf, key, classOfArgs{Element: element, Fresh: fresh})
 }
 
 // DeleteItem removes one element on key's owner.
 func (co *Coordinator) DeleteItem(ctx context.Context, key string, element int) (service.ChurnResult, error) {
-	var res service.ChurnResult
-	idx, err := co.owner(key)
-	if err != nil {
-		return res, err
-	}
-	body, _ := json.Marshal(deleteArgs{Element: element})
-	out, err := co.call(ctx, idx, opDelete, key, body)
-	if err != nil {
-		return res, err
-	}
-	return res, json.Unmarshal(out, &res)
+	return forwardAs[service.ChurnResult](ctx, co, opDelete, key, deleteArgs{Element: element})
 }
 
 // InvalidateClass withdraws a class on key's owner.
 func (co *Coordinator) InvalidateClass(ctx context.Context, key string, class int, flush bool) (service.ChurnResult, error) {
-	var res service.ChurnResult
-	idx, err := co.owner(key)
-	if err != nil {
-		return res, err
-	}
-	body, _ := json.Marshal(invalidateArgs{Class: class, Flush: flush})
-	out, err := co.call(ctx, idx, opInvalidate, key, body)
-	if err != nil {
-		return res, err
-	}
-	return res, json.Unmarshal(out, &res)
+	return forwardAs[service.ChurnResult](ctx, co, opInvalidate, key, invalidateArgs{Class: class, Flush: flush})
 }
 
 // Stats fetches key's counters and snapshot from its owner.
 func (co *Coordinator) Stats(ctx context.Context, key string) (service.CollectionInfo, error) {
-	var info service.CollectionInfo
-	idx, err := co.owner(key)
-	if err != nil {
-		return info, err
-	}
-	out, err := co.call(ctx, idx, opStats, key, nil)
-	if err != nil {
-		return info, err
-	}
-	return info, json.Unmarshal(out, &info)
+	return forwardAs[service.CollectionInfo](ctx, co, opStats, key, nil)
 }
 
 // UpdateResilience retunes key's resilience profile on its owner.
 func (co *Coordinator) UpdateResilience(ctx context.Context, key string, rs service.ResilienceSpec) error {
-	idx, err := co.owner(key)
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(rs)
-	if err != nil {
-		return err
-	}
-	_, err = co.call(ctx, idx, opResilience, key, body)
+	_, err := co.forward(ctx, opResilience, key, rs)
 	return err
 }
 

@@ -17,7 +17,9 @@ import (
 // Handler returns the coordinator's HTTP API — the same route table a
 // single-binary service exposes (clients cannot tell a coordinator
 // from a node), plus per-node fleet state on the health and metrics
-// endpoints. Collection operations are forwarded to the owning node;
+// endpoints. Collection operations are forwarded to the owning node,
+// and the ingest, delete, invalidate, classes, class-of and stats
+// routes write the node's reply body byte for byte, never decoding it;
 // /v1/algorithms is answered locally (the registry is compiled in,
 // identical on every binary).
 func (co *Coordinator) Handler() http.Handler {
@@ -44,12 +46,30 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeBody writes one JSON response body: a node's reply relayed
+// verbatim, or a value of the coordinator's own encoded by
+// service.AppendJSON.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
+}
+
+// writeErrorMsg writes the JSON error envelope.
+func writeErrorMsg(w http.ResponseWriter, status int, msg string) {
+	writeBody(w, status, service.AppendJSON(nil, errorResponse{Error: msg}))
+}
+
+// relay forwards one keyed operation to the collection's owner and
+// writes the owner's success body with status, byte for byte: the body
+// a single node's handler writes, never decoded here.
+func (co *Coordinator) relay(w http.ResponseWriter, r *http.Request, status int, o op, args any) {
+	body, err := co.forward(r.Context(), o, r.PathValue("key"), args)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, status, body)
 }
 
 // writeError maps coordinator-side errors to statuses: degraded
@@ -64,12 +84,12 @@ func writeError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeErrorMsg(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	var re *RemoteError
 	if errors.As(err, &re) {
-		writeJSON(w, re.Status, errorResponse{Error: re.Msg})
+		writeErrorMsg(w, re.Status, re.Msg)
 		return
 	}
 	status := http.StatusInternalServerError
@@ -81,7 +101,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, service.ErrBadItem), errors.Is(err, service.ErrBadSpec):
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	writeErrorMsg(w, status, err.Error())
 }
 
 func decodeBody(r *http.Request, v any) error {
@@ -101,17 +121,28 @@ func boolParam(r *http.Request, name string) bool {
 	return false
 }
 
+// pathInt parses the integer path segment name, answering 400 itself
+// when it is not one.
+func pathInt(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
+	v, err := strconv.Atoi(r.PathValue(name))
+	if err != nil {
+		writeErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("cluster: bad %s %q: not an integer", name, r.PathValue(name)))
+		return 0, false
+	}
+	return v, true
+}
+
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	co.mu.RLock()
 	collections := len(co.routes)
 	co.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{
 		"status":         "ok",
 		"role":           "coordinator",
 		"uptime_seconds": co.Uptime().Seconds(),
 		"nodes":          len(co.nodes),
 		"collections":    collections,
-	})
+	}))
 }
 
 // handleReady aggregates readiness across the fleet: 200 when every
@@ -132,24 +163,24 @@ func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "degraded"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	writeBody(w, status, service.AppendJSON(nil, body))
 }
 
 func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"collections": co.List(r.Context())})
+	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{"collections": co.List(r.Context())}))
 }
 
 func (co *Coordinator) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{
 		"default":    service.AlgorithmIncremental,
 		"algorithms": algo.Infos(),
-	})
+	}))
 }
 
 func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec service.OracleSpec
 	if err := decodeBody(r, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeErrorMsg(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	info, err := co.CreateCollection(r.Context(), r.PathValue("key"), spec)
@@ -157,12 +188,12 @@ func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	writeBody(w, http.StatusCreated, service.AppendJSON(nil, map[string]any{
 		"key":       info.Key,
 		"kind":      info.Kind,
 		"universe":  info.Universe,
 		"algorithm": info.Algorithm,
-	})
+	}))
 }
 
 func (co *Coordinator) handleDrop(w http.ResponseWriter, r *http.Request) {
@@ -178,84 +209,42 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Items []int `json:"items"`
 	}
 	if err := decodeBody(r, &body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeErrorMsg(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, err := co.Ingest(r.Context(), r.PathValue("key"), body.Items, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
+	co.relay(w, r, http.StatusAccepted, opIngest, ingestArgs{Items: body.Items, Flush: boolParam(r, "flush")})
 }
 
 func (co *Coordinator) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad element %q: not an integer", r.PathValue("element"))})
-		return
+	if element, ok := pathInt(w, r, "element"); ok {
+		co.relay(w, r, http.StatusOK, opDelete, deleteArgs{Element: element})
 	}
-	res, err := co.DeleteItem(r.Context(), r.PathValue("key"), element)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (co *Coordinator) handleClasses(w http.ResponseWriter, r *http.Request) {
-	snap, err := co.Classes(r.Context(), r.PathValue("key"), boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	co.relay(w, r, http.StatusOK, opClasses, classArgs{Fresh: boolParam(r, "fresh")})
 }
 
 func (co *Coordinator) handleClassOf(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad element %q: not an integer", r.PathValue("element"))})
-		return
+	if element, ok := pathInt(w, r, "element"); ok {
+		co.relay(w, r, http.StatusOK, opClassOf, classOfArgs{Element: element, Fresh: boolParam(r, "fresh")})
 	}
-	view, err := co.ClassOf(r.Context(), r.PathValue("key"), element, boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
 }
 
 func (co *Coordinator) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	class, err := strconv.Atoi(r.PathValue("class"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("cluster: bad class %q: not an integer", r.PathValue("class"))})
-		return
+	if class, ok := pathInt(w, r, "class"); ok {
+		co.relay(w, r, http.StatusAccepted, opInvalidate, invalidateArgs{Class: class, Flush: boolParam(r, "flush")})
 	}
-	res, err := co.InvalidateClass(r.Context(), r.PathValue("key"), class, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
 }
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	info, err := co.Stats(r.Context(), r.PathValue("key"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	co.relay(w, r, http.StatusOK, opStats, nil)
 }
 
 func (co *Coordinator) handleUpdateResilience(w http.ResponseWriter, r *http.Request) {
 	var rs service.ResilienceSpec
 	if err := decodeBody(r, &rs); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeErrorMsg(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := r.PathValue("key")
@@ -263,7 +252,7 @@ func (co *Coordinator) handleUpdateResilience(w http.ResponseWriter, r *http.Req
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "resilience": rs})
+	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{"key": key, "resilience": rs}))
 }
 
 // handleMetrics renders cluster-level metrics: fleet shape, per-node

@@ -59,17 +59,19 @@ func (n *Node) Handle(req []byte) []byte {
 	if err != nil {
 		return encodeErr(nil, http.StatusBadRequest, 0, err.Error())
 	}
-	out, err := n.dispatch(o, key, body)
+	out, err := n.dispatch(encodeOK(nil, nil), o, key, body)
 	if err != nil {
 		status, ra := statusOf(err)
 		return encodeErr(nil, status, ra, err.Error())
 	}
-	return encodeOK(nil, out)
+	return out
 }
 
-// dispatch runs one operation against the local service and marshals
-// its result.
-func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
+// dispatch runs one operation against the local service and appends its
+// result to dst as service.AppendJSON bytes: for the ops the
+// coordinator relays (ingest, delete, invalidate, classes, class-of,
+// stats), exactly the HTTP body a single node's handler writes.
+func (n *Node) dispatch(dst []byte, o op, key string, body []byte) ([]byte, error) {
 	switch o {
 	case opCreate:
 		var spec service.OracleSpec
@@ -84,9 +86,9 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		info.Snapshot = nil // create responses carry identity, not data
-		return json.Marshal(info)
+		return service.AppendJSON(dst, info), nil
 	case opDrop:
-		return nil, n.svc.DropCollection(key)
+		return dst, n.svc.DropCollection(key)
 	case opIngest:
 		var a ingestArgs
 		if err := json.Unmarshal(body, &a); err != nil {
@@ -96,7 +98,7 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(res)
+		return service.AppendJSON(dst, res), nil
 	case opDelete:
 		var a deleteArgs
 		if err := json.Unmarshal(body, &a); err != nil {
@@ -106,7 +108,7 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(res)
+		return service.AppendJSON(dst, res), nil
 	case opInvalidate:
 		var a invalidateArgs
 		if err := json.Unmarshal(body, &a); err != nil {
@@ -116,7 +118,7 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(res)
+		return service.AppendJSON(dst, res), nil
 	case opClasses:
 		var a classArgs
 		if err := json.Unmarshal(body, &a); err != nil {
@@ -126,7 +128,7 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(snap)
+		return service.AppendJSON(dst, snap), nil
 	case opClassOf:
 		var a classOfArgs
 		if err := json.Unmarshal(body, &a); err != nil {
@@ -136,15 +138,15 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(view)
+		return service.AppendJSON(dst, view), nil
 	case opStats:
 		info, err := n.svc.CollectionStats(key)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(info)
+		return service.AppendJSON(dst, info), nil
 	case opList:
-		return json.Marshal(n.svc.Collections())
+		return service.AppendJSON(dst, n.svc.Collections()), nil
 	case opHealth:
 		h := nodeHealth{UptimeSecs: time.Since(n.start).Seconds(), Corrupt: n.corruptFrames.Load()}
 		for _, info := range n.svc.Collections() {
@@ -157,13 +159,13 @@ func (n *Node) dispatch(o op, key string, body []byte) ([]byte, error) {
 				})
 			}
 		}
-		return json.Marshal(h)
+		return service.AppendJSON(dst, h), nil
 	case opResilience:
 		var rs service.ResilienceSpec
 		if err := json.Unmarshal(body, &rs); err != nil {
 			return nil, fmt.Errorf("%w: undecodable resilience body: %v", service.ErrBadSpec, err)
 		}
-		return nil, n.svc.UpdateResilience(key, rs)
+		return dst, n.svc.UpdateResilience(key, rs)
 	}
 	return nil, fmt.Errorf("cluster: unhandled op %d", o)
 }

@@ -80,13 +80,17 @@ func TestTCPServerRejectsCorruptFrame(t *testing.T) {
 }
 
 // TestTCPServerRejectsBadHandshake: wrong magic or an unknown version
-// closes the connection before any frame is read.
+// closes the connection before any frame is read. Version 1 peers are
+// refused too: their compact success bodies would reach clients in a
+// different format from the relayed version 2 bodies.
 func TestTCPServerRejectsBadHandshake(t *testing.T) {
 	node, addr := startTCPNode(t)
-	for _, hdr := range [][wal.HeaderSize]byte{
+	hdrs := [][wal.HeaderSize]byte{
 		wal.NewHeader("XXXX", WireVersion, 0),      // wrong magic
 		wal.NewHeader(wireMagic, WireVersion+7, 0), // future version
-	} {
+		wal.NewHeader(wireMagic, 1, 0),             // version 1 peer
+	}
+	for _, hdr := range hdrs {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -103,8 +107,8 @@ func TestTCPServerRejectsBadHandshake(t *testing.T) {
 		}
 		c.Close()
 	}
-	if got := node.CorruptFrames(); got != 2 {
-		t.Fatalf("CorruptFrames after bad handshakes: got %d, want 2", got)
+	if got := node.CorruptFrames(); got != int64(len(hdrs)) {
+		t.Fatalf("CorruptFrames after bad handshakes: got %d, want %d", got, len(hdrs))
 	}
 }
 
@@ -215,5 +219,59 @@ func TestChanTransportClosed(t *testing.T) {
 	tr.Close() // idempotent
 	if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("Call after Close: got %v, want ErrTransportClosed", err)
+	}
+}
+
+// TestChanTransportConcurrentExchanges: a read of one collection must
+// not queue behind a slow fold of another collection on the same node.
+// Each exchange is answered on its own goroutine, as each pooled TCP
+// connection is; a single serving goroutine would hold the read until
+// the fold's 300 ms oracle latency had passed.
+func TestChanTransportConcurrentExchanges(t *testing.T) {
+	svc := service.New(service.Config{Shards: 2, BatchSize: 64})
+	defer svc.Close()
+	node := NewNode(svc)
+	co, err := New(Config{}, []Backend{{Name: "n0", Transport: NewChanTransport(node)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx := context.Background()
+	if _, err := co.CreateCollection(ctx, "fast", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Ingest(ctx, "fast", []int{0, 1, 2}, true); err != nil {
+		t.Fatal(err)
+	}
+	slow := service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}, Faults: &service.FaultSpec{LatencyMs: 300}}
+	if _, err := co.CreateCollection(ctx, "slow", slow); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Ingest(ctx, "slow", []int{0, 1}, false); err != nil {
+		t.Fatal(err)
+	}
+
+	before := node.requests.Load()
+	foldDone := make(chan error, 1)
+	go func() {
+		_, err := co.Ingest(ctx, "slow", nil, true)
+		foldDone <- err
+	}()
+	for node.requests.Load() == before { // the fold's exchange is in Handle
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	view, err := co.ClassOf(ctx, "fast", 0, false)
+	elapsed := time.Since(start)
+	if err != nil || len(view.Members) != 2 {
+		t.Fatalf("read during the fold: %+v, %v", view, err)
+	}
+	select {
+	case err := <-foldDone:
+		t.Fatalf("the read took %v and returned after the slow fold (err %v): it queued behind the fold", elapsed, err)
+	default:
+	}
+	if err := <-foldDone; err != nil {
+		t.Fatalf("slow fold: %v", err)
 	}
 }

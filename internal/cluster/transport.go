@@ -34,11 +34,14 @@ type chanExchange struct {
 }
 
 // ChanTransport is the in-process transport: requests cross a channel
-// to a serving goroutine that runs the node's Handle, and responses
-// cross back on a per-call channel. No memory is shared with the node
-// beyond the copied payload — the same discipline as TCP, minus the
-// socket — so tests and the default single-binary mode exercise the
-// exact codec and ownership rules production traffic uses.
+// to a dispatching goroutine that answers each one with the node's
+// Handle on a goroutine of its own, and responses cross back on a
+// per-call channel. No memory is shared with the node beyond the copied
+// payload — the same discipline as TCP, minus the socket — so tests and
+// the default single-binary mode exercise the exact codec and ownership
+// rules production traffic uses. Like TCP's one goroutine per pooled
+// connection, concurrent calls run concurrently: a read of one
+// collection never queues behind a slow fold of another.
 type ChanTransport struct {
 	reqs    chan chanExchange
 	quit    chan struct{}
@@ -46,7 +49,7 @@ type ChanTransport struct {
 	closing sync.Once
 }
 
-// NewChanTransport starts a serving goroutine answering via node.
+// NewChanTransport starts a dispatching goroutine answering via node.
 // Close stops it.
 func NewChanTransport(node *Node) *ChanTransport {
 	t := &ChanTransport{
@@ -55,13 +58,21 @@ func NewChanTransport(node *Node) *ChanTransport {
 		done: make(chan struct{}),
 	}
 	go func() {
-		defer close(t.done)
+		var inflight sync.WaitGroup
+		defer func() {
+			inflight.Wait()
+			close(t.done)
+		}()
 		for {
 			select {
 			case <-t.quit:
 				return
 			case ex := <-t.reqs:
-				ex.resp <- node.Handle(ex.req)
+				inflight.Add(1)
+				go func() {
+					defer inflight.Done()
+					ex.resp <- node.Handle(ex.req)
+				}()
 			}
 		}
 	}()
@@ -70,8 +81,8 @@ func NewChanTransport(node *Node) *ChanTransport {
 
 // Call sends one request and waits for its response.
 func (t *ChanTransport) Call(ctx context.Context, req []byte) ([]byte, error) {
-	// Copy: the caller owns req only until Call returns, but the serving
-	// goroutine reads it after the handoff.
+	// Copy: the caller owns req only until Call returns, but the
+	// handling goroutine reads it after the handoff.
 	own := make([]byte, len(req))
 	copy(own, req)
 	ex := chanExchange{req: own, resp: make(chan []byte, 1)}
@@ -90,8 +101,9 @@ func (t *ChanTransport) Call(ctx context.Context, req []byte) ([]byte, error) {
 	}
 }
 
-// Close stops the serving goroutine. In-flight Handle calls finish
-// first (their response lands in the buffered per-call channel).
+// Close stops the dispatching goroutine and waits for every in-flight
+// Handle to finish (each response lands in its buffered per-call
+// channel).
 func (t *ChanTransport) Close() error {
 	t.closing.Do(func() { close(t.quit) })
 	<-t.done

@@ -20,7 +20,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"net/http"
 	"time"
 )
 
@@ -32,22 +31,29 @@ import (
 const (
 	wireMagic = "ECSC"
 	// WireVersion is the cluster protocol version. Version 1: the op
-	// set below, JSON bodies, wal-framed.
-	WireVersion uint16 = 1
+	// set below, JSON bodies, wal-framed. Version 2: every success body
+	// is service.AppendJSON's indented encoding, so the coordinator
+	// relays the six read and write bodies (ingest, delete, invalidate,
+	// classes, class-of, stats) to HTTP clients unread; a version 1
+	// node's compact bodies would reach clients in a different format,
+	// so the handshake refuses it.
+	WireVersion uint16 = 2
 )
 
 // op identifies one request kind on the wire.
 type op byte
 
+// Request bodies are compact JSON; success bodies are service.AppendJSON
+// bytes, which for the ops marked "relayed" are the HTTP response body.
 const (
 	opCreate     op = iota + 1 // body: service.OracleSpec JSON → CollectionInfo JSON
 	opDrop                     // no body → no body
-	opIngest                   // body: ingestArgs → service.IngestResult
-	opDelete                   // body: deleteArgs → service.ChurnResult
-	opInvalidate               // body: invalidateArgs → service.ChurnResult
-	opClasses                  // body: classArgs → service.Snapshot
-	opClassOf                  // body: classOfArgs → service.ClassView
-	opStats                    // no body → service.CollectionInfo (with snapshot)
+	opIngest                   // body: ingestArgs → service.IngestResult (relayed)
+	opDelete                   // body: deleteArgs → service.ChurnResult (relayed)
+	opInvalidate               // body: invalidateArgs → service.ChurnResult (relayed)
+	opClasses                  // body: classArgs → service.Snapshot (relayed)
+	opClassOf                  // body: classOfArgs → service.ClassView (relayed)
+	opStats                    // no body → service.CollectionInfo with snapshot (relayed)
 	opList                     // no body, no key → []service.CollectionInfo
 	opHealth                   // no body, no key → nodeHealth
 	opResilience               // body: service.ResilienceSpec JSON → no body
@@ -187,12 +193,4 @@ func decodeResponse(p []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown response tag %d", p[0])
 	}
-}
-
-// statusText falls back to the standard reason phrase for error bodies.
-func statusText(status int) string {
-	if t := http.StatusText(status); t != "" {
-		return t
-	}
-	return "error"
 }

@@ -71,9 +71,7 @@ type errorResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(AppendJSON(nil, v))
 }
 
 // writeError maps service errors onto HTTP statuses.

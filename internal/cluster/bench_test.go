@@ -40,6 +40,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			cl := service.NewClient(co)
 			defer func() {
 				co.Close()
 				for _, s := range svcs {
@@ -50,21 +51,21 @@ func BenchmarkClusterIngest(b *testing.B) {
 			ctx := context.Background()
 			batch := make([]int, 64)
 			run := func(key string) {
-				if _, err := co.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
+				if _, err := cl.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
 					b.Fatal(err)
 				}
 				for lo := 0; lo < len(labels); lo += len(batch) {
 					for j := range batch {
 						batch[j] = lo + j
 					}
-					if _, err := co.Ingest(ctx, key, batch, false); err != nil {
+					if _, err := cl.Ingest(ctx, key, batch, false); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := co.Classes(ctx, key, true); err != nil {
+				if _, err := cl.Classes(ctx, key, true); err != nil {
 					b.Fatal(err)
 				}
-				if err := co.DropCollection(ctx, key); err != nil {
+				if err := cl.DropCollection(ctx, key); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +95,10 @@ func (w *benchResponse) Write(p []byte) (int, error) { return len(p), nil }
 // collection with zeta(2) class sizes: class-of a member of its largest
 // class (628 members), and the whole partition. The node encodes each
 // reply once and the coordinator writes those bytes unread, so allocs/op
-// holds the relay's per-read cost. One untimed request warms each path.
+// holds the relay's per-read cost. The single-node arms serve the same
+// two reads from the node's own service.Handler(): the shared route
+// table over the local executor, the path a single-node deployment
+// serves. One untimed request warms each path.
 func BenchmarkCoordinatorRead(b *testing.B) {
 	svc := service.New(service.Config{Shards: 1, Workers: 1})
 	node := NewNode(svc)
@@ -103,23 +107,24 @@ func BenchmarkCoordinatorRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cl := service.NewClient(co)
 	defer func() {
 		co.Close()
 		svc.Close()
 	}()
 	ctx := context.Background()
 	labels := dist.Labels(dist.NewZeta(2), 1024, rand.New(rand.NewSource(1)))
-	if _, err := co.CreateCollection(ctx, "zeta", service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "zeta", service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
 		b.Fatal(err)
 	}
 	items := make([]int, len(labels))
 	for i := range items {
 		items[i] = i
 	}
-	if _, err := co.Ingest(ctx, "zeta", items, true); err != nil {
+	if _, err := cl.Ingest(ctx, "zeta", items, true); err != nil {
 		b.Fatal(err)
 	}
-	snap, err := co.Classes(ctx, "zeta", false)
+	snap, err := cl.Classes(ctx, "zeta", false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,12 +135,19 @@ func BenchmarkCoordinatorRead(b *testing.B) {
 		}
 	}
 
-	h := co.Handler()
-	for _, bc := range []struct{ name, path string }{
-		{"class-of", fmt.Sprintf("/v1/collections/zeta/classes/%d", largest[0])},
-		{"classes", "/v1/collections/zeta/classes"},
+	coordinator, single := co.Handler(), svc.Handler()
+	classOf := fmt.Sprintf("/v1/collections/zeta/classes/%d", largest[0])
+	for _, bc := range []struct {
+		name, path string
+		h          http.Handler
+	}{
+		{"class-of", classOf, coordinator},
+		{"classes", "/v1/collections/zeta/classes", coordinator},
+		{"single-node-class-of", classOf, single},
+		{"single-node-classes", "/v1/collections/zeta/classes", single},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			h := bc.h
 			req := httptest.NewRequest("GET", bc.path, nil)
 			w := &benchResponse{hdr: make(http.Header)}
 			h.ServeHTTP(w, req)

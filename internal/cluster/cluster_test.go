@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -109,47 +111,10 @@ func makeWorkload(seed int64, collections, n int) workload {
 	return w
 }
 
-// clusterAPI is the slice of the coordinator/service surface the
-// equivalence tests drive, so one driver serves both.
-type clusterAPI interface {
-	CreateCollection(ctx context.Context, key string, spec service.OracleSpec) (service.CollectionInfo, error)
-	Ingest(ctx context.Context, key string, items []int, flush bool) (service.IngestResult, error)
-	Classes(ctx context.Context, key string, fresh bool) (*service.Snapshot, error)
-	DeleteItem(ctx context.Context, key string, element int) (service.ChurnResult, error)
-	InvalidateClass(ctx context.Context, key string, class int, flush bool) (service.ChurnResult, error)
-	Stats(ctx context.Context, key string) (service.CollectionInfo, error)
-}
-
-// localAPI adapts a plain single-binary service to clusterAPI — the
-// control arm of the equivalence experiment.
-type localAPI struct{ svc *service.Service }
-
-func (l localAPI) CreateCollection(_ context.Context, key string, spec service.OracleSpec) (service.CollectionInfo, error) {
-	if err := l.svc.CreateCollection(key, spec); err != nil {
-		return service.CollectionInfo{}, err
-	}
-	return l.svc.CollectionStats(key)
-}
-func (l localAPI) Ingest(_ context.Context, key string, items []int, flush bool) (service.IngestResult, error) {
-	return l.svc.Ingest(key, items, flush)
-}
-func (l localAPI) Classes(_ context.Context, key string, fresh bool) (*service.Snapshot, error) {
-	return l.svc.Classes(key, fresh)
-}
-func (l localAPI) DeleteItem(_ context.Context, key string, element int) (service.ChurnResult, error) {
-	return l.svc.DeleteItem(key, element)
-}
-func (l localAPI) InvalidateClass(_ context.Context, key string, class int, flush bool) (service.ChurnResult, error) {
-	return l.svc.InvalidateClass(key, class, flush)
-}
-func (l localAPI) Stats(_ context.Context, key string) (service.CollectionInfo, error) {
-	return l.svc.CollectionStats(key)
-}
-
 // drive runs the deterministic workload against one API arm and returns
 // each collection's final state: classes JSON + the deterministic stats
 // counters, marshaled so arms compare bit-for-bit.
-func drive(t *testing.T, api clusterAPI, w workload) map[string]string {
+func drive(t *testing.T, api service.Client, w workload) map[string]string {
 	t.Helper()
 	ctx := context.Background()
 	for _, key := range w.keys {
@@ -225,13 +190,13 @@ func TestTransportEquivalence(t *testing.T) {
 
 	control := service.New(svcCfg)
 	defer control.Close()
-	want := drive(t, localAPI{control}, makeWorkload(seed, collections, n))
+	want := drive(t, service.NewClient(control), makeWorkload(seed, collections, n))
 
 	chanCo, _ := newChanCluster(t, 3, Config{}, svcCfg)
-	gotChan := drive(t, chanCo, makeWorkload(seed, collections, n))
+	gotChan := drive(t, service.NewClient(chanCo), makeWorkload(seed, collections, n))
 
 	tcpCo, _, _ := newTCPCluster(t, 3, Config{}, svcCfg)
-	gotTCP := drive(t, tcpCo, makeWorkload(seed, collections, n))
+	gotTCP := drive(t, service.NewClient(tcpCo), makeWorkload(seed, collections, n))
 
 	for _, key := range []string{"col-0", "col-1", "col-2", "col-3", "col-4", "col-5"} {
 		if gotChan[key] != want[key] {
@@ -249,10 +214,11 @@ func TestTransportEquivalence(t *testing.T) {
 // node — the coordinator is a router, not a proxy to node zero.
 func TestClusterSpread(t *testing.T) {
 	co, svcs := newChanCluster(t, 3, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("spread-%d", i)
-		if _, err := co.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
+		if _, err := cl.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
 			t.Fatalf("create %s: %v", key, err)
 		}
 	}
@@ -275,6 +241,7 @@ func TestClusterSpread(t *testing.T) {
 // the surviving nodes keeps serving, and health reports the loss.
 func TestNodeDownRouting(t *testing.T) {
 	co, svcs := newChanCluster(t, 2, Config{DownCooldown: 50 * time.Millisecond}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 
 	// Find one key per node so both sides of the partition are covered.
@@ -284,10 +251,10 @@ func TestNodeDownRouting(t *testing.T) {
 		keyOn[hashSlot(key, 2)] = key
 	}
 	for _, key := range keyOn {
-		if _, err := co.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1, 1, 1}}); err != nil {
+		if _, err := cl.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1, 1, 1}}); err != nil {
 			t.Fatalf("create %s: %v", key, err)
 		}
-		if _, err := co.Ingest(ctx, key, []int{0, 1, 2}, true); err != nil {
+		if _, err := cl.Ingest(ctx, key, []int{0, 1, 2}, true); err != nil {
 			t.Fatalf("ingest %s: %v", key, err)
 		}
 	}
@@ -295,7 +262,7 @@ func TestNodeDownRouting(t *testing.T) {
 	// Kill node 1: close its transport. Calls now fail at the exchange.
 	co.nodes[1].t.Close()
 
-	if _, err := co.Ingest(ctx, keyOn[1], []int{0}, true); err == nil {
+	if _, err := cl.Ingest(ctx, keyOn[1], []int{0}, true); err == nil {
 		t.Fatal("ingest to dead node succeeded")
 	} else {
 		var de *service.DegradedError
@@ -307,15 +274,15 @@ func TestNodeDownRouting(t *testing.T) {
 		}
 	}
 	// Second call hits the down-cooldown short-circuit, no transport use.
-	if _, err := co.Ingest(ctx, keyOn[1], []int{0}, true); err == nil {
+	if _, err := cl.Ingest(ctx, keyOn[1], []int{0}, true); err == nil {
 		t.Fatal("ingest during down cooldown succeeded")
 	}
 
 	// The surviving node is untouched: reads AND writes still serve.
-	if _, err := co.Ingest(ctx, keyOn[0], []int{3, 4}, true); err != nil {
+	if _, err := cl.Ingest(ctx, keyOn[0], []int{3, 4}, true); err != nil {
 		t.Fatalf("surviving node rejected a write: %v", err)
 	}
-	snap, err := co.Classes(ctx, keyOn[0], false)
+	snap, err := cl.Classes(ctx, keyOn[0], false)
 	if err != nil {
 		t.Fatalf("surviving node rejected a read: %v", err)
 	}
@@ -366,17 +333,18 @@ func TestDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New with pre-owned collections: %v", err)
 	}
+	cl := service.NewClient(co)
 	defer co.Close()
 	ctx := context.Background()
 	for _, key := range []string{"alpha", "beta"} {
-		if _, err := co.Ingest(ctx, key, []int{0, 1, 2}, true); err != nil {
+		if _, err := cl.Ingest(ctx, key, []int{0, 1, 2}, true); err != nil {
 			t.Fatalf("ingest discovered collection %s: %v", key, err)
 		}
 	}
 	// Typed service errors cross the wire as *RemoteError carrying the
 	// node's status mapping (only DegradedError is reconstructed).
 	var re *RemoteError
-	if _, err := co.CreateCollection(ctx, "alpha", spec); !errors.As(err, &re) || re.Status != 409 {
+	if _, err := cl.CreateCollection(ctx, "alpha", spec); !errors.As(err, &re) || re.Status != 409 {
 		t.Fatalf("re-create discovered collection: got %v, want RemoteError 409", err)
 	}
 
@@ -398,20 +366,21 @@ func TestDiscovery(t *testing.T) {
 // failures degrade.
 func TestRemoteErrorsKeepNodeUp(t *testing.T) {
 	co, _ := newChanCluster(t, 1, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	spec := service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}
-	if _, err := co.CreateCollection(ctx, "x", spec); err != nil {
+	if _, err := cl.CreateCollection(ctx, "x", spec); err != nil {
 		t.Fatal(err)
 	}
 	var re *RemoteError
-	if _, err := co.CreateCollection(ctx, "x", spec); !errors.As(err, &re) || re.Status != 409 {
+	if _, err := cl.CreateCollection(ctx, "x", spec); !errors.As(err, &re) || re.Status != 409 {
 		t.Fatalf("duplicate create: got %v, want RemoteError 409", err)
 	}
-	_, err := co.Ingest(ctx, "x", []int{99}, false) // out of universe
+	_, err := cl.Ingest(ctx, "x", []int{99}, false) // out of universe
 	if !errors.As(err, &re) || re.Status != 400 {
 		t.Fatalf("bad item: got %v, want RemoteError status 400", err)
 	}
-	if _, err := co.Stats(ctx, "ghost"); !errors.Is(err, service.ErrNotFound) {
+	if _, err := cl.Stats(ctx, "ghost"); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("unknown key: got %v, want ErrNotFound (local route miss)", err)
 	}
 	if st := co.Health(ctx); !st[0].Up {
@@ -425,6 +394,7 @@ func TestRemoteErrorsKeepNodeUp(t *testing.T) {
 // PATCH-equivalent UpdateResilience crosses the wire.
 func TestClusterResilienceOps(t *testing.T) {
 	co, _ := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	spec := service.OracleSpec{
 		Kind:   service.KindLabel,
@@ -433,17 +403,17 @@ func TestClusterResilienceOps(t *testing.T) {
 			TimeoutMs: 200, Retries: 1, BackoffMs: 1, MaxBackoffMs: 1,
 		},
 	}
-	if _, err := co.CreateCollection(ctx, "tuned", spec); err != nil {
+	if _, err := cl.CreateCollection(ctx, "tuned", spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Ingest(ctx, "tuned", []int{0, 1, 2, 3}, true); err != nil {
+	if _, err := cl.Ingest(ctx, "tuned", []int{0, 1, 2, 3}, true); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	update := service.ResilienceSpec{TimeoutMs: 500, Retries: 3, BackoffMs: 2, MaxBackoffMs: 20}
-	if err := co.UpdateResilience(ctx, "tuned", update); err != nil {
+	if err := cl.UpdateResilience(ctx, "tuned", update); err != nil {
 		t.Fatalf("UpdateResilience over the wire: %v", err)
 	}
-	info, err := co.Stats(ctx, "tuned")
+	info, err := cl.Stats(ctx, "tuned")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,31 +421,76 @@ func TestClusterResilienceOps(t *testing.T) {
 		t.Fatalf("breaker: got %q, want closed", info.Breaker)
 	}
 	// Retuning a plain collection is rejected with the node's 400.
-	if _, err := co.CreateCollection(ctx, "plain", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "plain", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	err = co.UpdateResilience(ctx, "plain", update)
+	err = cl.UpdateResilience(ctx, "plain", update)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Status != 400 {
 		t.Fatalf("retune plain collection: got %v, want RemoteError 400", err)
 	}
 }
 
-// TestWireCodec pins the request/response byte format.
+// TestWireCodec pins the request/response byte format: binary args
+// round-trip for every op shape, a create or PATCH carries its spec as
+// JSON after the fixed part, and malformed payloads — a forged item
+// count above all — are refused before anything is allocated for them.
 func TestWireCodec(t *testing.T) {
-	req := encodeRequest(nil, opIngest, "key-1", []byte(`{"items":[1]}`))
-	o, key, body, err := decodeRequest(req)
-	if err != nil || o != opIngest || key != "key-1" || string(body) != `{"items":[1]}` {
-		t.Fatalf("round trip: op=%d key=%q body=%q err=%v", o, key, body, err)
+	req, err := encodeRequest(nil, op(service.OpIngest), "k", service.Args{Items: []int{1, -1}, Flush: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, err := decodeRequest([]byte{}); err == nil {
-		t.Fatal("empty request decoded")
+	// op 3, key length, key, flags, element 0, count 2, zigzag varints 1 and -1.
+	if want := []byte{3, 1, 'k', 1, 0, 2, 2, 1}; !bytes.Equal(req, want) {
+		t.Fatalf("ingest request bytes: got %v, want %v", req, want)
 	}
-	if _, _, _, err := decodeRequest([]byte{99, 0}); err == nil {
-		t.Fatal("unknown op decoded")
+	// The op byte is the service.Op: renumbering either changes the wire.
+	if got := []op{op(service.OpCreate), op(service.OpResilience), opList, opHealth}; !reflect.DeepEqual(got, []op{1, 9, 10, 11}) {
+		t.Fatalf("op bytes moved: create, resilience, list, health = %v, want [1 9 10 11]", got)
 	}
-	if _, _, _, err := decodeRequest([]byte{byte(opList), 200}); err == nil {
-		t.Fatal("key length past payload decoded")
+	for _, c := range []struct {
+		o   op
+		key string
+		a   service.Args
+	}{
+		{op(service.OpIngest), "key-1", service.Args{Items: []int{0, 7, 1 << 40, -5}, Flush: true}},
+		{op(service.OpClassOf), "k", service.Args{Element: -3, Flush: true}},
+		{op(service.OpInvalidate), "k", service.Args{Element: 1 << 33}},
+		{op(service.OpCreate), "new", service.Args{Spec: &service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1, 1}}}},
+		{op(service.OpResilience), "k", service.Args{Resilience: &service.ResilienceSpec{Votes: 3, TimeoutMs: 9}}},
+		{opList, "", service.Args{}},
+	} {
+		req, err := encodeRequest(nil, c.o, c.key, c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, key, a, err := decodeRequest(req)
+		if err != nil || o != c.o || key != c.key || !reflect.DeepEqual(a, c.a) {
+			t.Fatalf("round trip of op %d: got op=%d key=%q args=%+v err=%v, want %+v", c.o, o, key, a, err, c.a)
+		}
+	}
+	create, _ := encodeRequest(nil, op(service.OpCreate), "k", service.Args{Spec: &service.OracleSpec{Kind: service.KindLabel}})
+	if want := `{"kind":"label"}`; !bytes.HasSuffix(create, []byte(want)) {
+		t.Fatalf("create request %q does not end with its JSON spec %s", create, want)
+	}
+
+	for name, p := range map[string][]byte{
+		"empty":                  {},
+		"unknown op":             {99, 0, 0, 0, 0},
+		"key length past end":    {byte(opList), 200},
+		"missing flags":          {byte(opList), 0},
+		"unknown flag":           {byte(opList), 0, 0x80, 0, 0},
+		"truncated element":      {byte(service.OpDelete), 0, 0, 0x80},
+		"count past payload":     {byte(service.OpIngest), 0, 0, 0, 3, 2, 4},
+		"forged huge count":      binary.AppendUvarint([]byte{byte(service.OpIngest), 0, 0, 0}, 1<<62),
+		"truncated item":         {byte(service.OpIngest), 0, 0, 0, 1, 0x80},
+		"trailing bytes":         {byte(service.OpStats), 0, 0, 0, 0, '{'},
+		"undecodable spec":       {byte(service.OpCreate), 0, 0, 0, 0, '{'},
+		"undecodable resilience": {byte(service.OpResilience), 0, 0, 0, 0, '['},
+	} {
+		if _, _, _, err := decodeRequest(p); err == nil {
+			t.Errorf("%s: request %v decoded", name, p)
+		}
 	}
 
 	if body, err := decodeResponse(encodeOK(nil, []byte("hi"))); err != nil || string(body) != "hi" {
@@ -550,6 +565,7 @@ func TestPlacementEstimator(t *testing.T) {
 // load, a giant skewed collection is steered to the least-loaded node.
 func TestHeavyPlacementEndToEnd(t *testing.T) {
 	co, svcs := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	small := make([]int, 32)
 	for i := range small {
@@ -557,7 +573,7 @@ func TestHeavyPlacementEndToEnd(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		key := fmt.Sprintf("light-%d", i)
-		if _, err := co.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: small}); err != nil {
+		if _, err := cl.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: small}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -567,7 +583,7 @@ func TestHeavyPlacementEndToEnd(t *testing.T) {
 		argmin = 1
 	}
 	giant := make([]int, 100_000) // one class, 100k universe: unmistakably heavy
-	if _, err := co.CreateCollection(ctx, "giant", service.OracleSpec{Kind: service.KindLabel, Labels: giant}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "giant", service.OracleSpec{Kind: service.KindLabel, Labels: giant}); err != nil {
 		t.Fatal(err)
 	}
 	if co.HeavyPlacements() == 0 {
@@ -606,9 +622,10 @@ func TestShardownAnnotationsPresent(t *testing.T) {
 // TestListSorted pins the merged listing's order contract.
 func TestListSorted(t *testing.T) {
 	co, _ := newChanCluster(t, 3, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	for _, key := range []string{"zeta", "alpha", "mid"} {
-		if _, err := co.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0}}); err != nil {
+		if _, err := cl.CreateCollection(ctx, key, service.OracleSpec{Kind: service.KindLabel, Labels: []int{0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -648,16 +665,17 @@ func TestEstimateWeightKindMismatch(t *testing.T) {
 // wedging every later coordinator request.
 func TestMismatchedSpecCreateDoesNotWedge(t *testing.T) {
 	co, _ := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	states := make([]uint64, 100)
 	mixed := service.OracleSpec{Kind: service.KindFault, States: states, Labels: []int{7}}
-	if _, err := co.CreateCollection(ctx, "mixed", mixed); err != nil {
+	if _, err := cl.CreateCollection(ctx, "mixed", mixed); err != nil {
 		t.Fatalf("create with stray second field: %v", err)
 	}
-	if _, err := co.Ingest(ctx, "mixed", []int{0, 1, 99}, true); err != nil {
+	if _, err := cl.Ingest(ctx, "mixed", []int{0, 1, 99}, true); err != nil {
 		t.Fatalf("ingest after mixed create: %v", err)
 	}
-	if _, err := co.CreateCollection(ctx, "after", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "after", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
 		t.Fatalf("coordinator wedged after mixed create: %v", err)
 	}
 }
@@ -706,14 +724,15 @@ func TestCallerCtxErrorKeepsNodeUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	cl := service.NewClient(co)
 	defer co.Close()
 	ctx := context.Background()
-	if _, err := co.CreateCollection(ctx, "x", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "x", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err = co.Ingest(canceled, "x", []int{0}, false)
+	_, err = cl.Ingest(canceled, "x", []int{0}, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ingest: got %v, want context.Canceled", err)
 	}
@@ -722,7 +741,7 @@ func TestCallerCtxErrorKeepsNodeUp(t *testing.T) {
 		t.Fatalf("caller cancellation misreported as degraded: %v", err)
 	}
 	// No cooldown: the very next call must reach the node.
-	if _, err := co.Ingest(ctx, "x", []int{0, 1, 2}, true); err != nil {
+	if _, err := cl.Ingest(ctx, "x", []int{0, 1, 2}, true); err != nil {
 		t.Fatalf("node marked down by caller cancellation: %v", err)
 	}
 	if st := co.Health(ctx); !st[0].Up {
@@ -734,19 +753,20 @@ func TestCallerCtxErrorKeepsNodeUp(t *testing.T) {
 // reserved route so the key can be created again.
 func TestCreateRollbackOnFailure(t *testing.T) {
 	co, _ := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	// Kind fault with no states: N() = 0, node rejects with 400.
-	if _, err := co.CreateCollection(ctx, "k", service.OracleSpec{Kind: service.KindFault}); err == nil {
+	if _, err := cl.CreateCollection(ctx, "k", service.OracleSpec{Kind: service.KindFault}); err == nil {
 		t.Fatal("empty-universe spec accepted")
 	}
-	if _, err := co.Stats(ctx, "k"); !errors.Is(err, service.ErrNotFound) {
+	if _, err := cl.Stats(ctx, "k"); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("failed create left a route behind: %v", err)
 	}
 	// The key is placeable again with a corrected spec.
-	if _, err := co.CreateCollection(ctx, "k", service.OracleSpec{Kind: service.KindFault, States: []uint64{1, 2, 2}}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "k", service.OracleSpec{Kind: service.KindFault, States: []uint64{1, 2, 2}}); err != nil {
 		t.Fatalf("re-create after rollback: %v", err)
 	}
-	if _, err := co.Ingest(ctx, "k", []int{0, 1, 2}, true); err != nil {
+	if _, err := cl.Ingest(ctx, "k", []int{0, 1, 2}, true); err != nil {
 		t.Fatalf("ingest after re-create: %v", err)
 	}
 }
@@ -757,13 +777,14 @@ func TestCreateRollbackOnFailure(t *testing.T) {
 // instead of re-running placement against shifted load.
 func TestConcurrentCreateSingleOwner(t *testing.T) {
 	co, svcs := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	cl := service.NewClient(co)
 	ctx := context.Background()
 	labels := make([]int, 50_000) // heavy enough to trigger least-loaded placement
 	const racers = 8
 	errs := make(chan error, racers)
 	for i := 0; i < racers; i++ {
 		go func() {
-			_, err := co.CreateCollection(ctx, "raced", service.OracleSpec{Kind: service.KindLabel, Labels: labels})
+			_, err := cl.CreateCollection(ctx, "raced", service.OracleSpec{Kind: service.KindLabel, Labels: labels})
 			errs <- err
 		}()
 	}

@@ -139,7 +139,8 @@ func (co *Coordinator) discover() error {
 	defer cancel()
 	owner := make(map[string]int)
 	for i, nc := range co.nodes {
-		resp, err := nc.t.Call(ctx, encodeRequest(nil, opList, "", nil))
+		req, _ := encodeRequest(nil, opList, "", service.Args{}) // carries no spec, cannot fail
+		resp, err := nc.t.Call(ctx, req)
 		if err != nil {
 			return fmt.Errorf("cluster: discovering node %s: %w", nc.name, err)
 		}
@@ -195,14 +196,19 @@ func (co *Coordinator) owner(key string) (int, error) {
 // the caller sees a DegradedError (503 + Retry-After upstream), exactly
 // like a collection whose oracle breaker tripped. Remote service
 // failures pass through typed (*service.DegradedError for degraded
-// collections, *RemoteError otherwise).
-func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, body []byte) ([]byte, error) {
+// collections, *RemoteError otherwise). The returned bytes are the
+// node's success body.
+func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, a service.Args) ([]byte, error) {
+	req, err := encodeRequest(nil, o, key, a)
+	if err != nil {
+		return nil, err
+	}
 	nc := co.nodes[idx]
 	if ra, down := nc.down(); down {
 		return nil, &service.DegradedError{Key: key, RetryAfter: ra}
 	}
 	nc.routed.Add(1)
-	resp, err := nc.t.Call(ctx, encodeRequest(nil, o, key, body))
+	resp, err := nc.t.Call(ctx, req)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// The caller's own context was canceled or hit its deadline
@@ -238,21 +244,52 @@ func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, body
 	return out, nil
 }
 
-// CreateCollection places key on a node — hash slot, or least-loaded
-// for estimator-heavy specs — and creates it there.
-func (co *Coordinator) CreateCollection(ctx context.Context, key string, spec service.OracleSpec) (service.CollectionInfo, error) {
-	var info service.CollectionInfo
-	if key == "" {
-		return info, fmt.Errorf("%w: empty collection key", service.ErrBadSpec)
+var _ service.Executor = (*Coordinator)(nil)
+
+// Do runs one collection operation on the cluster — the executor behind
+// the coordinator's HTTP route table and its typed service.Client. A
+// create is placed and created on its node, a drop is forwarded and
+// then frees the route, and every other operation goes to the key's
+// owner. The success body is the owner's, returned unread: for the HTTP
+// routes, byte for byte what a single node writes.
+func (co *Coordinator) Do(ctx context.Context, dst []byte, o service.Op, key string, a service.Args) ([]byte, error) {
+	var body []byte
+	if o == service.OpCreate {
+		var err error
+		if body, err = co.create(ctx, key, a); err != nil {
+			return nil, err
+		}
+	} else {
+		idx, err := co.owner(key)
+		if err != nil {
+			return nil, err
+		}
+		if body, err = co.call(ctx, idx, op(o), key, a); err != nil {
+			return nil, err
+		}
+		if o == service.OpDrop {
+			co.release(key)
+		}
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return info, fmt.Errorf("%w: unencodable spec: %v", service.ErrBadSpec, err)
+	if len(dst) == 0 {
+		return body, nil
+	}
+	return append(dst, body...), nil
+}
+
+// create places key on a node — hash slot, or least-loaded for
+// estimator-heavy specs — and creates it there.
+func (co *Coordinator) create(ctx context.Context, key string, a service.Args) ([]byte, error) {
+	if key == "" {
+		return nil, fmt.Errorf("%w: empty collection key", service.ErrBadSpec)
+	}
+	if a.Spec == nil {
+		return nil, fmt.Errorf("%w: create without a spec", service.ErrBadSpec)
 	}
 	// Estimate outside the lock: sampling scales with the sample budget,
 	// not the universe, but it still has no business inside the route
 	// lock's critical section.
-	weight := estimateWeight(&spec)
+	weight := estimateWeight(a.Spec)
 	co.mu.Lock()
 	idx, reserved := 0, false
 	if r, ok := co.routes[key]; ok {
@@ -271,114 +308,38 @@ func (co *Coordinator) CreateCollection(ctx context.Context, key string, spec se
 	}
 	co.mu.Unlock()
 
-	out, err := co.call(ctx, idx, opCreate, key, body)
-	if err != nil {
-		if reserved {
-			// Keep the reservation on a 409: the collection exists on
-			// that node (a concurrent create won), so the route is
-			// correct. Anything else means the create did not take —
-			// roll the reservation back so the key can be placed again.
-			var re *RemoteError
-			if !errors.As(err, &re) || re.Status != 409 {
-				co.mu.Lock()
-				if r, ok := co.routes[key]; ok && r.node == idx {
-					co.load[idx] -= r.weight
-					if co.load[idx] < 0 {
-						co.load[idx] = 0
-					}
-					delete(co.routes, key)
-				}
-				co.mu.Unlock()
+	body, err := co.call(ctx, idx, op(service.OpCreate), key, a)
+	if err != nil && reserved {
+		// Keep the reservation on a 409: the collection exists on that
+		// node (a concurrent create won), so the route is correct.
+		// Anything else means the create did not take — roll the
+		// reservation back so the key can be placed again.
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Status != 409 {
+			co.mu.Lock()
+			if r, ok := co.routes[key]; ok && r.node == idx {
+				co.unload(r)
+				delete(co.routes, key)
 			}
-		}
-		return info, err
-	}
-	if err := json.Unmarshal(out, &info); err != nil {
-		return info, fmt.Errorf("cluster: node %s: undecodable create response: %w", co.nodes[idx].name, err)
-	}
-	return info, nil
-}
-
-// forward routes one keyed operation to key's owner: it resolves the
-// owner, encodes args as the request body (nil sends none) and makes
-// the call. The returned bytes are the owner's success body — for the
-// relayed ops, the exact HTTP body a single node writes.
-func (co *Coordinator) forward(ctx context.Context, o op, key string, args any) ([]byte, error) {
-	idx, err := co.owner(key)
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	if args != nil {
-		if body, err = json.Marshal(args); err != nil {
-			return nil, err
+			co.mu.Unlock()
 		}
 	}
-	return co.call(ctx, idx, o, key, body)
+	return body, err
 }
 
-// forwardAs forwards one keyed operation and decodes the owner's body
-// into a T for Go callers.
-func forwardAs[T any](ctx context.Context, co *Coordinator, o op, key string, args any) (T, error) {
-	var v T
-	out, err := co.forward(ctx, o, key, args)
-	if err != nil {
-		return v, err
-	}
-	return v, json.Unmarshal(out, &v)
-}
-
-// DropCollection drops key on its owner and frees its route.
-func (co *Coordinator) DropCollection(ctx context.Context, key string) error {
-	if _, err := co.forward(ctx, opDrop, key, nil); err != nil {
-		return err
-	}
+// release frees a dropped key's route.
+func (co *Coordinator) release(key string) {
 	co.mu.Lock()
 	if r, ok := co.routes[key]; ok {
-		co.load[r.node] -= r.weight
-		if co.load[r.node] < 0 {
-			co.load[r.node] = 0
-		}
+		co.unload(r)
 		delete(co.routes, key)
 	}
 	co.mu.Unlock()
-	return nil
 }
 
-// Ingest forwards a batch to key's owner.
-func (co *Coordinator) Ingest(ctx context.Context, key string, items []int, flush bool) (service.IngestResult, error) {
-	return forwardAs[service.IngestResult](ctx, co, opIngest, key, ingestArgs{Items: items, Flush: flush})
-}
-
-// Classes fetches key's current partition from its owner.
-func (co *Coordinator) Classes(ctx context.Context, key string, fresh bool) (*service.Snapshot, error) {
-	return forwardAs[*service.Snapshot](ctx, co, opClasses, key, classArgs{Fresh: fresh})
-}
-
-// ClassOf point-looks-up one element's class on key's owner.
-func (co *Coordinator) ClassOf(ctx context.Context, key string, element int, fresh bool) (service.ClassView, error) {
-	return forwardAs[service.ClassView](ctx, co, opClassOf, key, classOfArgs{Element: element, Fresh: fresh})
-}
-
-// DeleteItem removes one element on key's owner.
-func (co *Coordinator) DeleteItem(ctx context.Context, key string, element int) (service.ChurnResult, error) {
-	return forwardAs[service.ChurnResult](ctx, co, opDelete, key, deleteArgs{Element: element})
-}
-
-// InvalidateClass withdraws a class on key's owner.
-func (co *Coordinator) InvalidateClass(ctx context.Context, key string, class int, flush bool) (service.ChurnResult, error) {
-	return forwardAs[service.ChurnResult](ctx, co, opInvalidate, key, invalidateArgs{Class: class, Flush: flush})
-}
-
-// Stats fetches key's counters and snapshot from its owner.
-func (co *Coordinator) Stats(ctx context.Context, key string) (service.CollectionInfo, error) {
-	return forwardAs[service.CollectionInfo](ctx, co, opStats, key, nil)
-}
-
-// UpdateResilience retunes key's resilience profile on its owner.
-func (co *Coordinator) UpdateResilience(ctx context.Context, key string, rs service.ResilienceSpec) error {
-	_, err := co.forward(ctx, opResilience, key, rs)
-	return err
+// unload takes r's weight off its node's load. Callers hold co.mu.
+func (co *Coordinator) unload(r route) {
+	co.load[r.node] = max(co.load[r.node]-r.weight, 0)
 }
 
 // List merges every reachable node's collections, sorted by key. Down
@@ -388,7 +349,7 @@ func (co *Coordinator) List(ctx context.Context) []service.CollectionInfo {
 	var infos []service.CollectionInfo
 	seen := make(map[string]bool)
 	for i := range co.nodes {
-		out, err := co.call(ctx, i, opList, "", nil)
+		out, err := co.call(ctx, i, opList, "", service.Args{})
 		if err != nil {
 			continue
 		}
@@ -444,7 +405,7 @@ func (co *Coordinator) Health(ctx context.Context) []NodeState {
 			states[i] = st
 			continue
 		}
-		out, err := co.call(ctx, i, opHealth, "", nil)
+		out, err := co.call(ctx, i, opHealth, "", service.Args{})
 		st.Errors = nc.errs.Load()
 		if err != nil {
 			st.Up = false

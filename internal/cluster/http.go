@@ -1,27 +1,18 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
-	"ecsort/internal/algo"
 	"ecsort/internal/service"
 )
 
-// Handler returns the coordinator's HTTP API — the same route table a
-// single-binary service exposes (clients cannot tell a coordinator
-// from a node), plus per-node fleet state on the health and metrics
-// endpoints. Collection operations are forwarded to the owning node,
-// and the ingest, delete, invalidate, classes, class-of and stats
-// routes write the node's reply body byte for byte, never decoding it;
-// /v1/algorithms is answered locally (the registry is compiled in,
-// identical on every binary).
+// Handler returns the coordinator's HTTP API: the single-node route
+// table (service.Routes), run through the coordinator's executor, so
+// clients cannot tell a coordinator from a node, plus fleet-wide
+// health, readiness, metrics and listing endpoints. Collection
+// operations go to the owning node, and their reply bodies are written
+// byte for byte, never decoded here.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", co.handleHealthz)
@@ -29,120 +20,21 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz/ready", co.handleReady)
 	mux.HandleFunc("GET /metrics", co.handleMetrics)
 	mux.HandleFunc("GET /v1/collections", co.handleList)
-	mux.HandleFunc("GET /v1/algorithms", co.handleAlgorithms)
-	mux.HandleFunc("PUT /v1/collections/{key}", co.handleCreate)
-	mux.HandleFunc("DELETE /v1/collections/{key}", co.handleDrop)
-	mux.HandleFunc("POST /v1/collections/{key}/items", co.handleIngest)
-	mux.HandleFunc("DELETE /v1/collections/{key}/items/{element}", co.handleDeleteItem)
-	mux.HandleFunc("GET /v1/collections/{key}/classes", co.handleClasses)
-	mux.HandleFunc("GET /v1/collections/{key}/classes/{element}", co.handleClassOf)
-	mux.HandleFunc("POST /v1/collections/{key}/classes/{class}/invalidate", co.handleInvalidate)
-	mux.HandleFunc("GET /v1/collections/{key}/stats", co.handleStats)
-	mux.HandleFunc("PATCH /v1/collections/{key}/resilience", co.handleUpdateResilience)
+	service.Routes(mux, co)
 	return mux
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// writeBody writes one JSON response body: a node's reply relayed
-// verbatim, or a value of the coordinator's own encoded by
-// service.AppendJSON.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// writeErrorMsg writes the JSON error envelope.
-func writeErrorMsg(w http.ResponseWriter, status int, msg string) {
-	writeBody(w, status, service.AppendJSON(nil, errorResponse{Error: msg}))
-}
-
-// relay forwards one keyed operation to the collection's owner and
-// writes the owner's success body with status, byte for byte: the body
-// a single node's handler writes, never decoded here.
-func (co *Coordinator) relay(w http.ResponseWriter, r *http.Request, status int, o op, args any) {
-	body, err := co.forward(r.Context(), o, r.PathValue("key"), args)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, status, body)
-}
-
-// writeError maps coordinator-side errors to statuses: degraded
-// rejections (tripped breaker OR down node) become 503 + Retry-After,
-// remote failures relay the owning node's status, local routing errors
-// use the service table.
-func writeError(w http.ResponseWriter, err error) {
-	var de *service.DegradedError
-	if errors.As(err, &de) {
-		secs := int64((de.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeErrorMsg(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	var re *RemoteError
-	if errors.As(err, &re) {
-		writeErrorMsg(w, re.Status, re.Msg)
-		return
-	}
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, service.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, service.ErrExists):
-		status = http.StatusConflict
-	case errors.Is(err, service.ErrBadItem), errors.Is(err, service.ErrBadSpec):
-		status = http.StatusBadRequest
-	}
-	writeErrorMsg(w, status, err.Error())
-}
-
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("cluster: bad request body: %w", err)
-	}
-	return nil
-}
-
-func boolParam(r *http.Request, name string) bool {
-	switch strings.ToLower(r.URL.Query().Get(name)) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
-}
-
-// pathInt parses the integer path segment name, answering 400 itself
-// when it is not one.
-func pathInt(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
-	v, err := strconv.Atoi(r.PathValue(name))
-	if err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("cluster: bad %s %q: not an integer", name, r.PathValue(name)))
-		return 0, false
-	}
-	return v, true
 }
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	co.mu.RLock()
 	collections := len(co.routes)
 	co.mu.RUnlock()
-	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"role":           "coordinator",
 		"uptime_seconds": co.Uptime().Seconds(),
 		"nodes":          len(co.nodes),
 		"collections":    collections,
-	}))
+	})
 }
 
 // handleReady aggregates readiness across the fleet: 200 when every
@@ -163,96 +55,11 @@ func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "degraded"
 		status = http.StatusServiceUnavailable
 	}
-	writeBody(w, status, service.AppendJSON(nil, body))
+	service.WriteJSON(w, status, body)
 }
 
 func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{"collections": co.List(r.Context())}))
-}
-
-func (co *Coordinator) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{
-		"default":    service.AlgorithmIncremental,
-		"algorithms": algo.Infos(),
-	}))
-}
-
-func (co *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec service.OracleSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	info, err := co.CreateCollection(r.Context(), r.PathValue("key"), spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, http.StatusCreated, service.AppendJSON(nil, map[string]any{
-		"key":       info.Key,
-		"kind":      info.Kind,
-		"universe":  info.Universe,
-		"algorithm": info.Algorithm,
-	}))
-}
-
-func (co *Coordinator) handleDrop(w http.ResponseWriter, r *http.Request) {
-	if err := co.DropCollection(r.Context(), r.PathValue("key")); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Items []int `json:"items"`
-	}
-	if err := decodeBody(r, &body); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	co.relay(w, r, http.StatusAccepted, opIngest, ingestArgs{Items: body.Items, Flush: boolParam(r, "flush")})
-}
-
-func (co *Coordinator) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
-	if element, ok := pathInt(w, r, "element"); ok {
-		co.relay(w, r, http.StatusOK, opDelete, deleteArgs{Element: element})
-	}
-}
-
-func (co *Coordinator) handleClasses(w http.ResponseWriter, r *http.Request) {
-	co.relay(w, r, http.StatusOK, opClasses, classArgs{Fresh: boolParam(r, "fresh")})
-}
-
-func (co *Coordinator) handleClassOf(w http.ResponseWriter, r *http.Request) {
-	if element, ok := pathInt(w, r, "element"); ok {
-		co.relay(w, r, http.StatusOK, opClassOf, classOfArgs{Element: element, Fresh: boolParam(r, "fresh")})
-	}
-}
-
-func (co *Coordinator) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	if class, ok := pathInt(w, r, "class"); ok {
-		co.relay(w, r, http.StatusAccepted, opInvalidate, invalidateArgs{Class: class, Flush: boolParam(r, "flush")})
-	}
-}
-
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	co.relay(w, r, http.StatusOK, opStats, nil)
-}
-
-func (co *Coordinator) handleUpdateResilience(w http.ResponseWriter, r *http.Request) {
-	var rs service.ResilienceSpec
-	if err := decodeBody(r, &rs); err != nil {
-		writeErrorMsg(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := r.PathValue("key")
-	if err := co.UpdateResilience(r.Context(), key, rs); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, http.StatusOK, service.AppendJSON(nil, map[string]any{"key": key, "resilience": rs}))
+	service.WriteJSON(w, http.StatusOK, map[string]any{"collections": co.List(r.Context())})
 }
 
 // handleMetrics renders cluster-level metrics: fleet shape, per-node

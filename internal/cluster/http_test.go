@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -276,5 +277,48 @@ func TestCoordinatorHTTPHealthAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `ecsort_cluster_node_up{node="node-0"} 1`) {
 		t.Error("metrics took the live node down with the dead one")
+	}
+}
+
+// TestCoordinatorHTTPCanceledRequest: a request whose client goes away
+// mid-call gets the status the service's table gives context.Canceled,
+// 503, like a single node — not a 500 — and the node stays up: the next
+// request is served and health reports the node ready.
+func TestCoordinatorHTTPCanceledRequest(t *testing.T) {
+	svc := service.New(service.Config{Shards: 1})
+	defer svc.Close()
+	node := NewNode(svc)
+	node.SetLogger(testLogf(t))
+	co, err := New(Config{}, []Backend{{Name: "n", Transport: &ctxErrTransport{inner: NewChanTransport(node)}}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer co.Close()
+	ctx := context.Background()
+	if _, err := service.NewClient(co).CreateCollection(ctx, "x", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	h := co.Handler()
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/collections/x/items", strings.NewReader(`{"items":[0]}`)).WithContext(canceled))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("canceled request: status %d, want 503: %s", w.Code, w.Body.Bytes())
+	}
+	if want := "{\n  \"error\": \"context canceled\"\n}\n"; w.Body.String() != want {
+		t.Fatalf("canceled request body %q, want %q", w.Body.String(), want)
+	}
+
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/collections/x/items?flush=1", strings.NewReader(`{"items":[0,1,2]}`)))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("request after the canceled one: status %d, want 202: %s", w.Code, w.Body.Bytes())
+	}
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/healthz/ready", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("ready after a canceled request: status %d, want 200: %s", w.Code, w.Body.Bytes())
 	}
 }

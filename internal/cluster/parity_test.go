@@ -20,11 +20,15 @@ type parityStep struct {
 }
 
 // paritySequence builds the fixed-seed request sequence the byte-parity
-// test replays: per collection, a create, uneven ingests with and
-// without ?flush=1, the node-originated errors (class-of of a pending
-// element and of an out-of-universe one, delete of an element never
-// ingested), then deletes, invalidations with and without ?flush=1,
-// classes plain and fresh, class-of plain and fresh, and stats.
+// test replays: per collection, a create, the requests the route table
+// refuses with 400 before any executor runs (non-integer path elements
+// and classes, malformed ingest bodies, unknown fields in a create or
+// a resilience PATCH), uneven ingests with and without ?flush=1, the
+// node-originated errors (class-of of a pending element and of an
+// out-of-universe one, delete of an element never ingested), then
+// deletes, invalidations with and without ?flush=1, classes plain and
+// fresh, class-of plain and fresh, and stats; then a resilient
+// collection's PATCH, a PATCH the node refuses, and a drop.
 func paritySequence(seed int64) []parityStep {
 	rng := rand.New(rand.NewSource(seed))
 	var steps []parityStep
@@ -53,6 +57,15 @@ func paritySequence(seed int64) []parityStep {
 			labels[i] = fmt.Sprint(l)
 		}
 		add("PUT", key, `{"kind":"label","labels":[`+strings.Join(labels, ",")+`]}`, http.StatusCreated)
+
+		add("GET", key+"/classes/abc", "", http.StatusBadRequest)
+		add("DELETE", key+"/items/abc", "", http.StatusBadRequest)
+		add("POST", key+"/classes/x/invalidate", "", http.StatusBadRequest)
+		add("POST", key+"/items", `{"items":[0,"x"]}`, http.StatusBadRequest)
+		add("POST", key+"/items", `{"items":[1.5]}`, http.StatusBadRequest)
+		add("POST", key+"/items", `{"itemz":[0]}`, http.StatusBadRequest)
+		add("PUT", key+"-typo", `{"kind":"label","labels":[0,1],"lables":[0]}`, http.StatusBadRequest)
+		add("PATCH", key+"/resilience", `{"votes":3,"vote":1}`, http.StatusBadRequest)
 
 		// Ingest all but the last 10 elements of a shuffled order; the
 		// final batch of 5 stays pending and the last 5 are never ingested.
@@ -84,6 +97,14 @@ func paritySequence(seed int64) []parityStep {
 		add("GET", fmt.Sprintf("%s/classes/%d", key, order[2]), "", http.StatusOK)
 		add("GET", key+"/stats", "", http.StatusOK)
 	}
+	// The resilience PATCH and the drop, whose bodies the executor
+	// builds: an echo of the new profile, and a bare 204.
+	res := "/v1/collections/par-res"
+	add("PUT", res, `{"kind":"label","labels":[0,1,1],"resilience":{"timeout_ms":500}}`, http.StatusCreated)
+	add("PATCH", res+"/resilience", `{"timeout_ms":900,"retries":3}`, http.StatusOK)
+	add("PATCH", "/v1/collections/par-0/resilience", `{"retries":3}`, http.StatusBadRequest)
+	add("DELETE", res, "", http.StatusNoContent)
+	add("GET", res+"/stats", "", http.StatusNotFound)
 	return steps
 }
 

@@ -30,6 +30,12 @@ func startTCPNode(t *testing.T) (*Node, string) {
 	return node, l.Addr().String()
 }
 
+// listRequest is the wire payload of a node listing.
+func listRequest() []byte {
+	req, _ := encodeRequest(nil, opList, "", service.Args{}) // carries no spec, cannot fail
+	return req
+}
+
 // clientHandshake dials addr and completes the header exchange,
 // returning the raw connection for frame-level poking.
 func clientHandshake(t *testing.T, addr string) net.Conn {
@@ -53,7 +59,7 @@ func TestTCPServerRejectsCorruptFrame(t *testing.T) {
 
 	c := clientHandshake(t, addr)
 	defer c.Close()
-	frame := wal.AppendFrame(nil, encodeRequest(nil, opList, "", nil))
+	frame := wal.AppendFrame(nil, listRequest())
 	frame[len(frame)-1] ^= 0xFF // flip a payload byte: CRC now lies
 	if _, err := c.Write(frame); err != nil {
 		t.Fatal(err)
@@ -70,7 +76,7 @@ func TestTCPServerRejectsCorruptFrame(t *testing.T) {
 	// The node is not poisoned: a fresh, well-formed exchange works.
 	tr := NewTCPTransport(addr)
 	defer tr.Close()
-	resp, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil))
+	resp, err := tr.Call(context.Background(), listRequest())
 	if err != nil {
 		t.Fatalf("well-formed call after corruption: %v", err)
 	}
@@ -80,15 +86,18 @@ func TestTCPServerRejectsCorruptFrame(t *testing.T) {
 }
 
 // TestTCPServerRejectsBadHandshake: wrong magic or an unknown version
-// closes the connection before any frame is read. Version 1 peers are
-// refused too: their compact success bodies would reach clients in a
-// different format from the relayed version 2 bodies.
+// closes the connection before any frame is read. Older peers are
+// refused too: a version 1 node's compact success bodies would reach
+// clients in a different format from the relayed bodies, and a version
+// 2 peer sends its request arguments as JSON, which a version 3 node
+// cannot decode.
 func TestTCPServerRejectsBadHandshake(t *testing.T) {
 	node, addr := startTCPNode(t)
 	hdrs := [][wal.HeaderSize]byte{
 		wal.NewHeader("XXXX", WireVersion, 0),      // wrong magic
 		wal.NewHeader(wireMagic, WireVersion+7, 0), // future version
 		wal.NewHeader(wireMagic, 1, 0),             // version 1 peer
+		wal.NewHeader(wireMagic, 2, 0),             // version 2 peer
 	}
 	for _, hdr := range hdrs {
 		c, err := net.Dial("tcp", addr)
@@ -140,7 +149,7 @@ func TestTCPClientRejectsCorruptResponse(t *testing.T) {
 
 	tr := NewTCPTransport(l.Addr().String())
 	defer tr.Close()
-	_, err = tr.Call(context.Background(), encodeRequest(nil, opList, "", nil))
+	_, err = tr.Call(context.Background(), listRequest())
 	if !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("corrupt response: got %v, want wal.ErrCorrupt", err)
 	}
@@ -167,7 +176,7 @@ func TestTCPClientRejectsBadServerHandshake(t *testing.T) {
 	}()
 	tr := NewTCPTransport(l.Addr().String())
 	defer tr.Close()
-	_, err = tr.Call(context.Background(), encodeRequest(nil, opList, "", nil))
+	_, err = tr.Call(context.Background(), listRequest())
 	if err == nil || !strings.Contains(err.Error(), "handshake") {
 		t.Fatalf("bad server handshake: got %v, want handshake failure", err)
 	}
@@ -177,11 +186,11 @@ func TestTCPClientRejectsBadServerHandshake(t *testing.T) {
 func TestTCPTransportClosed(t *testing.T) {
 	_, addr := startTCPNode(t)
 	tr := NewTCPTransport(addr)
-	if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); err != nil {
+	if _, err := tr.Call(context.Background(), listRequest()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()
-	if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); !errors.Is(err, ErrTransportClosed) {
+	if _, err := tr.Call(context.Background(), listRequest()); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("Call after Close: got %v, want ErrTransportClosed", err)
 	}
 }
@@ -194,7 +203,7 @@ func TestTCPConnReuse(t *testing.T) {
 	tr := NewTCPTransport(addr)
 	defer tr.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); err != nil {
+		if _, err := tr.Call(context.Background(), listRequest()); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -212,12 +221,12 @@ func TestChanTransportClosed(t *testing.T) {
 	svc := service.New(service.Config{Shards: 1})
 	defer svc.Close()
 	tr := NewChanTransport(NewNode(svc))
-	if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); err != nil {
+	if _, err := tr.Call(context.Background(), listRequest()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()
 	tr.Close() // idempotent
-	if _, err := tr.Call(context.Background(), encodeRequest(nil, opList, "", nil)); !errors.Is(err, ErrTransportClosed) {
+	if _, err := tr.Call(context.Background(), listRequest()); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("Call after Close: got %v, want ErrTransportClosed", err)
 	}
 }
@@ -235,33 +244,34 @@ func TestChanTransportConcurrentExchanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := service.NewClient(co)
 	defer co.Close()
 	ctx := context.Background()
-	if _, err := co.CreateCollection(ctx, "fast", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
+	if _, err := cl.CreateCollection(ctx, "fast", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Ingest(ctx, "fast", []int{0, 1, 2}, true); err != nil {
+	if _, err := cl.Ingest(ctx, "fast", []int{0, 1, 2}, true); err != nil {
 		t.Fatal(err)
 	}
 	slow := service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}, Faults: &service.FaultSpec{LatencyMs: 300}}
-	if _, err := co.CreateCollection(ctx, "slow", slow); err != nil {
+	if _, err := cl.CreateCollection(ctx, "slow", slow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Ingest(ctx, "slow", []int{0, 1}, false); err != nil {
+	if _, err := cl.Ingest(ctx, "slow", []int{0, 1}, false); err != nil {
 		t.Fatal(err)
 	}
 
 	before := node.requests.Load()
 	foldDone := make(chan error, 1)
 	go func() {
-		_, err := co.Ingest(ctx, "slow", nil, true)
+		_, err := cl.Ingest(ctx, "slow", nil, true)
 		foldDone <- err
 	}()
 	for node.requests.Load() == before { // the fold's exchange is in Handle
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	view, err := co.ClassOf(ctx, "fast", 0, false)
+	view, err := cl.ClassOf(ctx, "fast", 0, false)
 	elapsed := time.Since(start)
 	if err != nil || len(view.Members) != 2 {
 		t.Fatalf("read during the fold: %+v, %v", view, err)

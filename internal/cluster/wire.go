@@ -2,10 +2,11 @@
 // coordinator routes whole collections across N backend nodes, each
 // node running its own service.Service, with every exchange behind the
 // Transport interface. Two transports ship — ChanTransport (in-process
-// message passing, the default single-binary mode) and TCPTransport
-// (length-prefixed CRC-framed messages reusing internal/wal's framing,
-// so the wire format is versioned and integrity-checked the same way
-// the on-disk log is). The discipline is message-passing-only: the
+// message passing, which the tests, benchmarks and the harness sweep
+// build) and TCPTransport (length-prefixed CRC-framed messages reusing
+// internal/wal's framing, so the wire format is versioned and
+// integrity-checked the same way the on-disk log is; ecs-serve's
+// cluster modes use it). The discipline is message-passing-only: the
 // coordinator and its nodes share no memory, which is what makes every
 // later scale-out step a transport swap instead of a rewrite.
 //
@@ -19,8 +20,13 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
+
+	"ecsort/internal/service"
 )
 
 // Wire stream identity: every TCP connection opens with a 16-byte
@@ -30,59 +36,29 @@ import (
 // discipline as the WAL segment reader.
 const (
 	wireMagic = "ECSC"
-	// WireVersion is the cluster protocol version. Version 1: the op
-	// set below, JSON bodies, wal-framed. Version 2: every success body
-	// is service.AppendJSON's indented encoding, so the coordinator
-	// relays the six read and write bodies (ingest, delete, invalidate,
-	// classes, class-of, stats) to HTTP clients unread; a version 1
-	// node's compact bodies would reach clients in a different format,
-	// so the handshake refuses it.
-	WireVersion uint16 = 2
+	// WireVersion is the cluster protocol version. Version 1: JSON
+	// request and success bodies, wal-framed. Version 2: every success
+	// body is service.AppendJSON's indented encoding, so the
+	// coordinator relays it to HTTP clients unread. Version 3: request
+	// arguments are binary (encodeRequest), and the create and
+	// resilience replies are the HTTP bodies too. Peers must match
+	// exactly: the handshake refuses any other version.
+	WireVersion uint16 = 3
 )
 
-// op identifies one request kind on the wire.
+// op is a request's first byte: a service.Op for the nine collection
+// operations, or one of the node-only fleet operations below. Every
+// success body is service.AppendJSON bytes; for the collection
+// operations it is the HTTP response body.
 type op byte
 
-// Request bodies are compact JSON; success bodies are service.AppendJSON
-// bytes, which for the ops marked "relayed" are the HTTP response body.
 const (
-	opCreate     op = iota + 1 // body: service.OracleSpec JSON → CollectionInfo JSON
-	opDrop                     // no body → no body
-	opIngest                   // body: ingestArgs → service.IngestResult (relayed)
-	opDelete                   // body: deleteArgs → service.ChurnResult (relayed)
-	opInvalidate               // body: invalidateArgs → service.ChurnResult (relayed)
-	opClasses                  // body: classArgs → service.Snapshot (relayed)
-	opClassOf                  // body: classOfArgs → service.ClassView (relayed)
-	opStats                    // no body → service.CollectionInfo with snapshot (relayed)
-	opList                     // no body, no key → []service.CollectionInfo
-	opHealth                   // no body, no key → nodeHealth
-	opResilience               // body: service.ResilienceSpec JSON → no body
+	opList   = op(service.OpResilience) + 1 // no key, no args → []service.CollectionInfo
+	opHealth = opList + 1                   // no key, no args → nodeHealth
 )
 
-// Request argument bodies (JSON). Kept tiny and explicit so the wire
-// contract is readable in one place.
-type ingestArgs struct {
-	Items []int `json:"items"`
-	Flush bool  `json:"flush,omitempty"`
-}
-
-type deleteArgs struct {
-	Element int `json:"element"`
-}
-
-type invalidateArgs struct {
-	Class int  `json:"class"`
-	Flush bool `json:"flush,omitempty"`
-}
-
-type classArgs struct {
-	Fresh bool `json:"fresh,omitempty"`
-}
-
-type classOfArgs struct {
-	Element int  `json:"element"`
-	Fresh   bool `json:"fresh,omitempty"`
-}
+// flagFlush is the request flags bit carrying service.Args.Flush.
+const flagFlush = 1
 
 // nodeHealth is one backend's self-report, aggregated by the
 // coordinator's readiness and metrics endpoints.
@@ -101,10 +77,11 @@ type DegradedBackend struct {
 }
 
 // RemoteError is a service error that crossed the wire: the owning node
-// answered, but with a failure. Status preserves the node's HTTP
-// mapping so the coordinator's HTTP layer relays it verbatim, and Go
-// callers can still switch on it. RetryAfter is non-zero only for
-// degraded-collection rejections (503 + Retry-After).
+// answered, but with a failure. Status preserves the node's
+// service.StatusOf mapping, which StatusOf on the coordinator keeps
+// (through HTTPStatus), so its HTTP layer relays the status verbatim,
+// and Go callers can still switch on it. RetryAfter is non-zero only
+// for degraded-collection rejections (503 + Retry-After).
 type RemoteError struct {
 	Status     int
 	Msg        string
@@ -113,33 +90,119 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// encodeRequest appends one request — [op][uvarint keylen][key][body] —
-// to dst and returns the extended slice. The body is opaque here
-// (JSON per the op table above).
-func encodeRequest(dst []byte, o op, key string, body []byte) []byte {
+// HTTPStatus is the node's status for the failure.
+func (e *RemoteError) HTTPStatus() int { return e.Status }
+
+// encodeRequest appends one request to dst:
+//
+//	op[u8] keyLen[uvarint] key flags[u8] element[varint] count[uvarint] items[count × varint] spec
+//
+// flags bit 0 is a.Flush; element is a.Element (signed: a negative path
+// element must reach the node to get the node's 400); spec is the JSON
+// of a.Spec for service.OpCreate or a.Resilience for
+// service.OpResilience, absent for every other op.
+func encodeRequest(dst []byte, o op, key string, a service.Args) ([]byte, error) {
+	dst = slices.Grow(dst, 3+3*binary.MaxVarintLen64+len(key)+3*len(a.Items))
 	dst = append(dst, byte(o))
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
-	return append(dst, body...)
+	var flags byte
+	if a.Flush {
+		flags |= flagFlush
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendVarint(dst, int64(a.Element))
+	dst = binary.AppendUvarint(dst, uint64(len(a.Items)))
+	for _, x := range a.Items {
+		dst = binary.AppendVarint(dst, int64(x))
+	}
+	var spec any
+	switch service.Op(o) {
+	case service.OpCreate:
+		spec = a.Spec
+	case service.OpResilience:
+		spec = a.Resilience
+	default:
+		return dst, nil
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("%w: unencodable spec: %v", service.ErrBadSpec, err)
+	}
+	return append(dst, b...), nil
 }
 
-// decodeRequest splits a request payload back into its parts. The
-// returned key and body alias p.
-func decodeRequest(p []byte) (op, string, []byte, error) {
-	if len(p) < 2 {
-		return 0, "", nil, fmt.Errorf("cluster: request too short (%d bytes)", len(p))
+// decodeRequest parses a request payload back into its parts. Items is
+// sized only after its count is checked against the bytes left (each
+// item takes at least one), so a forged count cannot allocate past the
+// payload's length.
+func decodeRequest(p []byte) (op, string, service.Args, error) {
+	var a service.Args
+	if len(p) < 1 {
+		return 0, "", a, errors.New("cluster: empty request")
 	}
 	o := op(p[0])
-	if o < opCreate || o > opResilience {
-		return 0, "", nil, fmt.Errorf("cluster: unknown op %d", p[0])
+	if o < op(service.OpCreate) || o > opHealth {
+		return 0, "", a, fmt.Errorf("cluster: unknown op %d", p[0])
 	}
 	rest := p[1:]
 	klen, n := binary.Uvarint(rest)
 	if n <= 0 || klen > uint64(len(rest)-n) {
-		return 0, "", nil, fmt.Errorf("cluster: bad key length")
+		return 0, "", a, errors.New("cluster: bad key length")
 	}
 	rest = rest[n:]
-	return o, string(rest[:klen]), rest[klen:], nil
+	key := string(rest[:klen])
+	rest = rest[klen:]
+	if len(rest) < 1 || rest[0]&^flagFlush != 0 {
+		return 0, "", a, errors.New("cluster: bad request flags")
+	}
+	a.Flush = rest[0]&flagFlush != 0
+	rest = rest[1:]
+	var err error
+	if a.Element, rest, err = decodeInt(rest); err != nil {
+		return 0, "", a, fmt.Errorf("cluster: bad element: %w", err)
+	}
+	count, n := binary.Uvarint(rest)
+	if n <= 0 || count > uint64(len(rest)-n) {
+		return 0, "", a, errors.New("cluster: bad item count")
+	}
+	rest = rest[n:]
+	if count > 0 {
+		a.Items = make([]int, count)
+		for i := range a.Items {
+			if a.Items[i], rest, err = decodeInt(rest); err != nil {
+				return 0, "", a, fmt.Errorf("cluster: bad item %d: %w", i, err)
+			}
+		}
+	}
+	switch service.Op(o) {
+	case service.OpCreate:
+		a.Spec = new(service.OracleSpec)
+		err = json.Unmarshal(rest, a.Spec)
+	case service.OpResilience:
+		a.Resilience = new(service.ResilienceSpec)
+		err = json.Unmarshal(rest, a.Resilience)
+	default:
+		if len(rest) > 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+	}
+	if err != nil {
+		return 0, "", a, fmt.Errorf("cluster: bad request body: %w", err)
+	}
+	return o, key, a, nil
+}
+
+// decodeInt reads one varint that fits an int.
+func decodeInt(p []byte) (int, []byte, error) {
+	v, n := binary.Varint(p)
+	if n <= 0 {
+		return 0, p, errors.New("truncated varint")
+	}
+	if int64(int(v)) != v {
+		return 0, p, errors.New("out of range")
+	}
+	return int(v), p[n:], nil
 }
 
 // Response payloads: [0][body] on success, or

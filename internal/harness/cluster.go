@@ -105,6 +105,7 @@ func RunClusterStress(nodes int, cfg ClusterStressConfig) (ClusterStressReport, 
 		return ClusterStressReport{}, err
 	}
 	defer co.Close()
+	cl := service.NewClient(co)
 	//ecsort:ignore ctxflow harness lifetime root: a stress drive owns its whole run
 	ctx := context.Background()
 
@@ -125,7 +126,7 @@ func RunClusterStress(nodes int, cfg ClusterStressConfig) (ClusterStressReport, 
 			labels: labels,
 			order:  rng.Perm(cfg.Elements),
 		}
-		if _, err := co.CreateCollection(ctx, jobs[i].key, service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
+		if _, err := cl.CreateCollection(ctx, jobs[i].key, service.OracleSpec{Kind: service.KindLabel, Labels: labels}); err != nil {
 			return ClusterStressReport{}, err
 		}
 	}
@@ -141,12 +142,12 @@ func RunClusterStress(nodes int, cfg ClusterStressConfig) (ClusterStressReport, 
 				j := jobs[i]
 				for lo := 0; lo < len(j.order); lo += cfg.Batch {
 					hi := min(lo+cfg.Batch, len(j.order))
-					if _, err := co.Ingest(ctx, j.key, j.order[lo:hi], false); err != nil {
+					if _, err := cl.Ingest(ctx, j.key, j.order[lo:hi], false); err != nil {
 						errCh <- fmt.Errorf("harness: cluster ingest %s: %w", j.key, err)
 						return
 					}
 				}
-				if _, err := co.Ingest(ctx, j.key, nil, true); err != nil {
+				if _, err := cl.Ingest(ctx, j.key, nil, true); err != nil {
 					errCh <- fmt.Errorf("harness: cluster flush %s: %w", j.key, err)
 					return
 				}
@@ -177,7 +178,7 @@ func RunClusterStress(nodes int, cfg ClusterStressConfig) (ClusterStressReport, 
 
 	rep.Verified = true
 	for _, j := range jobs {
-		snap, err := co.Classes(ctx, j.key, true)
+		snap, err := cl.Classes(ctx, j.key, true)
 		if err != nil {
 			return ClusterStressReport{}, err
 		}

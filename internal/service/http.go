@@ -1,9 +1,7 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,31 +11,18 @@ import (
 	"time"
 
 	"ecsort/internal/algo"
-	"ecsort/internal/core"
 	"ecsort/internal/oracle"
 )
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API: the collection routes
+// (Routes) run against this service, plus the node's own endpoints:
 //
-//	PUT    /v1/collections/{key}         create a collection (body: OracleSpec; "algorithm" picks the regimen)
-//	DELETE /v1/collections/{key}         drop a collection
 //	GET    /v1/collections               list collections
-//	GET    /v1/algorithms                list the sorting-regimen registry (name, mode, hints)
-//	POST   /v1/collections/{key}/items   batch add (body: {"items":[...]}; ?flush=1 forces a flush)
-//	DELETE /v1/collections/{key}/items/{element}    remove one element (WAL-logged; re-addable later)
-//	GET    /v1/collections/{key}/classes current partition (?fresh=1 flushes first)
-//	GET    /v1/collections/{key}/classes/{element}  one element's class (O(1) index lookup; ?fresh=1 flushes first)
-//	POST   /v1/collections/{key}/classes/{class}/invalidate  withdraw a class for re-verification (?flush=1 re-folds now)
-//	GET    /v1/collections/{key}/stats   per-collection counters + snapshot
-//	PATCH  /v1/collections/{key}/resilience  live-update the resilience profile (body: ResilienceSpec)
 //	GET    /healthz                      liveness (also /healthz/live)
 //	GET    /healthz/ready                readiness: 503 while any collection is degraded or recovery failed
 //	GET    /metrics                      Prometheus-style text metrics
 //
-// All request and response bodies are JSON except /metrics. Writes
-// against a degraded collection (oracle circuit breaker open) get 503
-// with a Retry-After header; reads keep serving the last published
-// snapshot.
+// All request and response bodies are JSON except /metrics.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -45,22 +30,90 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/collections", s.handleList)
-	mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	mux.HandleFunc("PUT /v1/collections/{key}", s.handleCreate)
-	mux.HandleFunc("DELETE /v1/collections/{key}", s.handleDrop)
-	mux.HandleFunc("POST /v1/collections/{key}/items", s.handleIngest)
-	mux.HandleFunc("DELETE /v1/collections/{key}/items/{element}", s.handleDeleteItem)
-	mux.HandleFunc("GET /v1/collections/{key}/classes", s.handleClasses)
-	mux.HandleFunc("GET /v1/collections/{key}/classes/{element}", s.handleClassOf)
-	mux.HandleFunc("POST /v1/collections/{key}/classes/{class}/invalidate", s.handleInvalidate)
-	mux.HandleFunc("GET /v1/collections/{key}/stats", s.handleStats)
-	mux.HandleFunc("PATCH /v1/collections/{key}/resilience", s.handleUpdateResilience)
+	Routes(mux, s)
 	return mux
 }
 
-// ingestRequest is the POST items body.
-type ingestRequest struct {
-	Items []int `json:"items"`
+// Routes registers the collection API on mux, running every request
+// through ex — the one route table a single node (ex is its *Service)
+// and a cluster coordinator (ex forwards to the owning node) share:
+//
+//	PUT    /v1/collections/{key}         create a collection (body: OracleSpec; "algorithm" picks the regimen)
+//	DELETE /v1/collections/{key}         drop a collection
+//	POST   /v1/collections/{key}/items   batch add (body: {"items":[...]}; ?flush=1 forces a flush)
+//	DELETE /v1/collections/{key}/items/{element}    remove one element (WAL-logged; re-addable later)
+//	GET    /v1/collections/{key}/classes current partition (?fresh=1 flushes first)
+//	GET    /v1/collections/{key}/classes/{element}  one element's class (O(1) index lookup; ?fresh=1 flushes first)
+//	POST   /v1/collections/{key}/classes/{class}/invalidate  withdraw a class for re-verification (?flush=1 re-folds now)
+//	GET    /v1/collections/{key}/stats   per-collection counters + snapshot
+//	PATCH  /v1/collections/{key}/resilience  live-update the resilience profile (body: ResilienceSpec)
+//	GET    /v1/algorithms                list the sorting-regimen registry (name, mode, hints)
+//
+// Each route parses its request into an Op and its Args, answers a
+// request it cannot parse with 400, and otherwise writes the body
+// ex.Do returns with the route's status, or the error's StatusOf.
+// Writes against a degraded collection (oracle circuit breaker open, or
+// its cluster node down) get 503 with a Retry-After header; reads keep
+// serving the last published snapshot.
+func Routes(mux *http.ServeMux, ex Executor) {
+	mux.Handle("PUT /v1/collections/{key}", route(ex, OpCreate, http.StatusCreated))
+	mux.Handle("DELETE /v1/collections/{key}", route(ex, OpDrop, http.StatusNoContent))
+	mux.Handle("POST /v1/collections/{key}/items", route(ex, OpIngest, http.StatusAccepted))
+	mux.Handle("DELETE /v1/collections/{key}/items/{element}", route(ex, OpDelete, http.StatusOK))
+	mux.Handle("GET /v1/collections/{key}/classes", route(ex, OpClasses, http.StatusOK))
+	mux.Handle("GET /v1/collections/{key}/classes/{element}", route(ex, OpClassOf, http.StatusOK))
+	mux.Handle("POST /v1/collections/{key}/classes/{class}/invalidate", route(ex, OpInvalidate, http.StatusAccepted))
+	mux.Handle("GET /v1/collections/{key}/stats", route(ex, OpStats, http.StatusOK))
+	mux.Handle("PATCH /v1/collections/{key}/resilience", route(ex, OpResilience, http.StatusOK))
+	mux.HandleFunc("GET /v1/algorithms", handleAlgorithms)
+}
+
+// route serves one collection route: parse (op, args), run them through
+// ex, write the body with status.
+func route(ex Executor, op Op, status int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var a Args
+		var err error
+		switch op {
+		case OpCreate:
+			a.Spec = new(OracleSpec)
+			err = decodeBody(r, a.Spec)
+		case OpResilience:
+			a.Resilience = new(ResilienceSpec)
+			err = decodeBody(r, a.Resilience)
+		case OpIngest:
+			// The hottest write path decodes through the pooled streaming
+			// decoder (ingestdecode.go) instead of decodeBody: items land
+			// in a reusable arena with zero per-item allocations. Every
+			// executor is done with the items once Do returns (the service
+			// copies what it keeps; a coordinator has encoded them onto
+			// the wire), so the arena is recycled after the reply.
+			d := getItemsDecoder()
+			defer putItemsDecoder(d)
+			a.Items, err = d.decode(io.LimitReader(r.Body, maxIngestBody))
+			a.Flush = boolParam(r, "flush")
+		case OpDelete:
+			a.Element, err = pathInt(r, "element")
+		case OpClassOf:
+			a.Element, err = pathInt(r, "element")
+			a.Flush = boolParam(r, "fresh")
+		case OpInvalidate:
+			a.Element, err = pathInt(r, "class")
+			a.Flush = boolParam(r, "flush")
+		case OpClasses:
+			a.Flush = boolParam(r, "fresh")
+		}
+		if err != nil {
+			writeError(w, BadRequest(err))
+			return
+		}
+		body, err := ex.Do(r.Context(), nil, op, r.PathValue("key"), a)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeBody(w, status, body)
+	}
 }
 
 // errorResponse is the JSON error envelope.
@@ -68,46 +121,35 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(AppendJSON(nil, v))
-}
-
-// writeError maps service errors onto HTTP statuses.
-func writeError(w http.ResponseWriter, err error) {
-	var de *DegradedError
-	if errors.As(err, &de) {
-		// Degraded write: tell the client when the breaker admits its
-		// next probe. Ceil to whole seconds, minimum 1 — Retry-After: 0
-		// would invite an immediate hammer.
-		secs := int64((de.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+// writeBody writes one JSON response body; a 204 carries none.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	if status == http.StatusNoContent {
+		w.WriteHeader(status)
 		return
 	}
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, ErrExists):
-		status = http.StatusConflict
-	case errors.Is(err, ErrBadItem), errors.Is(err, ErrBadSpec):
-		status = http.StatusBadRequest
-	case errors.Is(err, core.ErrConstRoundFailed), errors.Is(err, core.ErrAdaptiveExhausted):
-		// A const-round fold failed its λ promise on the collection's
-		// current sub-universe — a documented, retryable regimen outcome
-		// (the buffered items survive; a later fold may succeed as data
-		// arrives), not a server bug.
-		status = http.StatusConflict
-	case errors.Is(err, ErrClosed), errors.Is(err, context.Canceled):
-		// context.Canceled surfaces from folds aborted by Close.
-		status = http.StatusServiceUnavailable
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// WriteJSON writes v as a JSON response body (AppendJSON's encoding)
+// with status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, AppendJSON(nil, v))
+}
+
+// writeError writes err's JSON envelope with its StatusOf status, plus
+// Retry-After on a degraded rejection.
+func writeError(w http.ResponseWriter, err error) {
+	status, retryAfter := StatusOf(err)
+	if retryAfter > 0 {
+		// Tell the client when the breaker (or the down node's cooldown)
+		// admits its next probe. Ceil to whole seconds, minimum 1 —
+		// Retry-After: 0 would invite an immediate hammer.
+		secs := max(int64((retryAfter+time.Second-1)/time.Second), 1)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // decodeBody parses a JSON request body into v, rejecting unknown fields
@@ -121,8 +163,37 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// pathInt parses the integer path segment name.
+func pathInt(r *http.Request, name string) (int, error) {
+	v, err := strconv.Atoi(r.PathValue(name))
+	if err != nil {
+		return 0, fmt.Errorf("service: bad %s %q: not an integer", name, r.PathValue(name))
+	}
+	return v, nil
+}
+
+// boolParam interprets ?name=1 / true / yes / on (any case) as true.
+func boolParam(r *http.Request, name string) bool {
+	switch strings.ToLower(r.URL.Query().Get(name)) {
+	case "1", "true", "yes", "on":
+		return true
+	}
+	return false
+}
+
+// handleAlgorithms serves the sorting-regimen registry: the names a
+// collection spec's "algorithm" field accepts, each with its
+// comparison-model mode, consumed/required hints, and round complexity.
+// The registry is compiled in, identical on every binary.
+func handleAlgorithms(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]any{
+		"default":    AlgorithmIncremental,
+		"algorithms": algo.Infos(),
+	})
+}
+
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": s.Uptime().Seconds(),
 		"shards":         len(s.shards),
@@ -170,152 +241,11 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		body["degraded"] = degraded
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"collections": s.Collections()})
-}
-
-// handleAlgorithms serves the sorting-regimen registry: the names a
-// collection spec's "algorithm" field accepts, each with its
-// comparison-model mode, consumed/required hints, and round complexity.
-func (s *Service) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"default":    AlgorithmIncremental,
-		"algorithms": algo.Infos(),
-	})
-}
-
-func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec OracleSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := r.PathValue("key")
-	if err := s.CreateCollection(key, spec); err != nil {
-		writeError(w, err)
-		return
-	}
-	_, algoName, _ := spec.algorithm() // validated by CreateCollection
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"key":       key,
-		"kind":      spec.Kind,
-		"universe":  spec.N(),
-		"algorithm": algoName,
-	})
-}
-
-func (s *Service) handleDrop(w http.ResponseWriter, r *http.Request) {
-	if err := s.DropCollection(r.PathValue("key")); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// The hottest write path decodes through the pooled streaming
-	// decoder (ingestdecode.go) instead of decodeBody: items land in a
-	// reusable arena with zero per-item allocations. Ingest copies what
-	// it keeps (WAL encode buffer, sorter Adds), so the arena is safe
-	// to recycle once the call returns.
-	d := getItemsDecoder()
-	items, err := d.decode(io.LimitReader(r.Body, maxIngestBody))
-	if err != nil {
-		putItemsDecoder(d)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	force := boolParam(r, "flush")
-	res, err := s.Ingest(r.PathValue("key"), items, force)
-	putItemsDecoder(d)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (s *Service) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	res, err := s.DeleteItem(r.PathValue("key"), element)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Service) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	class, err := strconv.Atoi(r.PathValue("class"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad class %q: not an integer", r.PathValue("class"))})
-		return
-	}
-	res, err := s.InvalidateClass(r.PathValue("key"), class, boolParam(r, "flush"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, res)
-}
-
-func (s *Service) handleClasses(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.Classes(r.PathValue("key"), boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Service) handleClassOf(w http.ResponseWriter, r *http.Request) {
-	element, err := strconv.Atoi(r.PathValue("element"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("service: bad element %q: not an integer", r.PathValue("element"))})
-		return
-	}
-	view, err := s.ClassOf(r.PathValue("key"), element, boolParam(r, "fresh"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleUpdateResilience live-updates a collection's resilience profile
-// — votes, timeouts, breaker tuning — without recreating it. The update
-// is WAL-logged, so it survives a restart.
-func (s *Service) handleUpdateResilience(w http.ResponseWriter, r *http.Request) {
-	var rs ResilienceSpec
-	if err := decodeBody(r, &rs); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	key := r.PathValue("key")
-	if err := s.UpdateResilience(key, rs); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "resilience": rs})
-}
-
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	info, err := s.CollectionStats(r.PathValue("key"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, map[string]any{"collections": s.Collections()})
 }
 
 // handleMetrics renders Prometheus-style text metrics: service-wide
@@ -573,13 +503,4 @@ func boolMetric(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// boolParam interprets ?name=1 / true / yes (any case) as true.
-func boolParam(r *http.Request, name string) bool {
-	switch strings.ToLower(r.URL.Query().Get(name)) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }

@@ -16,8 +16,8 @@ import (
 // buffer are reused, nothing is staged through []json.RawMessage or
 // interface boxes).
 //
-// Accepted bodies match decodeBody's semantics on the ingestRequest
-// shape: an object with at most the "items" key (unknown fields
+// Accepted bodies match decodeBody's semantics on an {"items": [...]}
+// struct: an object with at most the "items" key (unknown fields
 // rejected), whose value is an array of JSON integers or null; a bare
 // null body is the empty ingest; trailing bytes after the top-level
 // value are ignored; floats and other non-integer tokens are rejected.
@@ -122,7 +122,7 @@ func (d *itemsDecoder) decode(r io.Reader) ([]int, error) {
 		return nil, d.bad(err)
 	}
 	if c == 'n' {
-		// A bare null body is the zero ingestRequest: no items.
+		// A bare null body decodes to the zero struct: no items.
 		if err := d.expect("ull"); err != nil {
 			return nil, err
 		}

@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// ingestRequest is the POST items body as encoding/json sees it.
+type ingestRequest struct {
+	Items []int `json:"items"`
+}
+
 // stdDecode is the generic path the streaming decoder replaced on the
 // ingest route: encoding/json with unknown fields rejected, the exact
 // decodeBody configuration.

@@ -27,32 +27,21 @@ import (
 	"ecsort"
 	"ecsort/internal/dist"
 	"ecsort/internal/harness"
-	"ecsort/internal/service"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all | algo | fig5-uniform | fig5-geometric | fig5-poisson | fig5-zeta | fig1 | rounds-cr | rounds-er | rounds-const | lb-equal | lb-smallest | dominance | zeta-exponent | procs | profile | serve-stress | cluster-stress")
-		scale    = flag.Int("scale", 10, "divide the paper's input sizes by this factor")
-		trials   = flag.Int("trials", 3, "trials per input size (paper: 10)")
-		n        = flag.Int("n", 1024, "input size for lower-bound and dominance experiments")
-		seed     = flag.Int64("seed", 2016, "random seed")
-		csvDir   = flag.String("csv", "", "also write raw observations as CSV files into this directory")
-		workers  = flag.Int("workers", 0, "execution-pool width for the serve-stress experiment (0: GOMAXPROCS)")
-		algoSel  = flag.String("algo", "auto", "algorithm registry name for the algo experiment (ecsort -algos lists them)")
-		kHint    = flag.Int("k", 8, "class count for the algo experiment's inputs and its k hint")
-		lamHint  = flag.Float64("lambda", 0, "lambda hint for the algo experiment (const regimens, auto)")
-		failRt   = flag.Float64("fail-rate", 0, "serve-stress: injected oracle error probability (chaos soak)")
-		flipRt   = flag.Float64("flip-rate", 0, "serve-stress: injected silent wrong-answer probability (chaos soak)")
-		votes    = flag.Int("votes", 0, "serve-stress: k-of-n majority votes per oracle answer under injected faults")
-		delFrac  = flag.Float64("delete-fraction", 0, "serve-stress: per-batch probability of a delete+re-ingest churn op")
-		batchCmp = flag.Bool("batch-oracle", false, "serve-stress: run the sweep twice — whole-chunk batch-oracle dispatch vs per-pair — and emit both (CSV column batch_oracle)")
+		exp     = flag.String("exp", "all", "experiment: all | algo | fig5-uniform | fig5-geometric | fig5-poisson | fig5-zeta | fig1 | rounds-cr | rounds-er | rounds-const | lb-equal | lb-smallest | dominance | zeta-exponent | procs | profile")
+		scale   = flag.Int("scale", 10, "divide the paper's input sizes by this factor")
+		trials  = flag.Int("trials", 3, "trials per input size (paper: 10)")
+		n       = flag.Int("n", 1024, "input size for lower-bound and dominance experiments")
+		seed    = flag.Int64("seed", 2016, "random seed")
+		csvDir  = flag.String("csv", "", "also write raw observations as CSV files into this directory")
+		algoSel = flag.String("algo", "auto", "algorithm registry name for the algo experiment (ecsort -algos lists them)")
+		kHint   = flag.Int("k", 8, "class count for the algo experiment's inputs and its k hint")
+		lamHint = flag.Float64("lambda", 0, "lambda hint for the algo experiment (const regimens, auto)")
 	)
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "ecs-experiments: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	}
 
 	writeCSV := func(name string, write func(io.Writer) error) error {
 		if *csvDir == "" {
@@ -177,79 +166,6 @@ func main() {
 				}
 			}
 			return nil
-		case "serve-stress":
-			// Service-level load generation: concurrent batched ingestion
-			// into the sharded classification service, swept over shard
-			// counts to show where contention stops.
-			cfg := service.StressConfig{
-				Collections: 16,
-				Elements:    max(*n, 256),
-				Classes:     16,
-				Batch:       64,
-				Writers:     8,
-				Seed:        *seed,
-				Service:     service.Config{Workers: *workers},
-			}
-			// Chaos knobs turn the sweep into a fault-injected soak:
-			// folds run against errors/flips behind the resilience
-			// middleware, churn exercises deletes, and verification is
-			// allowed repair sweeps to converge (docs/REPAIR.md).
-			if *failRt > 0 || *flipRt > 0 {
-				cfg.Faults = &service.FaultSpec{FailRate: *failRt, FlipRate: *flipRt, Seed: *seed}
-				cfg.Resilience = &service.ResilienceSpec{
-					Votes: *votes, Retries: 3, BackoffMs: 1, MaxBackoffMs: 2,
-					BreakerThreshold: 10_000,
-				}
-				cfg.Service.Repair = service.RepairConfig{Samples: 192, Seed: *seed}
-			}
-			cfg.DeleteFraction = *delFrac
-			points, err := harness.RunServiceSweep([]int{1, 2, 4, 8, 16}, cfg)
-			if err != nil {
-				return err
-			}
-			// -batch-oracle repeats the identical sweep with whole-chunk
-			// dispatch disabled, so the combined output isolates what the
-			// batch interface buys: fewer oracle invocations per round
-			// (the pairs/chunk amortization column) at equal partitions.
-			if *batchCmp {
-				perPair := cfg
-				perPair.Service.DisableBatchOracle = true
-				more, err := harness.RunServiceSweep([]int{1, 2, 4, 8, 16}, perPair)
-				if err != nil {
-					return err
-				}
-				points = append(points, more...)
-			}
-			if err := writeCSV(name, func(w io.Writer) error {
-				return harness.WriteServiceSweepCSV(w, points)
-			}); err != nil {
-				return err
-			}
-			return harness.RenderServiceSweep(os.Stdout, points)
-		case "cluster-stress":
-			// One level above serve-stress: the same concurrent batched
-			// workload routed by a cluster coordinator across backend
-			// nodes (ChanTransport — the wire codec and message-passing
-			// discipline without socket noise), swept over node counts.
-			cfg := harness.ClusterStressConfig{
-				Collections: 16,
-				Elements:    max(*n, 256),
-				Classes:     16,
-				Batch:       64,
-				Writers:     8,
-				Seed:        *seed,
-				Service:     service.Config{Shards: 4, BatchSize: 128, Workers: *workers},
-			}
-			reports, err := harness.RunClusterSweep([]int{1, 2, 4, 8}, cfg)
-			if err != nil {
-				return err
-			}
-			if err := writeCSV(name, func(w io.Writer) error {
-				return harness.WriteClusterSweepCSV(w, reports)
-			}); err != nil {
-				return err
-			}
-			return harness.RenderClusterSweep(os.Stdout, reports)
 		case "procs":
 			procs := []int{*n, *n / 4, *n / 16, *n / 64}
 			points, err := harness.RunProcessorSweep(*n, 8, procs, *seed)
@@ -310,7 +226,6 @@ func main() {
 			"procs", "profile",
 			"lb-equal", "lb-smallest",
 			"dominance",
-			"serve-stress",
 		}
 	}
 	for _, name := range names {

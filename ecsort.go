@@ -402,20 +402,6 @@ type RepairConfig = service.RepairConfig
 // pairs sampled, divergences found, corrections applied.
 type RepairReport = service.RepairReport
 
-// StressConfig shapes a synthetic concurrent ingestion workload for
-// service benchmarking.
-type StressConfig = service.StressConfig
-
-// StressReport is the measured outcome of RunServiceStress.
-type StressReport = service.StressReport
-
-// RunServiceStress drives a fresh service with concurrent batched
-// ingestion, verifies every collection's final answer, and reports
-// wall-clock throughput.
-func RunServiceStress(cfg StressConfig) (StressReport, error) {
-	return service.RunStress(cfg)
-}
-
 //
 // Oracles.
 //

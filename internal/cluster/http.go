@@ -70,14 +70,17 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	states := co.Health(r.Context())
+	// Read the route count, then write: a slow client must not hold the
+	// route lock that creates, drops and every keyed lookup take.
+	co.mu.RLock()
+	collections := len(co.routes)
+	co.mu.RUnlock()
 	fmt.Fprintf(w, "# HELP ecsort_cluster_nodes Backend nodes in the cluster.\n")
 	fmt.Fprintf(w, "# TYPE ecsort_cluster_nodes gauge\n")
 	fmt.Fprintf(w, "ecsort_cluster_nodes %d\n", len(states))
-	co.mu.RLock()
 	fmt.Fprintf(w, "# HELP ecsort_cluster_collections Collections in the routing table.\n")
 	fmt.Fprintf(w, "# TYPE ecsort_cluster_collections gauge\n")
-	fmt.Fprintf(w, "ecsort_cluster_collections %d\n", len(co.routes))
-	co.mu.RUnlock()
+	fmt.Fprintf(w, "ecsort_cluster_collections %d\n", collections)
 	fmt.Fprintf(w, "# HELP ecsort_cluster_node_up Whether the node answered its last exchange.\n")
 	fmt.Fprintf(w, "# TYPE ecsort_cluster_node_up gauge\n")
 	for _, st := range states {

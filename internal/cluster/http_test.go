@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,6 +279,60 @@ func TestCoordinatorHTTPHealthAndMetrics(t *testing.T) {
 	if !strings.Contains(string(raw), `ecsort_cluster_node_up{node="node-0"} 1`) {
 		t.Error("metrics took the live node down with the dead one")
 	}
+}
+
+// blockingWriter is a ResponseWriter whose Write blocks on the first
+// chunk that starts with prefix until release is closed, as a client
+// that stops reading does.
+type blockingWriter struct {
+	prefix  string
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (w *blockingWriter) Header() http.Header { return http.Header{} }
+func (w *blockingWriter) WriteHeader(int)     {}
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if strings.HasPrefix(string(p), w.prefix) {
+		w.once.Do(func() { close(w.blocked) })
+		<-w.release
+	}
+	return len(p), nil
+}
+
+// TestCoordinatorMetricsSlowWriter: a /metrics reader that stops
+// reading mid-body must not hold the route lock, so a concurrent create
+// (which takes it exclusively) still completes.
+func TestCoordinatorMetricsSlowWriter(t *testing.T) {
+	co, _ := newChanCluster(t, 1, Config{}, service.Config{Shards: 1})
+	w := &blockingWriter{prefix: "ecsort_cluster_collections", blocked: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		co.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	}()
+	<-w.blocked
+
+	created := make(chan error, 1)
+	go func() {
+		_, err := service.NewClient(co).CreateCollection(context.Background(), "k", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}})
+		created <- err
+	}()
+	select {
+	case err := <-created:
+		if err != nil {
+			t.Errorf("create: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("create waited on a /metrics writer blocked mid-body")
+		close(w.release)
+		<-created
+		<-served
+		return
+	}
+	close(w.release)
+	<-served
 }
 
 // TestCoordinatorHTTPCanceledRequest: a request whose client goes away

@@ -37,9 +37,9 @@ type chanExchange struct {
 // to a dispatching goroutine that answers each one with the node's
 // Handle on a goroutine of its own, and responses cross back on a
 // per-call channel. No memory is shared with the node beyond the copied
-// payload — the same discipline as TCP, minus the socket — so the tests,
-// benchmarks and the harness sweep that build it exercise the exact
-// codec and ownership rules production traffic uses. Like TCP's one goroutine per pooled
+// payload — the same discipline as TCP, minus the socket — so the tests
+// and benchmarks that build it exercise the exact codec and ownership
+// rules production traffic uses. Like TCP's one goroutine per pooled
 // connection, concurrent calls run concurrently: a read of one
 // collection never queues behind a slow fold of another.
 type ChanTransport struct {

@@ -2,8 +2,8 @@
 // coordinator routes whole collections across N backend nodes, each
 // node running its own service.Service, with every exchange behind the
 // Transport interface. Two transports ship — ChanTransport (in-process
-// message passing, which the tests, benchmarks and the harness sweep
-// build) and TCPTransport (length-prefixed CRC-framed messages reusing
+// message passing, which the tests and benchmarks build) and
+// TCPTransport (length-prefixed CRC-framed messages reusing
 // internal/wal's framing, so the wire format is versioned and
 // integrity-checked the same way the on-disk log is; ecs-serve's
 // cluster modes use it). The discipline is message-passing-only: the

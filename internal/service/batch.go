@@ -8,9 +8,8 @@ import (
 
 // Batch-oracle plumbing: the counting wrapper buildSorter installs
 // around batch-capable effective oracles (feeding the
-// ecsort_oracle_batch_* metrics), the capability mask behind
-// Config.DisableBatchOracle, and the ingest batch validator shared by
-// the item routes.
+// ecsort_oracle_batch_* metrics), and the ingest batch validator shared
+// by the item routes.
 
 // countingBatchOracle decorates a batch-capable effective oracle so
 // the service can export chunk-amortization metrics: one SameBatch
@@ -30,17 +29,11 @@ func (o *countingBatchOracle) SameBatch(pairs []model.Pair, out []bool) {
 	o.batch.SameBatch(pairs, out)
 }
 
-// oracleOnly masks an oracle's batch capability: its method set is
-// exactly N/Same, so a session built over it never detects
-// model.BatchOracle. This is Config.DisableBatchOracle's mechanism.
-type oracleOnly struct{ model.Oracle }
-
 // BatchOracleStats reports the service-wide batch-oracle amortization
 // counters: rounds is whole-chunk SameBatch invocations across every
 // collection, pairs the equivalence tests they carried. pairs/rounds
-// is the per-invocation amortization; both are zero when
-// DisableBatchOracle is set or no collection's oracle is
-// batch-capable.
+// is the per-invocation amortization; both are zero when no
+// collection's oracle is batch-capable.
 func (s *Service) BatchOracleStats() (rounds, pairs int64) {
 	return s.batchRounds.Load(), s.batchPairs.Load()
 }

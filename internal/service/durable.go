@@ -55,7 +55,7 @@ func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
 	if err != nil {
 		return engine{}, err
 	}
-	if nw, ok := base.(*agents.Network); ok && !s.cfg.DisableBatchOracle {
+	if nw, ok := base.(*agents.Network); ok {
 		// Agent collections answer whole worker-pool chunks as waves of
 		// real protocol sessions on the service pool — the batch-oracle
 		// sibling of Network.Bound — instead of one handshake per Same.
@@ -82,14 +82,7 @@ func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
 		eng.orc = eng.res
 	}
 	if b, ok := eng.orc.(model.BatchOracle); ok {
-		if s.cfg.DisableBatchOracle {
-			// Mask the capability so sessions fall back to per-pair Same
-			// (Resilient always carries SameBatch, so the mask is what
-			// makes the switch effective for resilient collections too).
-			eng.orc = oracleOnly{b}
-		} else {
-			eng.orc = &countingBatchOracle{Oracle: b, batch: b, svc: s}
-		}
+		eng.orc = &countingBatchOracle{Oracle: b, batch: b, svc: s}
 	}
 	opts := []model.Option{model.WithPool(s.pool), model.Workers(s.pool.Size()), model.WithContext(s.ctx)}
 	if s.cfg.Processors > 0 {

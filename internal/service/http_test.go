@@ -466,40 +466,27 @@ func TestHTTPConstRoundFoldConflict(t *testing.T) {
 // TestHTTPMetricsBatchOracle: /metrics must expose the service-wide
 // batch-oracle amortization counters, and a label collection — whose
 // oracle answers whole chunks — must move them on the first flush.
-// With Config.DisableBatchOracle the capability is masked and the
-// counters stay zero while the partition comes out the same.
 func TestHTTPMetricsBatchOracle(t *testing.T) {
-	labels := []int{0, 1, 0, 1, 2, 2, 0, 1}
-	run := func(t *testing.T, cfg Config) (string, [][]int) {
-		t.Helper()
-		svc := New(cfg)
-		defer svc.Close()
-		ts := httptest.NewServer(svc.Handler())
-		defer ts.Close()
-		client := ts.Client()
-		if st := call(t, client, http.MethodPut, ts.URL+"/v1/collections/b",
-			OracleSpec{Kind: KindLabel, Labels: labels}, nil); st != http.StatusCreated {
-			t.Fatalf("create status %d", st)
-		}
-		if st := call(t, client, http.MethodPost, ts.URL+"/v1/collections/b/items?flush=1",
-			map[string]any{"items": []int{0, 1, 2, 3, 4, 5, 6, 7}}, nil); st != http.StatusAccepted {
-			t.Fatalf("ingest status %d", st)
-		}
-		var snap Snapshot
-		if st := call(t, client, http.MethodGet, ts.URL+"/v1/collections/b/classes?fresh=1",
-			nil, &snap); st != http.StatusOK {
-			t.Fatalf("classes status %d", st)
-		}
-		resp, err := client.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return string(raw), snap.Classes
+	svc := New(Config{Shards: 1, BatchSize: 4, Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	if st := call(t, client, http.MethodPut, ts.URL+"/v1/collections/b",
+		OracleSpec{Kind: KindLabel, Labels: []int{0, 1, 0, 1, 2, 2, 0, 1}}, nil); st != http.StatusCreated {
+		t.Fatalf("create status %d", st)
 	}
-
-	metrics, classes := run(t, Config{Shards: 1, BatchSize: 4, Workers: 2})
+	if st := call(t, client, http.MethodPost, ts.URL+"/v1/collections/b/items?flush=1",
+		map[string]any{"items": []int{0, 1, 2, 3, 4, 5, 6, 7}}, nil); st != http.StatusAccepted {
+		t.Fatalf("ingest status %d", st)
+	}
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	metrics := string(raw)
 	for _, want := range []string{
 		"ecsort_oracle_batch_rounds_total ",
 		"ecsort_oracle_batch_pairs_total ",
@@ -513,18 +500,5 @@ func TestHTTPMetricsBatchOracle(t *testing.T) {
 	}
 	if strings.Contains(metrics, "ecsort_oracle_batch_pairs_total 0\n") {
 		t.Fatal("batch pairs stayed zero after a flush over a batch-capable oracle")
-	}
-
-	off, offClasses := run(t, Config{Shards: 1, BatchSize: 4, Workers: 2, DisableBatchOracle: true})
-	if !strings.Contains(off, "ecsort_oracle_batch_rounds_total 0\n") {
-		t.Fatal("DisableBatchOracle still charged batch rounds")
-	}
-	if !strings.Contains(off, "ecsort_oracle_batch_pairs_total 0\n") {
-		t.Fatal("DisableBatchOracle still charged batch pairs")
-	}
-	want := core.Result{Classes: classes}
-	got := core.Result{Classes: offClasses}
-	if !core.SameClassification(got.Labels(len(labels)), want.Labels(len(labels))) {
-		t.Fatalf("partitions diverge: batch %v, disabled %v", classes, offClasses)
 	}
 }

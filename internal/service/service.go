@@ -114,12 +114,6 @@ type Config struct {
 	// diverging classes for re-sorting. The zero value disables the
 	// daemon; RepairSweep can still be called explicitly.
 	Repair RepairConfig
-	// DisableBatchOracle hides every oracle's batch capability from the
-	// collection sessions, forcing per-pair Same dispatch. Batch
-	// answering is on by default; this switch exists for A/B
-	// measurement (serve-stress -batch-oracle) and as an operational
-	// escape hatch.
-	DisableBatchOracle bool
 }
 
 func (c Config) shards() int {

@@ -373,33 +373,6 @@ func TestCollectionsListingAndStats(t *testing.T) {
 	}
 }
 
-func TestRunStress(t *testing.T) {
-	rep, err := RunStress(StressConfig{
-		Collections: 4,
-		Elements:    120,
-		Classes:     5,
-		Batch:       16,
-		Writers:     3,
-		Seed:        1,
-		Service:     Config{Shards: 2, BatchSize: 32},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verified {
-		t.Fatal("stress run produced a wrong partition")
-	}
-	if rep.Elements != 4*120 {
-		t.Fatalf("elements = %d", rep.Elements)
-	}
-	if rep.Batches != 4*8 {
-		t.Fatalf("batches = %d", rep.Batches)
-	}
-	if rep.Comparisons == 0 || rep.ElementsPerSec <= 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-}
-
 // TestNegativeWorkersPanics: the service boundary must reject a negative
 // pool width as loudly as the model layer does.
 func TestNegativeWorkersPanics(t *testing.T) {

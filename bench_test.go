@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's quantitative artifacts, one per
-// table/figure (see DESIGN.md's experiment index). Besides wall time, each
-// benchmark reports the model-level quantities the paper plots —
-// comparisons/op and rounds/op — via b.ReportMetric, so `go test -bench=.`
-// doubles as a compact reproduction of the evaluation:
+// table/figure. Besides wall time, each benchmark reports the
+// model-level quantities the paper plots — comparisons/op and
+// rounds/op — via b.ReportMetric, so `go test -bench=.` doubles as a
+// compact reproduction of the evaluation:
 //
 //   - BenchmarkFig5* — Figure 5: round-robin comparison counts per
 //     distribution (uniform / geometric / Poisson / zeta parameter grid).
@@ -20,6 +20,7 @@
 package ecsort
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func benchFig5(b *testing.B, d Distribution, n int) {
 	var comparisons int64
 	for i := 0; i < b.N; i++ {
 		labels := SampleLabels(d, n, rng)
-		res, err := SortRoundRobin(NewLabelOracle(labels), Config{})
+		res, err := Sort(context.Background(), NewLabelOracle(labels), RoundRobin(), Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkCRRounds(b *testing.B) {
 			o := NewLabelOracle(labels)
 			var rounds, comparisons int64
 			for i := 0; i < b.N; i++ {
-				res, err := SortCR(o, k, Config{})
+				res, err := Sort(context.Background(), o, CR(k), Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -112,7 +113,7 @@ func BenchmarkERRounds(b *testing.B) {
 			o := NewLabelOracle(labels)
 			var rounds, comparisons int64
 			for i := 0; i < b.N; i++ {
-				res, err := SortER(o, Config{})
+				res, err := Sort(context.Background(), o, ER(), Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,9 +137,9 @@ func BenchmarkConstRounds(b *testing.B) {
 			o := NewLabelOracle(labels)
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				res, err := SortConstRoundER(o, ConstRoundOptions{
+				res, err := Sort(context.Background(), o, ConstRoundER(ConstRoundOptions{
 					Lambda: lambda, D: 8, MaxRetries: 8, Seed: int64(i),
-				}, Config{})
+				}), Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,7 +159,7 @@ func BenchmarkAdversaryEqual(b *testing.B) {
 			var normalized float64
 			for i := 0; i < b.N; i++ {
 				adv := NewEqualSizeAdversary(n, f)
-				res, err := SortRoundRobin(adv, Config{Workers: 1})
+				res, err := Sort(context.Background(), adv, RoundRobin(), Config{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -178,7 +179,7 @@ func BenchmarkAdversarySmallest(b *testing.B) {
 			var normalized float64
 			for i := 0; i < b.N; i++ {
 				adv := NewSmallestClassAdversary(n, l)
-				if _, err := SortRoundRobin(adv, Config{Workers: 1}); err != nil {
+				if _, err := Sort(context.Background(), adv, RoundRobin(), Config{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 				normalized += float64(adv.FirstSCCMark()) * float64(l) / float64(n) / float64(n)
@@ -251,7 +252,7 @@ func BenchmarkTwoClassER(b *testing.B) {
 			o := NewLabelOracle(labels)
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				res, err := SortTwoClassER(o, 5, int64(i), Config{})
+				res, err := Sort(context.Background(), o, TwoClassER(5, int64(i)), Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,7 +289,7 @@ func BenchmarkRoundRobinScaling(b *testing.B) {
 			o := NewLabelOracle(labels)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SortRoundRobin(o, Config{}); err != nil {
+				if _, err := Sort(context.Background(), o, RoundRobin(), Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}

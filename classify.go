@@ -69,8 +69,9 @@ func (o *funcOracle[T]) Same(i, j int) bool { return o.eq(o.items[i], o.items[j]
 // eq must be a true equivalence relation (reflexive, symmetric,
 // transitive) and safe for concurrent calls; parallel rounds may invoke
 // it from several goroutines. The wrapper adds no more than a couple of
-// allocations over the raw oracle path (guarded by BenchmarkClassify),
-// so there is no performance reason to prefer hand-rolled oracles.
+// allocations over the raw oracle path (gated by
+// TestClassifyAllocOverhead), so there is no performance reason to
+// prefer hand-rolled oracles.
 func Classify[T any](ctx context.Context, items []T, eq func(a, b T) bool, alg Algorithm, cfg Config) (Classes[T], error) {
 	res, err := Sort(ctx, &funcOracle[T]{items: items, eq: eq}, alg, cfg)
 	if err != nil {

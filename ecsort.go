@@ -8,16 +8,16 @@
 // Distribution-Based Analysis" (SPAA 2016), in Valiant's parallel
 // comparison model:
 //
-//   - SortCR — O(k + log log n) rounds in the concurrent-read model
+//   - CR — O(k + log log n) rounds in the concurrent-read model
 //     (Theorem 1), via the two-phase compounding-comparison technique.
-//   - SortER — O(k log n) rounds in the exclusive-read model (Theorem 2).
-//   - SortConstRoundER — O(1) rounds in the exclusive-read model when the
+//   - ER — O(k log n) rounds in the exclusive-read model (Theorem 2).
+//   - ConstRoundER — O(1) rounds in the exclusive-read model when the
 //     smallest class has at least λn elements (Theorem 4), built on
 //     unions of random Hamiltonian cycles.
-//   - SortRoundRobin — the sequential round-robin regimen of Jayapaul et
+//   - RoundRobin — the sequential round-robin regimen of Jayapaul et
 //     al., whose comparison count the distribution-based analysis of the
 //     paper's Section 4 bounds.
-//   - SortNaive — the obvious sequential baseline.
+//   - Naive — the obvious sequential baseline.
 //
 // Inputs are abstracted as an Oracle: anything that can answer Same(i, j)
 // for elements 0..N()-1. The package ships oracles for the paper's three
@@ -27,13 +27,12 @@
 // which are adaptive oracles that force any algorithm to spend Ω(n²/f)
 // comparisons.
 //
-// The v2 API exposes the regimens as first-class Algorithm values (CR,
-// ER, ConstRoundER, ...; see v2.go): Sort runs one through a
-// context.Context with cancellation checked between parallel rounds,
-// Auto plans the cheapest applicable regimen from workload Hints,
-// Algorithms/AlgorithmByName expose the name registry, and Classify is
-// a typed generic front end over any slice plus equivalence predicate.
-// The SortXxx free functions below remain as thin deprecated wrappers.
+// Each regimen is a first-class Algorithm value (see v2.go): Sort runs
+// one through a context.Context with cancellation checked between
+// parallel rounds, Auto plans the cheapest applicable regimen from
+// workload Hints, Algorithms/AlgorithmByName expose the name registry,
+// and Classify is a typed generic front end over any slice plus
+// equivalence predicate.
 //
 // Costs are accounted in Valiant's model: only equivalence tests count,
 // grouped into parallel rounds. Result.Stats reports total comparisons,
@@ -41,7 +40,6 @@
 package ecsort
 
 import (
-	"context"
 	"math/rand"
 
 	"ecsort/internal/adversary"
@@ -72,9 +70,8 @@ type BatchOracle = model.BatchOracle
 // Mode selects the read-concurrency rule of the comparison model.
 type Mode = model.Mode
 
-// Comparison model variants. (v1 named these ER and CR; those names now
-// belong to the Algorithm constructors, so the constants carry a Mode
-// prefix.)
+// Comparison model variants. (ER and CR name the Algorithm
+// constructors, so the constants carry a Mode prefix.)
 const (
 	// ModeER (exclusive read): each element joins at most one comparison
 	// per round — elements perform the tests themselves (secret
@@ -156,31 +153,12 @@ func NewSession(o Oracle, mode Mode, cfg Config) *Session {
 	return model.NewSession(o, mode, cfg.options()...)
 }
 
-// SortCR sorts in the concurrent-read model in O(k + log log n) parallel
-// rounds with n processors (Theorem 1). k must be the number of classes
-// or an upper bound; correctness holds for any k ≥ 1 (k only steers the
-// round schedule).
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value CR(k) with Sort for cancellation support.
-func SortCR(o Oracle, k int, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, CR(k), cfg)
-}
-
-// SortER sorts in the exclusive-read model in O(k log n) parallel rounds
-// with n processors (Theorem 2). It needs no knowledge of k.
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value ER() with Sort for cancellation support.
-func SortER(o Oracle, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, ER(), cfg)
-}
-
-// ConstRoundOptions configures SortConstRoundER.
+// ConstRoundOptions configures ConstRoundER and ConstRoundERAdaptive.
 type ConstRoundOptions struct {
 	// Lambda is the guaranteed lower bound on (smallest class size)/n,
-	// in (0, 0.4]. Required. If unknown, start at 0.4 and halve on
-	// ErrConstRoundFailed, as the paper suggests.
+	// in (0, 0.4]. ConstRoundER requires it. If it is unknown, use
+	// ConstRoundERAdaptive, which starts here (default 0.4) and halves
+	// after every ErrConstRoundFailed, as the paper suggests.
 	Lambda float64
 	// D overrides the number of random Hamiltonian cycles; 0 selects
 	// the theory constant d(λ), which is safe but pessimistic.
@@ -191,61 +169,14 @@ type ConstRoundOptions struct {
 	Seed int64
 }
 
-// ErrConstRoundFailed is returned by SortConstRoundER when the randomized
-// algorithm could not classify every element — in practice, when Lambda
-// overestimates ℓ/n.
+// ErrConstRoundFailed is returned by Sort running ConstRoundER when the
+// randomized algorithm could not classify every element — in practice,
+// when Lambda overestimates ℓ/n.
 var ErrConstRoundFailed = core.ErrConstRoundFailed
 
-// SortConstRoundER sorts in the exclusive-read model in O(1) parallel
-// rounds with n processors, provided every class has at least
-// Lambda·n elements (Theorem 4).
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value ConstRoundER(opt) with Sort for cancellation support.
-func SortConstRoundER(o Oracle, opt ConstRoundOptions, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, ConstRoundER(opt), cfg)
-}
-
-// SortCRUnknownK sorts in the concurrent-read model with no prior
-// knowledge of k, adapting the compounding schedule to the largest class
-// count observed so far. Rounds match SortCR's asymptotics.
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value CRUnknownK() with Sort for cancellation support.
-func SortCRUnknownK(o Oracle, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, CRUnknownK(), cfg)
-}
-
-// ErrAdaptiveExhausted is returned by SortConstRoundERAdaptive when
-// halving λ reached its floor without success.
+// ErrAdaptiveExhausted is returned by Sort running ConstRoundERAdaptive
+// when halving λ reached its floor without success.
 var ErrAdaptiveExhausted = core.ErrAdaptiveExhausted
-
-// SortConstRoundERAdaptive runs the Theorem 4 algorithm without knowing
-// λ, halving a starting guess after every failure (the paper's remark).
-// It returns the λ that succeeded alongside the result.
-//
-// Deprecated: v1 entry point, kept because the Algorithm interface does
-// not surface the successful λ. Prefer ConstRoundERAdaptive(opt) with
-// Sort when the final λ is not needed.
-func SortConstRoundERAdaptive(o Oracle, opt ConstRoundOptions, cfg Config) (Result, float64, error) {
-	return core.SortConstRoundERAdaptive(NewSession(o, ModeER, cfg), core.AdaptiveConstRoundConfig{
-		StartLambda: opt.Lambda,
-		D:           opt.D,
-		MaxRetries:  opt.MaxRetries,
-		Rng:         rand.New(rand.NewSource(opt.Seed)),
-	})
-}
-
-// SortTwoClassER sorts inputs promised to have at most two classes in
-// O(1) ER rounds, with no lower bound on the smaller class — the k = 2
-// case the paper's conclusion notes follows from classic parallel fault
-// diagnosis. If the two-class promise might be false, Certify the result.
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value TwoClassER(maxRetries, seed) with Sort for cancellation support.
-func SortTwoClassER(o Oracle, maxRetries int, seed int64, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, TwoClassER(maxRetries, seed), cfg)
-}
 
 // Majority finds an element of the strict-majority class (> n/2 members)
 // with ≤ 2(n−1) equivalence tests (Boyer–Moore MJRTY + verification),
@@ -260,26 +191,6 @@ func Majority(o Oracle, cfg Config) (candidate, size int, isMajority bool) {
 // comparison-model "mode") and its size.
 func LargestClass(o Oracle, cfg Config) (candidate, size int) {
 	return majority.Mode(NewSession(o, ModeER, cfg))
-}
-
-// SortRoundRobin runs the sequential round-robin regimen of Jayapaul et
-// al. — the algorithm whose total comparisons Section 4 of the paper
-// bounds distribution by distribution. Comparisons are charged one per
-// round.
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value RoundRobin() with Sort for cancellation support.
-func SortRoundRobin(o Oracle, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, RoundRobin(), cfg)
-}
-
-// SortNaive runs the sequential one-representative-per-class baseline
-// (≤ n·k comparisons).
-//
-// Deprecated: v1 entry point, kept as a thin wrapper. Use the Algorithm
-// value Naive() with Sort for cancellation support.
-func SortNaive(o Oracle, cfg Config) (Result, error) {
-	return Sort(context.Background(), o, Naive(), cfg)
 }
 
 // SameClassification reports whether two labelings induce the same
@@ -304,7 +215,7 @@ func NewRecorder(o Oracle) *Recorder { return model.NewRecorder(o) }
 
 // Incremental maintains a complete classification while elements arrive
 // over time, folding buffered arrivals in with single compounding rounds
-// (the online counterpart of SortCR).
+// (the online counterpart of CR).
 type Incremental = core.Incremental
 
 // NewIncremental creates an incremental sorter over the oracle's
@@ -514,24 +425,6 @@ func StateAgents(states []uint64) []Agent { return agents.StateRoster(states) }
 func NewAgentSession(nw *AgentNetwork, cfg Config) *Session {
 	opts := append(cfg.options(), model.WithExecutor(nw.Bound(cfg.Runtime)))
 	return model.NewSession(nw, ModeER, opts...)
-}
-
-// SortERDistributed runs the Theorem 2 algorithm with every round
-// executed as concurrent protocol sessions on the network.
-//
-// Deprecated: use ER().Sort with a caller-supplied context and
-// NewAgentSession, which keeps the sort cancellable.
-func SortERDistributed(nw *AgentNetwork, cfg Config) (Result, error) {
-	return ER().Sort(context.Background(), NewAgentSession(nw, cfg))
-}
-
-// SortRoundRobinDistributed runs the sequential regimen over the network
-// (one protocol session per comparison).
-//
-// Deprecated: use RoundRobin().Sort with a caller-supplied context and
-// NewAgentSession, which keeps the sort cancellable.
-func SortRoundRobinDistributed(nw *AgentNetwork, cfg Config) (Result, error) {
-	return RoundRobin().Sort(context.Background(), NewAgentSession(nw, cfg))
 }
 
 //

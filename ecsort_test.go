@@ -1,49 +1,18 @@
 package ecsort
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestPublicSortersAgree runs every public entry point on one instance
-// and checks they produce the same partition.
-func TestPublicSortersAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	labels := SampleLabels(NewUniform(6), 200, rng)
-	o := NewLabelOracle(labels)
-
-	results := map[string]Result{}
-	var err error
-	if results["cr"], err = SortCR(o, 6, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if results["er"], err = SortER(o, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if results["rr"], err = SortRoundRobin(o, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if results["naive"], err = SortNaive(o, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	want := o.Labels()
-	for name, res := range results {
-		if !SameClassification(res.Labels(200), want) {
-			t.Errorf("%s: wrong classification", name)
-		}
-		if res.Stats.Comparisons == 0 {
-			t.Errorf("%s: zero comparisons recorded", name)
-		}
-	}
-}
-
 func TestPublicConstRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	labels := SampleLabels(NewUniform(3), 150, rng)
 	o := NewLabelOracle(labels)
-	res, err := SortConstRoundER(o, ConstRoundOptions{Lambda: 0.2, D: 8, MaxRetries: 5, Seed: 3}, Config{})
+	res, err := Sort(context.Background(), o, ConstRoundER(ConstRoundOptions{Lambda: 0.2, D: 8, MaxRetries: 5, Seed: 3}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +25,7 @@ func TestPublicConstRoundFailure(t *testing.T) {
 	labels := make([]int, 100)
 	labels[0] = 1 // smallest class has 1 element; λ=0.4 is hopeless
 	o := NewLabelOracle(labels)
-	_, err := SortConstRoundER(o, ConstRoundOptions{Lambda: 0.4, D: 2, MaxRetries: 1, Seed: 4}, Config{})
+	_, err := Sort(context.Background(), o, ConstRoundER(ConstRoundOptions{Lambda: 0.4, D: 2, MaxRetries: 1, Seed: 4}), Config{})
 	if err != nil && !errors.Is(err, ErrConstRoundFailed) {
 		t.Fatalf("unexpected error type: %v", err)
 	}
@@ -66,11 +35,12 @@ func TestPublicConstRoundFailure(t *testing.T) {
 // oracle through the public API.
 func TestApplicationOraclesEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
 
 	t.Run("secret handshakes", func(t *testing.T) {
 		labels := SampleLabels(NewUniform(4), 40, rng)
 		agents := NewHandshakeOracle(labels, 99)
-		res, err := SortER(agents, Config{})
+		res, err := Sort(ctx, agents, ER(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +51,7 @@ func TestApplicationOraclesEndToEnd(t *testing.T) {
 
 	t.Run("fault diagnosis", func(t *testing.T) {
 		machines := RandomInfections(60, 3, 0.4, rng)
-		res, err := SortCR(machines, machines.NumStates(), Config{})
+		res, err := Sort(ctx, machines, CR(machines.NumStates()), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +63,7 @@ func TestApplicationOraclesEndToEnd(t *testing.T) {
 	t.Run("graph mining", func(t *testing.T) {
 		labels := SampleLabels(NewUniform(3), 24, rng)
 		graphs := RandomGraphCollection(labels, 8, rng)
-		res, err := SortCR(graphs, 3, Config{})
+		res, err := Sort(ctx, graphs, CR(3), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +75,7 @@ func TestApplicationOraclesEndToEnd(t *testing.T) {
 
 func TestPublicAdversary(t *testing.T) {
 	adv := NewEqualSizeAdversary(48, 4)
-	res, err := SortRoundRobin(adv, Config{Workers: 1})
+	res, err := Sort(context.Background(), adv, RoundRobin(), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +95,12 @@ func TestPublicAdversary(t *testing.T) {
 func TestConfigKnobs(t *testing.T) {
 	labels := SampleLabels(NewUniform(4), 64, rand.New(rand.NewSource(6)))
 	o := NewLabelOracle(labels)
-	tight, err := SortER(o, Config{Processors: 4, Workers: 2})
+	ctx := context.Background()
+	tight, err := Sort(ctx, o, ER(), Config{Processors: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := SortER(o, Config{})
+	loose, err := Sort(ctx, o, ER(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +121,7 @@ func TestPublicQuickAllOracles(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		labels := SampleLabels(NewUniform(k), n, rng)
 		o := NewLabelOracle(labels)
-		res, err := SortER(o, Config{})
+		res, err := Sort(context.Background(), o, ER(), Config{})
 		if err != nil {
 			return false
 		}
@@ -169,7 +140,7 @@ func TestPublicTwoClassAndMajority(t *testing.T) {
 	}
 	o := NewLabelOracle(labels)
 
-	res, err := SortTwoClassER(o, 5, 3, Config{})
+	res, err := Sort(context.Background(), o, TwoClassER(5, 3), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +169,7 @@ func TestDistributedSorts(t *testing.T) {
 
 	t.Run("key agents", func(t *testing.T) {
 		nw := NewAgentNetwork(KeyAgents(labels, 7))
-		res, err := SortERDistributed(nw, Config{})
+		res, err := ER().Sort(context.Background(), NewAgentSession(nw, Config{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +187,7 @@ func TestDistributedSorts(t *testing.T) {
 			states[i] = uint64(l) << 7
 		}
 		nw := NewAgentNetwork(StateAgents(states))
-		res, err := SortRoundRobinDistributed(nw, Config{})
+		res, err := RoundRobin().Sort(context.Background(), NewAgentSession(nw, Config{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,11 +233,12 @@ func TestRuntimeOption(t *testing.T) {
 	labels := SampleLabels(NewUniform(5), 512, rng)
 	o := NewLabelOracle(labels)
 
-	def, err := SortCR(o, 5, Config{Workers: 3})
+	ctx := context.Background()
+	def, err := Sort(ctx, o, CR(5), Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := SortCR(o, 5, Config{Workers: 3, Runtime: pool})
+	pooled, err := Sort(ctx, o, CR(5), Config{Workers: 3, Runtime: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ecsort_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // The basic flow: wrap data in an oracle, sort, read classes and cost.
-func ExampleSortCR() {
+func ExampleCR() {
 	oracle := ecsort.NewLabelOracle([]int{7, 3, 7, 3, 7, 9})
-	res, err := ecsort.SortCR(oracle, 3, ecsort.Config{})
+	res, err := ecsort.Sort(context.Background(), oracle, ecsort.CR(3), ecsort.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -19,10 +20,10 @@ func ExampleSortCR() {
 	// classes: [[0 2 4] [1 3] [5]]
 }
 
-// SortER needs no knowledge of the number of classes.
-func ExampleSortER() {
+// ER needs no knowledge of the number of classes.
+func ExampleER() {
 	oracle := ecsort.NewLabelOracle([]int{1, 2, 1, 2})
-	res, err := ecsort.SortER(oracle, ecsort.Config{})
+	res, err := ecsort.Sort(context.Background(), oracle, ecsort.ER(), ecsort.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +39,7 @@ func (o modOracle) N() int             { return o.n }
 func (o modOracle) Same(i, j int) bool { return i%o.m == j%o.m }
 
 func ExampleOracle() {
-	res, err := ecsort.SortER(modOracle{n: 9, m: 3}, ecsort.Config{})
+	res, err := ecsort.Sort(context.Background(), modOracle{n: 9, m: 3}, ecsort.ER(), ecsort.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +71,7 @@ func ExampleSampleLabels() {
 // The Theorem 5 adversary forces any algorithm to spend Ω(n²/f).
 func ExampleNewEqualSizeAdversary() {
 	adv := ecsort.NewEqualSizeAdversary(64, 4)
-	res, err := ecsort.SortRoundRobin(adv, ecsort.Config{Workers: 1})
+	res, err := ecsort.Sort(context.Background(), adv, ecsort.RoundRobin(), ecsort.Config{Workers: 1})
 	if err != nil {
 		panic(err)
 	}

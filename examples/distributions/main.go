@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,6 +19,7 @@ import (
 
 func main() {
 	const n = 5000
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1605)) // arXiv month of the paper
 
 	dists := []ecsort.Distribution{
@@ -35,7 +37,7 @@ func main() {
 
 	for _, d := range dists {
 		labels := ecsort.SampleLabels(d, n, rng)
-		res, err := ecsort.SortRoundRobin(ecsort.NewLabelOracle(labels), ecsort.Config{})
+		res, err := ecsort.Sort(ctx, ecsort.NewLabelOracle(labels), ecsort.RoundRobin(), ecsort.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/bits"
@@ -25,13 +26,14 @@ func main() {
 	const machines = 800
 	const worms = 3 // up to 2³ = 8 malware states
 	rng := rand.New(rand.NewSource(1988))
+	ctx := context.Background()
 
 	fleet := ecsort.RandomInfections(machines, worms, 0.35, rng)
 	fmt.Printf("fleet of %d machines, %d candidate worms, %d distinct malware states\n\n",
 		machines, worms, fleet.NumStates())
 
-	// The machines know nothing about k; SortER needs no hint.
-	res, err := ecsort.SortER(fleet, ecsort.Config{})
+	// The machines know nothing about k; ER needs no hint.
+	res, err := ecsort.Sort(ctx, fleet, ecsort.ER(), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 	// A fleet operator who knows k can use the CR algorithm instead —
 	// e.g. if probes are mediated by a monitor that may query one
 	// machine's state many times per round.
-	res2, err := ecsort.SortCR(fleet, fleet.NumStates(), ecsort.Config{})
+	res2, err := ecsort.Sort(ctx, fleet, ecsort.CR(fleet.NumStates()), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

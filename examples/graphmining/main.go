@@ -3,12 +3,13 @@
 // refinement plus backtracking) — "nontrivial but computationally
 // feasible", as the paper puts it. Graphs are passive data, so one graph
 // can take part in many comparisons per round: the concurrent-read model,
-// and SortCR's O(k + log log n) rounds apply.
+// and the CR regimen's O(k + log log n) rounds apply.
 //
 //	go run ./examples/graphmining
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("corpus of %d graphs on %d vertices, %d hidden isomorphism classes\n\n",
 		collection, vertices, families)
 
-	res, err := ecsort.SortCR(corpus, families, ecsort.Config{})
+	res, err := ecsort.Sort(context.Background(), corpus, ecsort.CR(families), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

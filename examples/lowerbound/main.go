@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 
 func main() {
 	const n = 512
+	ctx := context.Background()
 	fmt.Printf("sorting n=%d elements with the round-robin algorithm\n\n", n)
 	fmt.Printf("%6s %22s %22s %14s\n", "f", "random input (comps)", "vs adversary (comps)", "forced C·f/n²")
 
@@ -29,14 +31,14 @@ func main() {
 		}
 		rng := rand.New(rand.NewSource(int64(f)))
 		rng.Shuffle(n, func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
-		benign, err := ecsort.SortRoundRobin(ecsort.NewLabelOracle(labels), ecsort.Config{})
+		benign, err := ecsort.Sort(ctx, ecsort.NewLabelOracle(labels), ecsort.RoundRobin(), ecsort.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// (b) The Theorem 5 adversary with the same class-size profile.
 		adv := ecsort.NewEqualSizeAdversary(n, f)
-		forced, err := ecsort.SortRoundRobin(adv, ecsort.Config{Workers: 1})
+		forced, err := ecsort.Sort(ctx, adv, ecsort.RoundRobin(), ecsort.Config{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +58,7 @@ func main() {
 	fmt.Println("could correctly name a smallest-class member:")
 	for _, l := range []int{4, 16, 64} {
 		adv := ecsort.NewSmallestClassAdversary(n, l)
-		if _, err := ecsort.SortRoundRobin(adv, ecsort.Config{Workers: 1}); err != nil {
+		if _, err := ecsort.Sort(ctx, adv, ecsort.RoundRobin(), ecsort.Config{Workers: 1}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  ℓ=%3d: %7d comparisons (C·ℓ/n² = %.3f)\n",

@@ -9,13 +9,14 @@
 //
 // Because the agents perform the handshakes themselves, each agent can be
 // in at most one handshake per round — the exclusive-read (ER) model — so
-// we classify everyone with SortER (Theorem 2) and, since every party here
-// is large, with the constant-round algorithm of Theorem 4.
+// we classify everyone with the ER regimen (Theorem 2) and, since every
+// party here is large, with the constant-round algorithm of Theorem 4.
 //
 //	go run ./examples/secrethandshake
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -27,6 +28,7 @@ func main() {
 	const interns = 600
 	parties := []string{"Republican", "Democrat", "Green", "Labor", "Libertarian"}
 	rng := rand.New(rand.NewSource(1789))
+	ctx := context.Background()
 
 	// Assign each intern a party, hidden inside the handshake keys.
 	affiliation := make([]int, interns)
@@ -39,7 +41,7 @@ func main() {
 		interns, len(parties))
 
 	// ER merge-tree algorithm: no prior knowledge needed.
-	res, err := ecsort.SortER(agents, ecsort.Config{})
+	res, err := ecsort.Sort(ctx, agents, ecsort.ER(), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 	// round executes as concurrent two-goroutine protocol sessions, with
 	// the one-handshake-per-intern-per-round rule enforced physically.
 	network := ecsort.NewAgentNetwork(ecsort.KeyAgents(affiliation, 0xC0FFEE))
-	res, err = ecsort.SortERDistributed(network, ecsort.Config{})
+	res, err = ecsort.ER().Sort(ctx, ecsort.NewAgentSession(network, ecsort.Config{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,9 +63,9 @@ func main() {
 
 	// Every party has ≈ interns/5 members, so λ = 0.1 is a safe floor and
 	// Theorem 4 classifies everyone in O(1) rounds.
-	res, err = ecsort.SortConstRoundER(agents, ecsort.ConstRoundOptions{
+	res, err = ecsort.Sort(ctx, agents, ecsort.ConstRoundER(ecsort.ConstRoundOptions{
 		Lambda: 0.1, D: 12, MaxRetries: 5, Seed: 3,
-	}, ecsort.Config{})
+	}), ecsort.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

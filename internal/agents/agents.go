@@ -49,35 +49,25 @@ type Agent interface {
 // Network owns n agents and executes comparison rounds between them.
 type Network struct {
 	agents []Agent
-	pool   *rt.Pool // dispatches a round's protocol sessions; nil = shared
 	// sessions counts pairwise protocol runs, for reporting.
 	sessions int64
 	mu       sync.Mutex
 	seq      uint64
 }
 
-// NewNetwork wraps a set of agents. Rounds dispatch their protocol
-// sessions from the process-wide shared runtime pool; use UsePool to
-// route them through a dedicated one. The shared pool is resolved
-// lazily at the first round, so wrapping a roster (or running single
-// Same probes) never spins up pool workers.
+// NewNetwork wraps a set of agents. ExecuteRound dispatches its protocol
+// sessions from the process-wide shared runtime pool; use Bound or Batch
+// to route a session's rounds through a dedicated one. The shared pool
+// is resolved lazily at the first round, so wrapping a roster (or
+// running single Same probes) never spins up pool workers.
 func NewNetwork(agents []Agent) *Network {
 	return &Network{agents: agents}
 }
 
-// UsePool makes subsequent rounds dispatch their protocol sessions from
-// p instead of the shared runtime pool; nil restores the shared pool.
-// Not safe to call concurrently with ExecuteRound. The binding is
-// network-wide and last-writer-wins; sessions that need their own pool
-// without re-routing everyone else's rounds should execute through
-// Bound instead.
-func (nw *Network) UsePool(p *rt.Pool) { nw.pool = p }
-
 // Bound returns an executor view of the network whose rounds dispatch
-// from p (nil: the shared pool), without touching the network's own
-// binding. Each session gets its own Bound executor, so creating a
-// second session never silently re-routes an earlier session's rounds —
-// the per-session binding NewAgentSession relies on.
+// from p (nil: the shared pool). Each session gets its own Bound
+// executor, so creating a second session never re-routes an earlier
+// session's rounds — the per-session binding NewAgentSession relies on.
 func (nw *Network) Bound(p *rt.Pool) model.Executor {
 	return &boundNetwork{nw: nw, pool: p}
 }
@@ -101,7 +91,7 @@ func (b *boundNetwork) ExecuteRound(pairs []model.Pair) []bool {
 // a CR chunk may legitimately schedule one agent into several
 // concurrent sessions, which is safe because handshakes are pure
 // functions of (sessionID, private state). Like Bound, the pool
-// binding is per-view and never re-routes the network's own rounds.
+// binding is per-view.
 func (nw *Network) Batch(p *rt.Pool) model.BatchOracle {
 	return &batchNetwork{nw: nw, pool: p}
 }
@@ -166,14 +156,15 @@ func (nw *Network) Same(i, j int) bool {
 }
 
 // ExecuteRound implements model.Executor: it runs a round's protocol
-// sessions concurrently after checking the ER rule, dispatching one
-// session per runtime chunk so the concurrency of a round is bounded by
-// the pool's width instead of spawning an unbounded goroutine per pair
-// (each session still runs its two agent goroutines internally). Both
-// sides of a session must agree on the verdict; disagreement panics,
-// because it means the pairwise protocol itself is broken.
+// sessions concurrently on the shared runtime pool after checking the ER
+// rule, dispatching one session per runtime chunk so the concurrency of
+// a round is bounded by the pool's width instead of spawning an
+// unbounded goroutine per pair (each session still runs its two agent
+// goroutines internally). Both sides of a session must agree on the
+// verdict; disagreement panics, because it means the pairwise protocol
+// itself is broken.
 func (nw *Network) ExecuteRound(pairs []model.Pair) []bool {
-	return nw.executeRound(nw.pool, pairs)
+	return nw.executeRound(nil, pairs)
 }
 
 // executeRound runs one round's protocol sessions on the given pool

@@ -4,30 +4,17 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 )
 
 // APIDoc keeps the committed API surface honest: every symbol frozen in
-// api_surface.txt must carry a doc comment in the root package, and the
-// v1 compatibility wrappers (SortCR, SortER, ...) must carry a standard
-// "Deprecated:" marker pointing callers at the context-aware v2 entry
-// points. The api-surface golden test already pins the shape; this
-// analyzer pins the words.
+// api_surface.txt must carry a doc comment in the root package. The
+// api-surface golden test already pins the shape; this analyzer pins
+// the words.
 var APIDoc = &Analyzer{
 	Name: "apidoc",
-	Doc:  "undocumented api_surface.txt symbols; v1 wrappers without Deprecated markers",
+	Doc:  "undocumented api_surface.txt symbols",
 	Run:  runAPIDoc,
-}
-
-// deprecatedWrapperRE matches the v1 wrapper naming scheme: SortCR,
-// SortER, ... but not the v2 Sort itself.
-var deprecatedWrapperRE = regexp.MustCompile(`^Sort[A-Z]`)
-
-// surfaceSymbol is one entry parsed from api_surface.txt.
-type surfaceSymbol struct {
-	key    string // "Sort" or "Classes.Class" for methods
-	isFunc bool
 }
 
 // declDoc is what the package actually declares for a symbol.
@@ -47,10 +34,9 @@ func runAPIDoc(pass *Pass) {
 		// nothing to pin.
 		return
 	}
-	symbols := parseSurface(string(data))
 	docs := collectDocs(pass.Pkg)
-	for _, sym := range symbols {
-		d, ok := docs[sym.key]
+	for _, key := range parseSurface(string(data)) {
+		d, ok := docs[key]
 		if !ok {
 			// Surface drift (symbol gone) is the api-surface golden
 			// test's finding, not ours.
@@ -58,22 +44,18 @@ func runAPIDoc(pass *Pass) {
 		}
 		if strings.TrimSpace(d.doc) == "" {
 			pass.Reportf(d.pos.Pos(),
-				"%s is part of the committed API surface (api_surface.txt) but has no doc comment", sym.key)
-			continue
-		}
-		if sym.isFunc && deprecatedWrapperRE.MatchString(sym.key) && !strings.Contains(d.doc, "Deprecated:") {
-			pass.Reportf(d.pos.Pos(),
-				"v1 wrapper %s must carry a \"// Deprecated:\" marker pointing at the context-aware v2 entry point", sym.key)
+				"%s is part of the committed API surface (api_surface.txt) but has no doc comment", key)
 		}
 	}
 }
 
-// parseSurface extracts symbol keys from the api_surface.txt format:
-// "const X = ...", "var X = ...", "func Name(...)",
-// "func (r Recv[T]) Name(...)", "type X = alias", and
-// "type X struct {" followed by field lines until "}".
-func parseSurface(data string) []surfaceSymbol {
-	var out []surfaceSymbol
+// parseSurface extracts symbol keys ("Sort", or "Classes.Class" for a
+// method) from the api_surface.txt format: "const X = ...",
+// "var X = ...", "func Name(...)", "func (r Recv[T]) Name(...)",
+// "type X = alias", and "type X struct {" followed by field lines
+// until "}".
+func parseSurface(data string) []string {
+	var out []string
 	inStruct := false
 	for _, line := range strings.Split(data, "\n") {
 		line = strings.TrimSpace(line)
@@ -90,12 +72,12 @@ func parseSurface(data string) []surfaceSymbol {
 		switch fields[0] {
 		case "const", "var":
 			if len(fields) > 1 {
-				out = append(out, surfaceSymbol{key: fields[1]})
+				out = append(out, fields[1])
 			}
 		case "type":
 			if len(fields) > 1 {
 				name, _, _ := strings.Cut(fields[1], "[")
-				out = append(out, surfaceSymbol{key: name})
+				out = append(out, name)
 			}
 			if strings.HasSuffix(line, "{") {
 				inStruct = true
@@ -112,11 +94,11 @@ func parseSurface(data string) []surfaceSymbol {
 				recvType := strings.TrimPrefix(recvFields[len(recvFields)-1], "*")
 				recvType, _, _ = strings.Cut(recvType, "[")
 				name, _, _ := strings.Cut(strings.TrimSpace(sig), "(")
-				out = append(out, surfaceSymbol{key: recvType + "." + name, isFunc: true})
+				out = append(out, recvType+"."+name)
 			} else {
 				name, _, _ := strings.Cut(rest, "(")
 				name, _, _ = strings.Cut(name, "[")
-				out = append(out, surfaceSymbol{key: name, isFunc: true})
+				out = append(out, name)
 			}
 		}
 	}

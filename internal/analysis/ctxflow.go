@@ -19,8 +19,8 @@ import (
 //
 //   - Exported entry points shaped like a sort (name starting with
 //     Sort or Classify) in non-main library packages must accept a
-//     context.Context or a *model.Session (which carries one), unless
-//     they are documented "Deprecated:" compatibility wrappers.
+//     context.Context or a *model.Session (which carries one). A
+//     "Deprecated:" doc comment exempts nothing.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "context.Background in library code; Sort-shaped entry points without a context",
@@ -36,10 +36,7 @@ func runCtxFlow(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		funcScope(file, func(fd *ast.FuncDecl) {
-			deprecated := isDeprecated(fd.Doc)
-			if !deprecated {
-				checkEntryPoint(pass, fd)
-			}
+			checkEntryPoint(pass, fd)
 			ast.Inspect(fd, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -54,11 +51,6 @@ func runCtxFlow(pass *Pass) {
 					return true
 				}
 				if name := obj.Name(); name == "Background" || name == "TODO" {
-					if deprecated {
-						// Deprecated v1 wrappers keep their historic shape;
-						// the context-threading v2 path is the fix.
-						return true
-					}
 					pass.Reportf(call.Pos(),
 						"context.%s() in library code detaches from the caller's deadline: accept and thread a context.Context (or suppress a deliberate lifetime root with //ecsort:ignore ctxflow <reason>)",
 						name)
@@ -89,7 +81,7 @@ func checkEntryPoint(pass *Pass, fd *ast.FuncDecl) {
 		}
 	}
 	pass.Reportf(fd.Name.Pos(),
-		"entry point %s accepts neither context.Context nor *model.Session: sorts must be cancellable (or mark the wrapper // Deprecated:)",
+		"entry point %s accepts neither context.Context nor *model.Session: sorts must be cancellable",
 		fd.Name.Name)
 }
 
@@ -109,13 +101,4 @@ func carriesContext(t types.Type) bool {
 		}
 	}
 	return false
-}
-
-// isDeprecated reports whether a doc comment carries a standard
-// "Deprecated:" marker.
-func isDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	return strings.Contains(doc.Text(), "Deprecated:")
 }

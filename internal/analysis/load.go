@@ -14,8 +14,7 @@
 //     goroutine, and sync/atomic fields only through their methods.
 //   - ctxflow: contexts thread through entry points instead of being
 //     re-rooted with context.Background.
-//   - apidoc: the committed API surface is documented and v1 wrappers
-//     carry Deprecated markers.
+//   - apidoc: every symbol of the committed API surface is documented.
 //   - registrycomplete: every exported Algorithm constructor is wired
 //     into the registry.
 //

@@ -1,6 +1,5 @@
 // Package apidocfix seeds violations for the apidoc analyzer: committed
-// surface symbols with and without doc comments, and a v1-style wrapper
-// missing its Deprecated marker.
+// surface symbols with and without doc comments.
 package apidocfix
 
 // Version is documented.
@@ -10,9 +9,6 @@ const Version = 1
 func Documented() int { return 0 }
 
 func Undocumented() int { return 1 } // want apidoc
-
-// SortOld reads like a v1 wrapper but lacks the Deprecated marker.
-func SortOld(xs []int) []int { return xs } // want apidoc
 
 // Thing is documented.
 type Thing struct{ Field int }

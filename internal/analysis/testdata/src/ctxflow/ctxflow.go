@@ -1,6 +1,6 @@
 // Package ctxflow seeds violations for the ctxflow analyzer: detached
-// context roots, an entry point without a context, plus the deprecated
-// and ignore-suppressed escapes.
+// context roots and entry points without a context, which a Deprecated:
+// marker does not excuse, plus the ignore-suppressed escape.
 package ctxflow
 
 import "context"
@@ -26,11 +26,12 @@ func SortSorted(ctx context.Context, xs []int) []int {
 	return xs
 }
 
-// SortLegacy keeps its historic shape.
+// SortLegacy keeps its historic shape; the marker below exempts it from
+// nothing.
 //
 // Deprecated: use SortSorted.
-func SortLegacy(xs []int) []int {
-	ctx := context.Background()
+func SortLegacy(xs []int) []int { // want ctxflow
+	ctx := context.Background() // want ctxflow
 	_ = ctx
 	return xs
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +163,130 @@ func TestMergeERSavesComparisons(t *testing.T) {
 	// comparisons happen instead of 9.
 	if c := s.Stats().Comparisons; c != 3 {
 		t.Fatalf("comparisons = %d, want 3 (diagonal match)", c)
+	}
+}
+
+// matchlessMergeER merges ka singleton classes with kb singleton classes,
+// no two of the same true class, so the rotation schedule never finds a
+// match and must run to the end. It returns the merged answer and the
+// tests of each round in the order they were asked.
+func matchlessMergeER(ka, kb int) (Answer, [][]model.RecordedTest, error) {
+	labels := make([]int, ka+kb)
+	a := make([][]int, ka)
+	b := make([][]int, kb)
+	for e := range labels {
+		labels[e] = e
+		if e < ka {
+			a[e] = []int{e}
+		} else {
+			b[e-ka] = []int{e}
+		}
+	}
+	rec := model.NewRecorder(oracle.NewLabel(labels))
+	s := model.NewSession(rec, model.ER, model.WithRoundLog(), model.Workers(1))
+	merged, err := MergePairER(s, NewAnswer(a), NewAnswer(b))
+	if err != nil {
+		return Answer{}, nil, err
+	}
+	var rounds [][]model.RecordedTest
+	log := rec.Log
+	for _, size := range s.RoundLog() {
+		rounds = append(rounds, log[:size])
+		log = log[size:]
+	}
+	return merged, rounds, nil
+}
+
+// rotationFault reports how the rounds of a matchless ka×kb ER merge
+// break the rotation schedule, or "" if they keep it: max(ka, kb) rounds
+// of min(ka, kb) disjoint cross tests that ask every cross pair exactly
+// once. Elements below ka are a's, the rest b's.
+func rotationFault(ka, kb int, rounds [][]model.RecordedTest) string {
+	if len(rounds) != max(ka, kb) {
+		return fmt.Sprintf("%d rounds, want max(%d,%d)", len(rounds), ka, kb)
+	}
+	seen := map[[2]int]bool{}
+	for r, round := range rounds {
+		if len(round) != min(ka, kb) {
+			return fmt.Sprintf("round %d has %d tests, want min(%d,%d)", r, len(round), ka, kb)
+		}
+		used := map[int]bool{}
+		for _, tst := range round {
+			if used[tst.A] || used[tst.B] {
+				return fmt.Sprintf("round %d tests an element twice", r)
+			}
+			used[tst.A], used[tst.B] = true, true
+			key := [2]int{min(tst.A, tst.B), max(tst.A, tst.B)}
+			if key[0] >= ka || key[1] < ka {
+				return fmt.Sprintf("round %d tests %v, not a cross pair", r, key)
+			}
+			if seen[key] {
+				return fmt.Sprintf("pair %v asked twice", key)
+			}
+			seen[key] = true
+		}
+	}
+	if len(seen) != ka*kb {
+		return fmt.Sprintf("covered %d cross pairs, want %d", len(seen), ka*kb)
+	}
+	return ""
+}
+
+// TestMergePairERRotationCoversAllCrossPairs pins the Latin-square
+// rotation that ER pair merges run: with nothing to match, 3×5 classes
+// take 5 rounds of 3 disjoint tests and meet every cross pair once.
+func TestMergePairERRotationCoversAllCrossPairs(t *testing.T) {
+	merged, rounds, err := matchlessMergeER(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fault := rotationFault(3, 5, rounds); fault != "" {
+		t.Fatal(fault)
+	}
+	if merged.K() != 8 || merged.Size() != 8 {
+		t.Fatalf("merged K=%d Size=%d, want 8 singleton classes", merged.K(), merged.Size())
+	}
+}
+
+// TestMergePairERRotationQuick checks the rotation's rounds, disjointness
+// and exact coverage for random side sizes, either side the larger.
+func TestMergePairERRotationQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ka, kb := 1+rng.Intn(12), 1+rng.Intn(12)
+		_, rounds, err := matchlessMergeER(ka, kb)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if fault := rotationFault(ka, kb, rounds); fault != "" {
+			t.Logf("ka=%d kb=%d: %s", ka, kb, fault)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergePairEREmptySide: merging with an empty answer asks nothing and
+// returns the other side's classes unchanged.
+func TestMergePairEREmptySide(t *testing.T) {
+	truth := oracle.NewLabel([]int{0, 1, 0})
+	b := NewAnswer([][]int{{0, 2}, {1}})
+	for _, sides := range [][2]Answer{{{}, b}, {b, {}}} {
+		s := model.NewSession(truth, model.ER)
+		merged, err := MergePairER(s, sides[0], sides[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Comparisons != 0 || st.Rounds != 0 {
+			t.Errorf("empty-side merge cost %d comparisons in %d rounds, want none", st.Comparisons, st.Rounds)
+		}
+		if got := merged.Classes(); !reflect.DeepEqual(got, b.Classes()) {
+			t.Errorf("empty-side merge = %v, want %v", got, b.Classes())
+		}
 	}
 }
 

@@ -46,8 +46,6 @@ var goldenCases = []goldenCase{
 	{"SortCR/n=100/k=10/seed=12", 909, 11, 100, 0xea5848df44aa14d7},
 	{"SortCRUnknownK/n=2048/k=5/seed=13", 11425, 11, 2048, 0x89be98f4310c57ec},
 	{"SortER/n=1024/k=6/seed=17", 3915, 49, 512, 0xc3c680dc821ccfef},
-	{"SortCRPairwiseOnly/n=512/k=4/seed=19", 1985, 9, 457, 0x32d21e2506846511},
-	{"SortCREagerGroups/n=512/k=4/seed=19", 3580, 9, 512, 0x32d21e2506846511},
 	{"Incremental/n=2048/k=8/seed=23/batch=192", 206336, 104, 2048, 0xba0007a7d8bd8735},
 	{"SortCR/n=500/k=6/seed=29/procs=97", 3007, 35, 97, 0x7671511128f1e65b},
 }
@@ -79,13 +77,6 @@ func TestGoldenStatsAndPartitions(t *testing.T) {
 		truth := oracle.RandomBalanced(1024, 6, rand.New(rand.NewSource(17)))
 		res, err := SortER(model.NewSession(truth, model.ER))
 		run("SortER/n=1024/k=6/seed=17", res, err)
-	}
-	{
-		truth := oracle.RandomBalanced(512, 4, rand.New(rand.NewSource(19)))
-		res, err := SortCRPairwiseOnly(model.NewSession(truth, model.CR), 4)
-		run("SortCRPairwiseOnly/n=512/k=4/seed=19", res, err)
-		res2, err2 := SortCREagerGroups(model.NewSession(truth, model.CR), 4)
-		run("SortCREagerGroups/n=512/k=4/seed=19", res2, err2)
 	}
 	{
 		truth := oracle.RandomBalanced(2048, 8, rand.New(rand.NewSource(23)))

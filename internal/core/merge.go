@@ -9,13 +9,13 @@ import (
 	"ecsort/internal/unionfind"
 )
 
-// This file is the flat CR merge engine: the hot path behind SortCR, the
-// ablations, MergeGroupCR, and Incremental.Flush. Cross-representative
-// tests stream into one reusable pair buffer in a canonical order, the
-// equality results fold into a slice-indexed union-find over (answer,
-// class) slots by re-walking that same order — no per-pair bookkeeping is
-// ever stored — and the merged answer is written into flat storage with
-// two passes. All scratch lives in a mergeScratch arena, so steady-state
+// This file is the flat CR merge engine: the hot path behind SortCR,
+// SortCRUnknownK, MergeGroupCR, and Incremental.Flush.
+// Cross-representative tests stream into one reusable pair buffer in a
+// canonical order, the equality results fold into a slice-indexed
+// union-find over (answer, class) slots by re-walking that same order —
+// no per-pair bookkeeping is ever stored — and the merged answer is
+// written into flat storage with two passes. All scratch lives in a mergeScratch arena, so steady-state
 // merges allocate nothing beyond the output answer's own backing.
 
 // mergeScratch is the reusable scratch arena of the flat CR merge engine.

@@ -13,9 +13,10 @@ type Result struct {
 	Classes [][]int
 	// Stats is the session cost snapshot at completion.
 	Stats model.Stats
-	// Algorithm names the regimen that produced the result. The v2
-	// Algorithm values fill it (Auto records the regimen it planned);
-	// direct calls into this package leave it empty.
+	// Algorithm names the regimen that produced the result. The
+	// Algorithm values of internal/algo fill it (Auto records the
+	// regimen it planned); direct calls into this package leave it
+	// empty.
 	Algorithm string
 }
 

@@ -53,43 +53,3 @@ func TestRenderRoundProfile(t *testing.T) {
 		t.Fatalf("render output:\n%s", out)
 	}
 }
-
-func TestJSONReportRoundTrip(t *testing.T) {
-	rep := NewReport(99)
-	rows := Figure1Schedule(1024, 2)
-	rep.Figure1 = rows
-	series, err := RunRoundsCR(2, []int{64, 128}, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Rounds = []RoundsSeries{series}
-	sweep := []ZetaExponentPoint{{S: 2, Exponent: 1.1}}
-	rep.ZetaSweep = sweep
-
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Seed != 99 || len(back.Figure1) != len(rows) || len(back.Rounds) != 1 {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	if back.Rounds[0].Algorithm != "SortCR" || len(back.Rounds[0].Points) != 2 {
-		t.Fatalf("rounds series mangled: %+v", back.Rounds[0])
-	}
-	if back.ZetaSweep[0].S != 2 {
-		t.Fatalf("zeta sweep mangled: %+v", back.ZetaSweep)
-	}
-	if !strings.Contains(back.Paper, "SPAA 2016") {
-		t.Fatalf("paper field: %q", back.Paper)
-	}
-}
-
-func TestJSONReportRejectsGarbage(t *testing.T) {
-	if _, err := ReadReport(strings.NewReader("{nope")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}

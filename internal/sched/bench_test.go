@@ -1,26 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-	"testing"
-
-	"ecsort/internal/model"
-)
-
-func BenchmarkRotation(b *testing.B) {
-	a := make([]int, 64)
-	c := make([]int, 100)
-	for i := range a {
-		a[i] = i
-	}
-	for i := range c {
-		c[i] = 1000 + i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Rotation(a, c)
-	}
-}
+import "testing"
 
 func BenchmarkAllPairs(b *testing.B) {
 	elems := make([]int, 128)
@@ -30,21 +10,6 @@ func BenchmarkAllPairs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AllPairs(elems)
-	}
-}
-
-func BenchmarkGreedy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pairs := make([]model.Pair, 0, 2000)
-	for len(pairs) < cap(pairs) {
-		a, c := rng.Intn(500), rng.Intn(500)
-		if a != c {
-			pairs = append(pairs, model.Pair{A: a, B: c})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Greedy(pairs)
 	}
 }
 

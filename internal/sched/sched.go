@@ -3,42 +3,22 @@
 //
 // In ER mode each element may participate in at most one comparison per
 // parallel round, so a set of desired tests must be decomposed into rounds
-// of pairwise-disjoint pairs. The two schedules needed by the paper's
-// algorithms are:
+// of pairwise-disjoint pairs. The constant-round, two-class and
+// certification algorithms need two schedules:
 //
-//   - all of A×B for two disjoint element sets A and B (merging two
-//     answers: one representative per class on each side), done by rotating
-//     B against A — max(|A|,|B|) rounds, a Latin-square decomposition;
-//   - all pairs within one element set (merging many answers at once, or
-//     cross-checking component representatives), done by the circle method
-//     used for round-robin tournaments — |A| rounds (|A|−1 if even).
+//   - all pairs within one element set (cross-checking class or
+//     component representatives), done by the circle method used for
+//     round-robin tournaments — |A| rounds (|A|−1 if even);
+//   - every target against one member of a team of known-equivalent
+//     elements (a strongly connected component sweeping the rest of the
+//     input), |team| targets per round.
+//
+// The ER merge tree's pair merges (all of A×B for two answers' class
+// representatives) rotate inside internal/core's pairPlan, which emits
+// each round on demand instead of materializing a schedule.
 package sched
 
 import "ecsort/internal/model"
-
-// Rotation schedules every comparison in a × b, where a and b are disjoint
-// sets of distinct elements, into rounds of disjoint pairs. It returns
-// max(len(a), len(b)) rounds (nil if either side is empty). Each round
-// uses every element of the smaller side exactly once and each element of
-// the larger side at most once.
-func Rotation(a, b []int) [][]model.Pair {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	rounds := make([][]model.Pair, len(large))
-	for r := range rounds {
-		round := make([]model.Pair, len(small))
-		for i, e := range small {
-			round[i] = model.Pair{A: e, B: large[(i+r)%len(large)]}
-		}
-		rounds[r] = round
-	}
-	return rounds
-}
 
 // AllPairs schedules every unordered pair within elems into rounds of
 // disjoint pairs using the circle method: fix the last element and rotate

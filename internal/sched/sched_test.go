@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -42,76 +41,6 @@ func coverage(t *testing.T, rounds [][]model.Pair) map[[2]int]bool {
 		}
 	}
 	return seen
-}
-
-func TestRotationCoversAllCrossPairs(t *testing.T) {
-	a := []int{0, 1, 2}
-	b := []int{10, 11, 12, 13, 14}
-	rounds := Rotation(a, b)
-	if len(rounds) != 5 {
-		t.Fatalf("rounds = %d, want max(3,5) = 5", len(rounds))
-	}
-	checkDisjoint(t, rounds)
-	seen := coverage(t, rounds)
-	if len(seen) != len(a)*len(b) {
-		t.Fatalf("covered %d pairs, want %d", len(seen), len(a)*len(b))
-	}
-	for _, x := range a {
-		for _, y := range b {
-			if !seen[[2]int{x, y}] {
-				t.Fatalf("pair (%d,%d) missing", x, y)
-			}
-		}
-	}
-}
-
-func TestRotationEmptySides(t *testing.T) {
-	if Rotation(nil, []int{1}) != nil {
-		t.Error("Rotation with empty side should be nil")
-	}
-	if Rotation([]int{1}, nil) != nil {
-		t.Error("Rotation with empty side should be nil")
-	}
-}
-
-func TestRotationQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ka, kb := 1+rng.Intn(12), 1+rng.Intn(12)
-		a := make([]int, ka)
-		b := make([]int, kb)
-		for i := range a {
-			a[i] = i
-		}
-		for i := range b {
-			b[i] = 100 + i
-		}
-		rounds := Rotation(a, b)
-		if len(rounds) != max(ka, kb) {
-			return false
-		}
-		// Disjointness within rounds and exact coverage.
-		seen := map[[2]int]bool{}
-		for _, round := range rounds {
-			used := map[int]bool{}
-			for _, p := range round {
-				if used[p.A] || used[p.B] {
-					return false
-				}
-				used[p.A] = true
-				used[p.B] = true
-				key := [2]int{min(p.A, p.B), max(p.A, p.B)}
-				if seen[key] {
-					return false
-				}
-				seen[key] = true
-			}
-		}
-		return len(seen) == ka*kb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAllPairsSmall(t *testing.T) {

@@ -5,6 +5,7 @@ package ecsort_test
 // the way a downstream user would wire the library together.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,28 +51,11 @@ func oracleKinds() []oracleKind {
 	}
 }
 
-type algoKind struct {
-	name string
-	run  func(o ecsort.Oracle, k int) (ecsort.Result, error)
-}
-
-func algoKinds() []algoKind {
-	return []algoKind{
-		{"SortCR", func(o ecsort.Oracle, k int) (ecsort.Result, error) {
-			return ecsort.SortCR(o, k, ecsort.Config{})
-		}},
-		{"SortCRUnknownK", func(o ecsort.Oracle, _ int) (ecsort.Result, error) {
-			return ecsort.SortCRUnknownK(o, ecsort.Config{})
-		}},
-		{"SortER", func(o ecsort.Oracle, _ int) (ecsort.Result, error) {
-			return ecsort.SortER(o, ecsort.Config{})
-		}},
-		{"SortRoundRobin", func(o ecsort.Oracle, _ int) (ecsort.Result, error) {
-			return ecsort.SortRoundRobin(o, ecsort.Config{})
-		}},
-		{"SortNaive", func(o ecsort.Oracle, _ int) (ecsort.Result, error) {
-			return ecsort.SortNaive(o, ecsort.Config{})
-		}},
+// algorithms lists the deterministic regimens for an input with k
+// classes.
+func algorithms(k int) []ecsort.Algorithm {
+	return []ecsort.Algorithm{
+		ecsort.CR(k), ecsort.CRUnknownK(), ecsort.ER(), ecsort.RoundRobin(), ecsort.Naive(),
 	}
 }
 
@@ -86,18 +70,18 @@ func TestPipelineMatrix(t *testing.T) {
 				n = ok.maxN
 			}
 			labels := ecsort.SampleLabels(ecsort.NewUniform(k), n, rng)
-			for _, ak := range algoKinds() {
+			for _, alg := range algorithms(k) {
 				oracle := ok.build(labels, 42, rng)
-				res, err := ak.run(oracle, k)
+				res, err := ecsort.Sort(context.Background(), oracle, alg, ecsort.Config{})
 				if err != nil {
-					t.Fatalf("%s: %v", ak.name, err)
+					t.Fatalf("%s: %v", alg.Name(), err)
 				}
 				if !ecsort.SameClassification(res.Labels(n), labels) {
-					t.Fatalf("%s over %s: wrong classification", ak.name, ok.name)
+					t.Fatalf("%s over %s: wrong classification", alg.Name(), ok.name)
 				}
 				// Acceptance: certify the result against a fresh session.
 				if err := ecsort.Certify(oracle, res.Classes, ecsort.Config{}); err != nil {
-					t.Fatalf("%s over %s: certificate rejected: %v", ak.name, ok.name, err)
+					t.Fatalf("%s over %s: certificate rejected: %v", alg.Name(), ok.name, err)
 				}
 			}
 		})
@@ -119,9 +103,9 @@ func TestPipelineConstRound(t *testing.T) {
 			continue
 		}
 		oracle := ok.build(labels, 43, rng)
-		res, err := ecsort.SortConstRoundER(oracle, ecsort.ConstRoundOptions{
+		res, err := ecsort.Sort(context.Background(), oracle, ecsort.ConstRoundER(ecsort.ConstRoundOptions{
 			Lambda: 0.2, D: 10, MaxRetries: 6, Seed: 11,
-		}, ecsort.Config{})
+		}), ecsort.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", ok.name, err)
 		}
@@ -170,7 +154,7 @@ func TestPipelineStatsConsistency(t *testing.T) {
 	labels := ecsort.SampleLabels(ecsort.NewUniform(5), 128, rng)
 	o := ecsort.NewLabelOracle(labels)
 	for _, procs := range []int{0, 16, 64} {
-		res, err := ecsort.SortER(o, ecsort.Config{Processors: procs})
+		res, err := ecsort.Sort(context.Background(), o, ecsort.ER(), ecsort.Config{Processors: procs})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,10 @@
 package ecsort
 
-// The v2 API: equivalence class sorting regimens as first-class,
-// composable Algorithm values. Where v1 exposed one SortXxx free
-// function per regimen (each hard-coding its dispatch at the call
-// site), v2 exposes values that carry their name and comparison-model
-// mode, sort through a context (cancellation is checked between
-// physical rounds), dispatch by name through a registry, and can be
-// planned automatically from workload hints (Auto). The v1 functions
-// remain as thin deprecated wrappers over this path.
+// Equivalence class sorting regimens as first-class, composable
+// Algorithm values. Each value carries its name and comparison-model
+// mode, sorts through a context (cancellation is checked between
+// physical rounds), dispatches by name through a registry, and can be
+// planned automatically from workload hints (Auto).
 
 import (
 	"context"
@@ -57,8 +54,8 @@ func ConstRoundER(opt ConstRoundOptions) Algorithm {
 
 // ConstRoundERAdaptive returns the Theorem 4 regimen without knowing λ:
 // it starts at opt.Lambda (default 0.4) and halves after every failure,
-// per the paper's remark. Use SortConstRoundERAdaptive when the
-// successful λ itself is needed.
+// per the paper's remark, until it succeeds or reports
+// ErrAdaptiveExhausted.
 func ConstRoundERAdaptive(opt ConstRoundOptions) Algorithm {
 	return algo.ConstRoundERAdaptive(algo.ConstRoundOpts(opt))
 }

@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// TestSortV2AgreesWithV1: the Algorithm path must produce the same
-// partitions and stats as the deprecated wrappers (which now delegate
-// to it), and record the regimen name.
-func TestSortV2AgreesWithV1(t *testing.T) {
+// TestSortRecordsRegimenPartitionAndCost runs every deterministic
+// regimen on one instance: each must record its registry name, produce
+// the true partition, pass certification, and charge comparisons.
+func TestSortRecordsRegimenPartitionAndCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	labels := SampleLabels(NewUniform(5), 300, rng)
 	o := NewLabelOracle(labels)
@@ -31,19 +31,24 @@ func TestSortV2AgreesWithV1(t *testing.T) {
 		{"round-robin", RoundRobin()},
 		{"naive", Naive()},
 	} {
-		res, err := Sort(ctx, o, tc.alg, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Algorithm != tc.name {
-			t.Errorf("%s: Result.Algorithm = %q", tc.name, res.Algorithm)
-		}
-		if !SameClassification(res.Labels(300), labels) {
-			t.Errorf("%s: wrong classification", tc.name)
-		}
-		if err := Certify(o, res.Classes, Config{}); err != nil {
-			t.Errorf("%s: certificate rejected: %v", tc.name, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Sort(ctx, o, tc.alg, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != tc.name {
+				t.Errorf("Result.Algorithm = %q", res.Algorithm)
+			}
+			if !SameClassification(res.Labels(300), labels) {
+				t.Error("wrong classification")
+			}
+			if err := Certify(o, res.Classes, Config{}); err != nil {
+				t.Errorf("certificate rejected: %v", err)
+			}
+			if res.Stats.Comparisons == 0 {
+				t.Error("zero comparisons recorded")
+			}
+		})
 	}
 }
 

@@ -25,7 +25,11 @@ func TestMergeGroupCRAllocs(t *testing.T) {
 	}
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
-	ar, answers := newCRArena(512)
+	ar := newCRArena(512)
+	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for len(answers) > 24 {
 		next, err := mergePairsCR(s, ar, answers)
 		if err != nil {
@@ -134,13 +138,15 @@ func partitionMismatch(a Answer, labels []int, elemSeen, labelSeen []bool) strin
 // TestSortBytesPerCall bounds the heap bytes one public SortER or
 // SortCRUnknownK call allocates on n = 2^14 zeta(2) labels. Each call
 // builds its own arena, sized once from n; before the arenas were
-// presized, slice growth cost ~810 B per element (ER) and ~400 (CR).
+// presized, slice growth cost ~810 B per element (ER) and ~400 (CR), and
+// before the first merge level skipped the stored singleton level, the
+// arenas cost ~165 (ER) and ~155 (CR).
 func TestSortBytesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
 	const n = 1 << 14
-	const maxBytesPerElem = 200 // measured: ~166 (ER), ~155 (CRUnknownK)
+	const maxBytesPerElem = 140 // measured: ~117 (ER), ~109 (CRUnknownK)
 	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
 	for _, tc := range []struct {
 		name string

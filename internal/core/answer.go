@@ -63,25 +63,19 @@ func Singleton(e int) Answer {
 	return Answer{elems: []int{e}, offs: singletonOffs}
 }
 
-// Singletons returns the initial answer list: one singleton answer per
-// element 0..n-1 (step 1 of the Theorem 1 algorithm). All answers are
-// views into one shared backing array, so setup is two allocations
-// instead of 2n.
+// Singletons returns one singleton answer per element 0..n-1: the leaves
+// of the Theorem 1 and Theorem 2 merge trees. SortCR and SortER never
+// build them — their first level merges the leaves in pairs straight into
+// the arena. All answers are views into one shared backing array, so
+// setup is two allocations instead of 2n.
 func Singletons(n int) []Answer {
+	pool := make([]int, n)
 	answers := make([]Answer, n)
-	fillSingletons(make([]int, n), answers)
-	return answers
-}
-
-// fillSingletons sets pool[i] = i and makes answers[i] the singleton
-// answer viewing it.
-//
-//ecsort:hotpath
-func fillSingletons(pool []int, answers []Answer) {
 	for i := range answers {
 		pool[i] = i
 		answers[i] = Answer{elems: pool[i : i+1 : i+1], offs: singletonOffs}
 	}
+	return answers
 }
 
 // K returns the number of classes in the answer.

@@ -80,7 +80,11 @@ func BenchmarkSortZeta(b *testing.B) {
 func BenchmarkMergeGroup(b *testing.B) {
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
-	ar, answers := newCRArena(512)
+	ar := newCRArena(512)
+	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for len(answers) > 24 {
 		next, err := mergePairsCR(s, ar, answers)
 		if err != nil {

@@ -11,7 +11,11 @@ import (
 // is the number of equivalence classes. It is the two-phased
 // compounding-comparison algorithm of Section 2.1:
 //
-//  1. Start from n singleton answers.
+//  1. Merge the n singleton answers in pairs, (0,1), (2,3), …: one
+//     logical round of ⌊n/2⌋ tests. This is phase 1's first iteration
+//     (one processor per answer is below 4k² for every k), run as one
+//     pass that writes the merged answers directly, so the singletons are
+//     never stored.
 //  2. Phase 1: while the number of processors per answer is below 4k²,
 //     merge answers in pairs (k² representative tests per merge). Each
 //     iteration's tests form one logical round that the session splits
@@ -41,7 +45,11 @@ func SortCR(s *model.Session, k int) (Result, error) {
 		return Result{Stats: s.Stats()}, nil
 	}
 	p := n // the model grants one processor per element
-	ar, answers := newCRArena(n)
+	ar := newCRArena(n)
+	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	if err != nil {
+		return Result{}, err
+	}
 
 	// Phase 1: pairwise merges until each answer owns >= 4k² processors.
 	for len(answers) > 1 && p/len(answers) < 4*k*k {

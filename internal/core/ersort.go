@@ -20,7 +20,9 @@ import (
 // One arena serves the whole sort, sized once from n: level outputs
 // double-buffer between two flat pools, rotation tests stream into one
 // batch, and every plan is a pointer-free record indexing the level and
-// the arena's match backing, so the sort never grows a slice.
+// the arena's match backing, so the sort never grows a slice. The first
+// level, whose merges take one test each, runs as one round written
+// straight into the arena, so the n singleton leaves are never stored.
 func SortER(s *model.Session) (Result, error) {
 	if s.Mode() != model.ER {
 		return Result{}, fmt.Errorf("core: SortER requires an ER session, got %v", s.Mode())
@@ -43,7 +45,10 @@ func SortER(s *model.Session) (Result, error) {
 //
 //ecsort:hotpath
 func sortERArena(s *model.Session, ar *erArena) (Answer, error) {
-	answers := ar.singletons()
+	answers, err := ar.firstLevel(s, ar.batch, ar.results)
+	if err != nil {
+		return Answer{}, err
+	}
 	for len(answers) > 1 {
 		next, err := mergeLevelER(s, ar, answers)
 		if err != nil {
@@ -55,12 +60,13 @@ func sortERArena(s *model.Session, ar *erArena) (Answer, error) {
 }
 
 // erArena is the per-sort state of the ER merge tree: the level buffers
-// plus the plan state, sized by newERArena from n alone. A level runs at
-// most ⌊n/2⌋ plans, a rotation round tests at most ⌊n/2⌋ disjoint pairs,
-// and the plans' match state — two entries per a-class in match, one per
-// b-class in matchedB — fits in n entries each, because the classes of a
-// level partition at most n elements. An erArena is not safe for
-// concurrent use.
+// plus the plan state, sized by newERArena from n alone. The first
+// level's round and every rotation round test at most ⌊n/2⌋ disjoint
+// pairs; mergeLevelER starts from the first level's ⌈n/2⌉ answers, so a
+// level runs at most ⌈n/4⌉ plans; and the plans' match state — two
+// entries per a-class in match, one per b-class in matchedB — fits in n
+// entries each, because the classes of a level partition at most n
+// elements. An erArena is not safe for concurrent use.
 type erArena struct {
 	levels
 
@@ -82,12 +88,12 @@ type erSpan struct {
 }
 
 func newERArena(n int) *erArena {
-	half := n / 2
+	half, quarter := n/2, (n+3)/4 // ⌊n/2⌋ and ⌈n/4⌉
 	return &erArena{
 		levels:   newLevels(n),
-		plans:    make([]pairPlan, 0, half),
-		active:   make([]int32, 0, half),
-		spans:    make([]erSpan, 0, half),
+		plans:    make([]pairPlan, 0, quarter),
+		active:   make([]int32, 0, quarter),
+		spans:    make([]erSpan, 0, quarter),
 		batch:    make([]model.Pair, 0, half),
 		results:  make([]bool, half),
 		classOf:  make([]int32, n),

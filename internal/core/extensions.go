@@ -29,7 +29,11 @@ func SortCRUnknownK(s *model.Session) (Result, error) {
 		return Result{Stats: s.Stats()}, nil
 	}
 	p := n
-	ar, answers := newCRArena(n)
+	ar := newCRArena(n)
+	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	if err != nil {
+		return Result{}, err
+	}
 	kObs := 1
 
 	observe := func() {
@@ -39,6 +43,7 @@ func SortCRUnknownK(s *model.Session) (Result, error) {
 			}
 		}
 	}
+	observe()
 
 	// Phase 1 with the adaptive threshold 4·kObs².
 	for len(answers) > 1 && p/len(answers) < 4*kObs*kObs {

@@ -269,10 +269,13 @@ func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 
 // levels double-buffers the flat storage of a merge tree's levels: the
 // element pool, offset pool and answer headers of the current level and
-// of the level being built from it. Every buffer is sized once from n,
-// because a level covers at most n elements in at most n classes and,
-// from the first merge on, holds at most ⌈n/2⌉ answers. The level being
-// built never shares a buffer with the level it reads.
+// of the level being built from it. The n singleton leaves are never
+// stored: firstLevel writes level 1 straight into the first buffers, so
+// those hold levels 1, 3, 5, … (at most ⌈n/2⌉ answers) and the second
+// buffers levels 2, 4, … (at most ⌈n/4⌉). Every buffer is sized once from
+// n, because a level covers at most n elements and its A answers need at
+// most n+A offsets. The level being built never shares a buffer with the
+// level it reads.
 type levels struct {
 	elems [2][]int
 	offs  [2][]int
@@ -281,22 +284,53 @@ type levels struct {
 }
 
 func newLevels(n int) levels {
-	half := n - n/2
+	half, quarter := n-n/2, (n+3)/4 // ⌈n/2⌉ and ⌈n/4⌉
 	return levels{
 		elems: [2][]int{make([]int, n), make([]int, 0, n)},
-		offs:  [2][]int{make([]int, 0, n+half), make([]int, 0, n+half)},
-		ans:   [2][]Answer{make([]Answer, n), make([]Answer, 0, half)},
+		offs:  [2][]int{make([]int, 0, n+half), make([]int, 0, n+quarter)},
+		ans:   [2][]Answer{make([]Answer, 0, half), make([]Answer, 0, quarter)},
 	}
 }
 
-// singletons makes the singleton level current and returns it:
-// answers[i] views pool element i.
+// firstLevel builds level 1 of the merge tree, makes it current and
+// returns it. Level 1 merges the singletons 2i and 2i+1 for every i, which
+// in both the ER and the CR tree is the single test (2i, 2i+1): the ⌊n/2⌋
+// tests run as one logical round through batch and results, so the
+// session validates, splits and charges them like any round. The level's
+// element pool is the identity permutation: answer i views elements 2i
+// and 2i+1 as one class or two, and element n−1 is carried over alone
+// when n is odd.
 //
 //ecsort:hotpath
-func (lv *levels) singletons() []Answer {
+func (lv *levels) firstLevel(s *model.Session, batch []model.Pair, results []bool) ([]Answer, error) {
+	elems := lv.elems[0]
+	n := len(elems)
+	batch = batch[:0]
+	for i := 0; i+1 < n; i += 2 {
+		batch = append(batch, model.Pair{A: i, B: i + 1})
+	}
+	res, err := s.RoundBuf(batch, results)
+	if err != nil {
+		return nil, err
+	}
 	lv.cur = 0
-	fillSingletons(lv.elems[0], lv.ans[0])
-	return lv.ans[0]
+	for i := range elems {
+		elems[i] = i
+	}
+	offs, ans := lv.offs[0][:0], lv.ans[0][:0]
+	for i, same := range res {
+		lo := len(offs)
+		if same {
+			offs = append(offs, 0, 2)
+		} else {
+			offs = append(offs, 0, 1, 2)
+		}
+		ans = append(ans, Answer{elems: elems[2*i : 2*i+2 : 2*i+2], offs: offs[lo:len(offs):len(offs)]})
+	}
+	if n%2 == 1 {
+		ans = append(ans, Answer{elems: elems[n-1 : n : n], offs: singletonOffs})
+	}
+	return ans, nil
 }
 
 // spare returns the emptied buffers the next level is built into.
@@ -336,18 +370,17 @@ type crArena struct {
 	sc mergeScratch
 }
 
-// newCRArena sizes the arena for n elements and returns it with the
-// singleton level.
-func newCRArena(n int) (*crArena, []Answer) {
-	ar := &crArena{
+// newCRArena sizes the arena for n elements. Its first level comes from
+// firstLevel over the scratch's pair and result buffers.
+func newCRArena(n int) *crArena {
+	return &crArena{
 		levels: newLevels(n),
 		sc: mergeScratch{
 			pairs:   make([]model.Pair, 0, n),
 			results: make([]bool, n),
-			spans:   make([]mergeSpan, 0, n-n/2),
+			spans:   make([]mergeSpan, 0, (n+3)/4), // ⌈n/4⌉: groups of level 2
 		},
 	}
-	return ar, ar.singletons()
 }
 
 // mergePairsCR merges answers two at a time — (0,1), (2,3), ... — with all

@@ -92,7 +92,7 @@ func TestSortERAllocs(t *testing.T) {
 }
 
 // TestPairPlanPointerFree pins the ER plan layout the arena is sized
-// for: up to n/2 plans per level at 24 B each, holding only int32
+// for: up to ⌈n/4⌉ plans per level at 24 B each, holding only int32
 // indices, so the plan list gives the GC nothing to scan.
 func TestPairPlanPointerFree(t *testing.T) {
 	typ := reflect.TypeOf(pairPlan{})

@@ -283,8 +283,10 @@ type levels struct {
 	cur   int // index of the buffers the current level views
 }
 
+// newLevels sizes the buffers for n elements: the first set for level 1's
+// ⌈n/2⌉ answers, the second for level 2's ⌈n/4⌉.
 func newLevels(n int) levels {
-	half, quarter := n-n/2, (n+3)/4 // ⌈n/2⌉ and ⌈n/4⌉
+	half, quarter := n-n/2, (n+3)/4
 	return levels{
 		elems: [2][]int{make([]int, n), make([]int, 0, n)},
 		offs:  [2][]int{make([]int, 0, n+half), make([]int, 0, n+quarter)},

@@ -25,28 +25,37 @@ func TestStaticAnalysisClean(t *testing.T) {
 	}
 }
 
-// mergeHotpaths are the merge-engine functions whose //ecsort:hotpath
-// annotations this test pins: dropping an annotation silently drops the
-// hotalloc proof for that function, so removal must fail the build.
-var mergeHotpaths = []string{
-	"appendCross",
-	"unite",
-	"buildMerged",
-	"growInts",
-	"round",
-	"streamGroup",
-	"mergeGroupsCR",
+// mergeHotpaths are the merge-engine and fold functions, by file, whose
+// //ecsort:hotpath annotations this test pins: dropping an annotation
+// silently drops the hotalloc proof for that function, so removal must
+// fail the build.
+var mergeHotpaths = map[string][]string{
+	"internal/core/merge.go": {
+		"appendCross",
+		"unite",
+		"buildMerged",
+		"growInts",
+		"round",
+		"streamGroup",
+		"mergeGroupsCR",
+	},
+	"internal/core/incremental.go": {
+		"FlushIn",
+		"fold",
+	},
 }
 
 func TestMergeHotpathAnnotationsPresent(t *testing.T) {
-	data, err := os.ReadFile("internal/core/merge.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range mergeHotpaths {
-		re := regexp.MustCompile(fmt.Sprintf(`(?m)^//ecsort:hotpath\nfunc (\([^)]*\) )?%s\(`, regexp.QuoteMeta(name)))
-		if !re.Match(data) {
-			t.Errorf("internal/core/merge.go: %s has lost its //ecsort:hotpath annotation (must sit on the last line of the doc comment)", name)
+	for file, names := range mergeHotpaths {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			re := regexp.MustCompile(fmt.Sprintf(`(?m)^//ecsort:hotpath\nfunc (\([^)]*\) )?%s\(`, regexp.QuoteMeta(name)))
+			if !re.Match(data) {
+				t.Errorf("%s: %s has lost its //ecsort:hotpath annotation (must sit on the last line of the doc comment)", file, name)
+			}
 		}
 	}
 }

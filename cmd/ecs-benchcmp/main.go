@@ -12,14 +12,17 @@
 // By default the tool is informational and always exits 0: one-shot CI
 // bench runs are too noisy for ns/op gating. Pass -max-alloc-regress to
 // fail when any benchmark's allocs/op (which is deterministic) exceeds
-// its baseline by more than the given factor.
+// its baseline by more than the given factor, or its B/op does on a
+// baseline of at least 64 KiB per op. Below that floor warm-up jitter
+// dominates B/op, and entries recorded before B/op was tracked carry no
+// bytes baseline; neither is gated on bytes.
 //
 // With -write the tool records instead of comparing: every benchmark in
 // the given output (which must come from a -benchmem run) is added to
-// the baseline or replaces its entry there, "recorded" is stamped with
-// today's UTC date, and the note and every other entry are kept. Record
-// with the command and -benchtime the baseline's note names, so the
-// numbers match what CI measures.
+// the baseline or replaces its entry there, with its ns/op, allocs/op
+// and B/op, "recorded" is stamped with today's UTC date, and the note
+// and every other entry are kept. Record with the command and -benchtime
+// the baseline's note names, so the numbers match what CI measures.
 package main
 
 import (
@@ -28,14 +31,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
+// bytesGateFloor is the smallest baseline B/op the bytes gate applies
+// to. Below it, runs of the same code differ by more than any factor
+// worth gating: BenchmarkHandshakeRound read 0–53 B/op and
+// BenchmarkRoundBatch/batch 158–1 246 B/op.
+const bytesGateFloor = 64 << 10
+
 type entry struct {
 	NsOp     float64 `json:"ns_op"`
 	AllocsOp float64 `json:"allocs_op"`
+	// BytesOp is B/op; nil in entries recorded before the tool tracked
+	// it, which the bytes gate skips.
+	BytesOp *float64 `json:"bytes_op,omitempty"`
 	// hasAllocs reports that the bench line carried allocs/op, i.e. the
 	// run used -benchmem; -write refuses lines without it.
 	hasAllocs bool
@@ -53,9 +66,9 @@ type baseline struct {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "tracked baseline JSON")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0,
-		"fail when allocs/op exceeds baseline by more than this factor (0 = never fail)")
+		"fail when allocs/op, or B/op on a baseline of at least 64 KiB, exceeds baseline by more than this factor (0 = never fail)")
 	write := flag.Bool("write", false,
-		"record the runs' ns/op and allocs/op into the baseline and stamp today's date instead of comparing")
+		"record the runs' ns/op, allocs/op and B/op into the baseline and stamp today's date instead of comparing")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: ecs-benchcmp [-baseline file] [-write] bench-output.txt...")
@@ -87,52 +100,75 @@ func main() {
 	}
 
 	fmt.Printf("## Benchmark comparison vs baseline (%s)\n\n", base.Recorded)
-	fmt.Println("| benchmark | ns/op | baseline ns/op | Δ ns/op | allocs/op | baseline allocs/op | Δ allocs/op |")
-	fmt.Println("|---|---:|---:|---:|---:|---:|---:|")
+	fmt.Println("| benchmark | ns/op | baseline ns/op | Δ ns/op | allocs/op | baseline allocs/op | Δ allocs/op | B/op | baseline B/op | Δ B/op |")
+	fmt.Println("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
 	for _, name := range order {
 		cur := current[name]
 		b, tracked := base.Benchmarks[name]
 		if !tracked {
-			fmt.Printf("| %s | %s | — | (untracked) | %s | — | (untracked) |\n",
-				name, fmtNum(cur.NsOp), fmtNum(cur.AllocsOp))
+			fmt.Printf("| %s | %s | — | (untracked) | %s | — | (untracked) | %s | — | (untracked) |\n",
+				name, fmtNum(cur.NsOp), fmtNum(cur.AllocsOp), fmtBytes(cur.BytesOp))
 			continue
 		}
-		fmt.Printf("| %s | %s | %s | %s | %s | %s | %s |\n",
+		fmt.Printf("| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s |\n",
 			name,
 			fmtNum(cur.NsOp), fmtNum(b.NsOp), delta(cur.NsOp, b.NsOp),
-			fmtNum(cur.AllocsOp), fmtNum(b.AllocsOp), delta(cur.AllocsOp, b.AllocsOp))
+			fmtNum(cur.AllocsOp), fmtNum(b.AllocsOp), delta(cur.AllocsOp, b.AllocsOp),
+			fmtBytes(cur.BytesOp), fmtBytes(b.BytesOp), deltaBytes(cur.BytesOp, b.BytesOp))
 	}
-	for name := range base.Benchmarks {
-		if _, ok := current[name]; !ok {
-			fmt.Printf("| %s | (not run) | %s | — | (not run) | %s | — |\n",
-				name, fmtNum(base.Benchmarks[name].NsOp), fmtNum(base.Benchmarks[name].AllocsOp))
-		}
+	for _, name := range missing(base, current) {
+		b := base.Benchmarks[name]
+		fmt.Printf("| %s | (not run) | %s | — | (not run) | %s | — | (not run) | %s | — |\n",
+			name, fmtNum(b.NsOp), fmtNum(b.AllocsOp), fmtBytes(b.BytesOp))
 	}
 	fmt.Println()
-	fmt.Println("ns/op on shared CI runners is indicative only; allocs/op is deterministic.")
+	fmt.Println("ns/op on shared CI runners is indicative only; allocs/op is deterministic, and so is B/op above 64 KiB per op.")
 
 	if *maxAllocRegress > 0 {
-		failed := false
-		for _, name := range order {
-			cur, b := current[name], base.Benchmarks[name]
-			if b.AllocsOp > 0 && cur.AllocsOp > b.AllocsOp*(*maxAllocRegress) {
-				fmt.Fprintf(os.Stderr, "FAIL: %s allocs/op %.0f > %.1f x baseline %.0f\n",
-					name, cur.AllocsOp, *maxAllocRegress, b.AllocsOp)
-				failed = true
-			}
+		fails := regressions(base, current, order, *maxAllocRegress)
+		for _, f := range fails {
+			fmt.Fprintln(os.Stderr, "FAIL:", f)
 		}
-		// A tracked benchmark that silently stopped running (renamed, or
-		// a CI -bench regex typo) would otherwise disable its gate.
-		for name := range base.Benchmarks {
-			if _, ok := current[name]; !ok {
-				fmt.Fprintf(os.Stderr, "FAIL: tracked benchmark %s missing from the run (renamed? -bench regex?)\n", name)
-				failed = true
-			}
-		}
-		if failed {
+		if len(fails) > 0 {
 			os.Exit(1)
 		}
 	}
+}
+
+// regressions returns one message per gate the run fails at the given
+// factor: allocs/op above factor × a nonzero baseline, B/op above factor
+// × a baseline of at least bytesGateFloor, and tracked benchmarks
+// missing from the run — a benchmark that silently stopped running
+// (renamed, or a CI -bench regex typo) would otherwise disable its gate.
+func regressions(base baseline, current map[string]entry, order []string, factor float64) []string {
+	var fails []string
+	for _, name := range order {
+		cur, b := current[name], base.Benchmarks[name]
+		if b.AllocsOp > 0 && cur.AllocsOp > b.AllocsOp*factor {
+			fails = append(fails, fmt.Sprintf("%s allocs/op %.0f > %.1f x baseline %.0f",
+				name, cur.AllocsOp, factor, b.AllocsOp))
+		}
+		if b.BytesOp != nil && *b.BytesOp >= bytesGateFloor && cur.BytesOp != nil && *cur.BytesOp > *b.BytesOp*factor {
+			fails = append(fails, fmt.Sprintf("%s B/op %.0f > %.1f x baseline %.0f",
+				name, *cur.BytesOp, factor, *b.BytesOp))
+		}
+	}
+	for _, name := range missing(base, current) {
+		fails = append(fails, fmt.Sprintf("tracked benchmark %s missing from the run (renamed? -bench regex?)", name))
+	}
+	return fails
+}
+
+// missing lists the tracked benchmarks absent from the run, sorted.
+func missing(base baseline, current map[string]entry) []string {
+	var names []string
+	for name := range base.Benchmarks {
+		if _, ok := current[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 func readBaseline(path string) (baseline, error) {
@@ -205,6 +241,8 @@ func parseBenchFile(path string, out map[string]entry, order *[]string) error {
 			switch fields[i+1] {
 			case "ns/op":
 				e.NsOp = v
+			case "B/op":
+				e.BytesOp = &v
 			case "allocs/op":
 				e.AllocsOp, e.hasAllocs = v, true
 			}
@@ -236,6 +274,22 @@ func fmtNum(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'f', 1, 64)
+}
+
+// fmtBytes formats an optional B/op figure, "—" when absent.
+func fmtBytes(v *float64) string {
+	if v == nil {
+		return "—"
+	}
+	return fmtNum(*v)
+}
+
+// deltaBytes is delta over optional B/op figures.
+func deltaBytes(cur, base *float64) string {
+	if cur == nil || base == nil {
+		return "—"
+	}
+	return delta(*cur, *base)
 }
 
 func delta(cur, base float64) string {

@@ -114,13 +114,12 @@ func ConstRoundER(opt ConstRoundOpts) Algorithm {
 // remark.
 func ConstRoundERAdaptive(opt ConstRoundOpts) Algorithm {
 	return alg{name: "const-round-er-adaptive", mode: model.ER, run: func(s *model.Session) (core.Result, error) {
-		res, _, err := core.SortConstRoundERAdaptive(s, core.AdaptiveConstRoundConfig{
+		return core.SortConstRoundERAdaptive(s, core.AdaptiveConstRoundConfig{
 			StartLambda: opt.Lambda,
 			D:           opt.D,
 			MaxRetries:  opt.MaxRetries,
 			Rng:         rand.New(rand.NewSource(opt.Seed)),
 		})
-		return res, err
 	}}
 }
 

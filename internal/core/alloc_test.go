@@ -174,37 +174,69 @@ func TestSortBytesPerCall(t *testing.T) {
 	}
 }
 
+// TestIncrementalFlushAllocs holds the fold's steady state at ~0 allocs,
+// both on the sorter's private arena (Flush) and on an arena shared with
+// a second sorter that folds between every fold of the first (FlushIn),
+// as a service shard's collections do.
 func TestIncrementalFlushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	truth := oracle.RandomBalanced(1<<16, 8, rand.New(rand.NewSource(33)))
-	s := model.NewSession(truth, model.CR, model.Workers(1))
-	inc, err := NewIncremental(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	add := func(count int) {
-		for i := 0; i < count; i++ {
-			if err := inc.Add(next); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-	}
-	add(2048) // reach steady state: all 8 classes discovered, pools warm
-	if err := inc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		add(128)
-		if err := inc.Flush(); err != nil {
+	newSorter := func(seed int64) *Incremental {
+		truth := oracle.RandomBalanced(1<<16, 8, rand.New(rand.NewSource(seed)))
+		inc, err := NewIncremental(model.NewSession(truth, model.CR, model.Workers(1)))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Steady state is zero; allow amortized doubling of the answer pools.
-	if allocs > 4 {
-		t.Errorf("Add*128+Flush steady state = %v allocs/op, want <= 4 (was ~8.7k before the flat engine)", allocs)
+		return inc
+	}
+	var shared FoldArena
+	for _, tc := range []struct {
+		name string
+		fold func(*Incremental) error
+		// other, when set, is a second sorter folded on the same arena
+		// before each fold of the measured one.
+		other *Incremental
+	}{
+		{"Flush", (*Incremental).Flush, nil},
+		{"FlushIn/shared", func(inc *Incremental) error { return FlushIn(inc, &shared) }, newSorter(34)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc := newSorter(33)
+			next := 0
+			add := func(count int) {
+				for i := 0; i < count; i++ {
+					if err := inc.Add(next); err != nil {
+						t.Fatal(err)
+					}
+					if tc.other != nil {
+						if err := tc.other.Add(next); err != nil {
+							t.Fatal(err)
+						}
+					}
+					next++
+				}
+			}
+			fold := func() {
+				if tc.other != nil {
+					if err := tc.fold(tc.other); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tc.fold(inc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			add(2048) // reach steady state: all 8 classes discovered, pools warm
+			fold()
+			allocs := testing.AllocsPerRun(50, func() {
+				add(128)
+				fold()
+			})
+			// Steady state is zero; allow amortized doubling of the answer pools.
+			if allocs > 4 {
+				t.Errorf("Add*128+fold steady state = %v allocs/op, want <= 4 (was ~8.7k before the flat engine)", allocs)
+			}
+		})
 	}
 }

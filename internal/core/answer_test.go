@@ -445,20 +445,16 @@ func TestSortConstRoundERAdaptive(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	// ℓ/n = 0.1 < 0.4: the starting guess may or may not fail (success
 	// only needs a component of λn/8 per class, which is weaker than
-	// ℓ ≥ λn), but the recipe must end with a correct classification at
-	// some λ ∈ (0, 0.4].
+	// ℓ ≥ λn), but the recipe must end with a correct classification.
 	truth := oracle.RandomSizes([]int{20, 80, 100}, rng)
 	s := model.NewSession(truth, model.ER)
-	res, lambda, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
+	res, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
 		D:          10,
 		MaxRetries: 2,
 		Rng:        rand.New(rand.NewSource(64)),
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lambda <= 0 || lambda > 0.4 {
-		t.Errorf("returned λ=%v outside (0, 0.4]", lambda)
 	}
 	checkResult(t, res, truth)
 }
@@ -470,7 +466,7 @@ func TestSortConstRoundERAdaptiveMustHalve(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	truth := oracle.RandomSizes([]int{5, 95, 100}, rng) // ℓ/n = 0.025
 	s := model.NewSession(truth, model.ER)
-	res, lambda, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
+	res, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
 		D:          6,
 		MaxRetries: 3,
 		Rng:        rand.New(rand.NewSource(66)),
@@ -481,19 +477,16 @@ func TestSortConstRoundERAdaptiveMustHalve(t *testing.T) {
 		}
 		return
 	}
-	if lambda <= 0 || lambda > 0.4 {
-		t.Errorf("returned λ=%v outside (0, 0.4]", lambda)
-	}
 	checkResult(t, res, truth)
 }
 
 func TestSortConstRoundERAdaptiveValidation(t *testing.T) {
 	truth := oracle.NewLabel([]int{0, 0, 1, 1})
 	s := model.NewSession(truth, model.ER)
-	if _, _, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{}); err == nil {
+	if _, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{}); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, _, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
+	if _, err := SortConstRoundERAdaptive(s, AdaptiveConstRoundConfig{
 		StartLambda: 0.7, Rng: rand.New(rand.NewSource(1)),
 	}); err == nil {
 		t.Fatal("StartLambda 0.7 accepted")

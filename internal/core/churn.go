@@ -8,11 +8,10 @@ import (
 // This file is the churn face of the incremental sorter: elements leave
 // (Delete) and classes get withdrawn for re-verification
 // (InvalidateClass) on the same flat Answer layout the insert path
-// builds. Both mutations compact the live backing in place — one
+// builds. Both mutations compact the answer's pool in place — one
 // memmove over the element slice plus an offset-table shift — so they
-// never reallocate, never flip the double buffers, and leave the
-// answer in exactly the state a fresh build of the surviving classes
-// would produce. That in-place determinism is what lets the service
+// never reallocate, need no fold arena, and leave the answer in exactly
+// the state a fresh build of the surviving classes would produce. That in-place determinism is what lets the service
 // WAL-log deletes and invalidations as plain records and replay them
 // bit-identically.
 
@@ -120,8 +119,7 @@ func (inc *Incremental) locate(e int) (ci, pos int, ok bool) {
 
 // removeAt compacts the element at absolute position pos out of class
 // ci: one memmove over the element backing, then an offset shift. Runs
-// on the answer's live backing views, so no reallocation and no buffer
-// flip.
+// on the answer's live backing views, so nothing is reallocated.
 func (inc *Incremental) removeAt(ci, pos int) {
 	elems, offs := inc.answer.elems, inc.answer.offs
 	copy(elems[pos:], elems[pos+1:])

@@ -112,17 +112,17 @@ var ErrAdaptiveExhausted = errors.New("core: adaptive constant-round sort exhaus
 // λ: start at StartLambda and halve after every failure. Once the guess
 // drops below the true ℓ/n, an attempt succeeds with high probability, so
 // the total rounds remain independent of n (a function of the final λ
-// only). It returns the λ that succeeded alongside the result.
-func SortConstRoundERAdaptive(s *model.Session, cfg AdaptiveConstRoundConfig) (Result, float64, error) {
+// only).
+func SortConstRoundERAdaptive(s *model.Session, cfg AdaptiveConstRoundConfig) (Result, error) {
 	if cfg.Rng == nil {
-		return Result{}, 0, errors.New("core: AdaptiveConstRoundConfig.Rng is required")
+		return Result{}, errors.New("core: AdaptiveConstRoundConfig.Rng is required")
 	}
 	lambda := cfg.StartLambda
 	if lambda == 0 {
 		lambda = 0.4
 	}
 	if lambda <= 0 || lambda > 0.4 {
-		return Result{}, 0, fmt.Errorf("core: StartLambda %v outside (0, 0.4]", lambda)
+		return Result{}, fmt.Errorf("core: StartLambda %v outside (0, 0.4]", lambda)
 	}
 	minLambda := cfg.MinLambda
 	if minLambda == 0 {
@@ -139,15 +139,15 @@ func SortConstRoundERAdaptive(s *model.Session, cfg AdaptiveConstRoundConfig) (R
 			Rng:        cfg.Rng,
 		})
 		if err == nil {
-			return res, lambda, nil
+			return res, nil
 		}
 		if !errors.Is(err, ErrConstRoundFailed) {
-			return Result{}, 0, err
+			return Result{}, err
 		}
 		if lambda <= minLambda {
 			break
 		}
 		lambda /= 2
 	}
-	return Result{}, 0, ErrAdaptiveExhausted
+	return Result{}, ErrAdaptiveExhausted
 }

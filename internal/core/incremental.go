@@ -15,28 +15,40 @@ import (
 //
 // This is the library feature the paper's applications want in steady
 // state: a convention where interns keep arriving, a fleet where machines
-// come online one by one. Flush is the service's hottest path, so the
-// sorter is built for allocation-free steady state: pending elements live
-// in one flat buffer viewed as zero-alloc singleton answers, merge
-// scratch persists in an arena, and the answer's flat storage
-// double-buffers with a spare so each flush is two memmove-style passes.
+// come online one by one. A fold is the service's hottest path, so the
+// sorter keeps only what outlives a fold — the answer's flat storage in
+// one pool, the pending buffer and the seen set — and folds on a
+// FoldArena: its own for Flush, or one its owner shares across sorters
+// with FlushIn. In steady state a fold allocates nothing.
 type Incremental struct {
 	session *model.Session
 	answer  Answer
-	sc      mergeScratch
-	// bufElems/bufOffs are the two full-capacity backing pools the answer
-	// double-buffers between: the answer views bufElems[cur], and the
-	// next flush builds into the other pool. Tracking the pools (not
-	// capacity-capped answer views) keeps growth amortized: a pool grown
-	// by one flush keeps its capacity for all later ones.
-	bufElems [2][]int
-	bufOffs  [2][]int
-	cur      int
-	pending  []int    // buffered elements awaiting the next flush
-	group    []Answer // reusable group view: pending singletons + answer
-	seen     []bool   // seen[e] reports e was added (universe is fixed)
-	added    int
-	flushes  int
+	// elems/offs are the answer's backing pools: the answer views their
+	// prefixes. Tracking the pools (not capacity-capped answer views)
+	// keeps growth amortized: a pool grown by one fold keeps its
+	// capacity for all later ones.
+	elems   []int
+	offs    []int
+	pending []int  // buffered elements awaiting the next flush
+	seen    []bool // seen[e] reports e was added (universe is fixed)
+	added   int
+	flushes int
+	arena   *FoldArena // Flush's private arena; see ownArena
+}
+
+// FoldArena is the scratch of one incremental fold: the merge scratch
+// (pairs, results, union-find, slot tables), the group view over the
+// pending singletons and the answer, and the buffer the merged answer is
+// built into before FlushIn copies it back to the sorter. The zero value
+// is ready to use; buffers grow on demand and are kept across folds, so
+// an owner that folds many sorters one at a time — a service shard —
+// holds one fold's scratch instead of one per sorter. A FoldArena is not
+// safe for concurrent use.
+type FoldArena struct {
+	sc    mergeScratch
+	group []Answer
+	elems []int
+	offs  []int
 }
 
 // NewIncremental creates an incremental sorter over the session's
@@ -67,25 +79,60 @@ func (inc *Incremental) Add(e int) error {
 
 // Flush folds all buffered elements into the answer. Buffered singletons
 // and the current answer merge as one CR group — a single logical round
-// of at most (|pending| + k)² representative tests. In steady state a
-// flush allocates nothing: the group is a view over the pending buffer,
-// the cross tests stream through the arena, and the merged answer is
-// written into the spare backing, which then swaps with the current one.
+// of at most (|pending| + k)² representative tests. It folds on the
+// sorter's private arena; see FlushIn for the fold itself.
 //
 //ecsort:hotpath
 func (inc *Incremental) Flush() error {
 	if len(inc.pending) == 0 {
 		return nil
 	}
-	group := inc.group[:0]
+	return FlushIn(inc, inc.ownArena())
+}
+
+// ownArena returns Flush's private arena, allocating it on the first
+// fold: a sorter folded only through FlushIn never holds one.
+func (inc *Incremental) ownArena() *FoldArena {
+	if inc.arena == nil {
+		inc.arena = new(FoldArena)
+	}
+	return inc.arena
+}
+
+// FlushIn is Flush on a borrowed arena: it folds inc's buffered elements
+// into its answer using ar's scratch, so one arena can serve any number
+// of sorters folded one at a time. The merged answer is built in the
+// arena and copied back into the sorter's answer pool, and the arena's
+// group view is cleared on return, so ar never pins a sorter's buffers.
+// Classes, costs and emission order are those of Flush. In steady state
+// a fold allocates nothing: the group is a view over the pending buffer,
+// the cross tests stream through the arena, and the answer pool only
+// grows, by doubling.
+//
+//ecsort:hotpath
+func FlushIn(inc *Incremental, ar *FoldArena) error {
+	if len(inc.pending) == 0 {
+		return nil
+	}
+	group := ar.group[:0]
 	for i := range inc.pending {
 		group = append(group, Answer{elems: inc.pending[i : i+1 : i+1], offs: singletonOffs})
 	}
 	if inc.answer.K() > 0 {
 		group = append(group, inc.answer)
 	}
-	inc.group = group
-	sc := &inc.sc
+	err := ar.fold(inc, group)
+	clear(group)
+	ar.group = group[:0]
+	return err
+}
+
+// fold merges group — inc's pending singletons, then its answer — in the
+// arena and commits the result to inc.
+//
+//ecsort:hotpath
+func (ar *FoldArena) fold(inc *Incremental, group []Answer) error {
+	sc := &ar.sc
 	if err := sc.streamGroup(inc.session, group); err != nil {
 		return err
 	}
@@ -96,15 +143,14 @@ func (inc *Incremental) Flush() error {
 	if err := inc.session.Err(); err != nil {
 		return err
 	}
-	dst := 1 - inc.cur
-	merged, elems, offs := sc.buildMerged(group, inc.bufElems[dst][:0], inc.bufOffs[dst][:0])
-	// Retain the (possibly grown) pools and flip buffers: the old
-	// answer's pool becomes the next flush's build target.
-	inc.bufElems[dst], inc.bufOffs[dst] = elems, offs
-	inc.cur = dst
-	inc.answer = merged
+	merged, elems, offs := sc.buildMerged(group, ar.elems[:0], ar.offs[:0])
+	ar.elems, ar.offs = elems, offs
+	inc.elems = growInts(inc.elems[:0], len(merged.elems))
+	inc.offs = growInts(inc.offs[:0], len(merged.offs))
+	copy(inc.elems, merged.elems)
+	copy(inc.offs, merged.offs)
+	inc.answer = Answer{elems: inc.elems, offs: inc.offs}
 	inc.pending = inc.pending[:0]
-	inc.group = group[:0]
 	inc.flushes++
 	return nil
 }
@@ -229,11 +275,10 @@ func (inc *Incremental) Restore(elems, offs, pending []int, st model.Stats, flus
 			return err
 		}
 	}
-	inc.bufElems[0] = append(inc.bufElems[0][:0], elems...)
-	inc.bufOffs[0] = append(inc.bufOffs[0][:0], offs...)
-	inc.cur = 0
+	inc.elems = append(inc.elems[:0], elems...)
+	inc.offs = append(inc.offs[:0], offs...)
 	if len(elems) > 0 {
-		inc.answer = Answer{elems: inc.bufElems[0], offs: inc.bufOffs[0]}
+		inc.answer = Answer{elems: inc.elems, offs: inc.offs}
 	} else {
 		inc.answer = Answer{}
 	}

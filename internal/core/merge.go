@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the flat CR merge engine: the hot path behind SortCR,
-// SortCRUnknownK, MergeGroupCR, and Incremental.Flush.
+// SortCRUnknownK, MergeGroupCR, and the incremental folds (FlushIn).
 // Cross-representative tests stream into one reusable pair buffer in a
 // canonical order, the equality results fold into a slice-indexed
 // union-find over (answer, class) slots by re-walking that same order —
@@ -217,7 +217,8 @@ func (sc *mergeScratch) streamGroup(s *model.Session, group []Answer) error {
 
 // scratchPool recycles arenas across the exported one-shot entry points
 // (MergePairCR, MergeGroupCR), keeping their steady state allocation-free
-// too. Long-lived callers (SortCR, Incremental) own an arena directly.
+// too. Long-lived callers own one directly: SortCR in its crArena, the
+// incremental folds in a FoldArena.
 var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // mergeGroupScratch merges a group of answers with one logical round of

@@ -342,7 +342,7 @@ func (s *Service) applyRecord(sh *shard, rec wal.Record) error {
 		// Publish directly instead of going through Service.fold: replay
 		// must not append new flush records or skew the live fold-latency
 		// gauges.
-		if err := c.srt.Flush(); err != nil {
+		if err := c.srt.Flush(&sh.arena); err != nil {
 			return fmt.Errorf("flush for %q: %w", rec.Key, err)
 		}
 		c.publish()

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ecsort/internal/core"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
 	rt "ecsort/internal/runtime"
@@ -367,6 +368,9 @@ type op struct {
 // every mutation of a collection's sorter runs on that goroutine,
 // serialized by the ops channel, so sorters need no locks and batches
 // from concurrent clients interleave at batch (not element) granularity.
+// Because the goroutine folds one collection at a time, the fold scratch
+// lives here, once per shard, and each collection keeps only its answer,
+// its pending buffer and its seen set.
 type shard struct {
 	ops  chan op
 	quit chan struct{}
@@ -394,6 +398,10 @@ type shard struct {
 	// gen is the current WAL segment generation, bumped by checkpoints.
 	// Shard goroutine only.
 	gen uint64 //ecsort:owned-by-shard
+	// arena is the fold scratch every collection of the shard borrows:
+	// live folds and replayed flush records both run on it. Shard
+	// goroutine only.
+	arena core.FoldArena //ecsort:owned-by-shard
 }
 
 // Service is the sharded classification engine. Create one with New,
@@ -659,7 +667,7 @@ func (s *Service) fold(sh *shard, c *collection) error {
 			c.res.BindContext(nil)
 		}()
 	}
-	if err := c.srt.Flush(); err != nil {
+	if err := c.srt.Flush(&sh.arena); err != nil {
 		if ra, bad := c.degraded(); bad {
 			// The fold died because the breaker tripped mid-flush; report
 			// the degradation (503 + Retry-After upstream) rather than the

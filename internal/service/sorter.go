@@ -13,7 +13,9 @@ import (
 // sorter is what a collection needs from its classification engine. The
 // default implementation is core.Incremental (online compounding CR
 // folds); batchSorter adapts any batch Algorithm from the registry so a
-// collection can run ER or const-round regimens instead.
+// collection can run ER or const-round regimens instead. A sorter keeps
+// only the state that outlives a fold; the fold's scratch is the
+// caller's, passed to Flush.
 type sorter interface {
 	// Add buffers element e; it rejects out-of-range and duplicates.
 	Add(e int) error
@@ -21,8 +23,11 @@ type sorter interface {
 	Has(e int) bool
 	// Pending counts buffered elements awaiting the next Flush.
 	Pending() int
-	// Flush folds the buffer into the answer.
-	Flush() error
+	// Flush folds the buffer into the answer, using ar for the fold's
+	// scratch. The shard goroutine passes its own arena, so scratch is
+	// held once per shard instead of once per collection; engines that
+	// need no shared scratch ignore it.
+	Flush(ar *core.FoldArena) error
 	// Flushes counts non-empty folds so far.
 	Flushes() int
 	// Stats is the accumulated session cost.
@@ -69,6 +74,8 @@ type sorter interface {
 type incSorter struct {
 	*core.Incremental
 }
+
+func (w incSorter) Flush(ar *core.FoldArena) error { return core.FlushIn(w.Incremental, ar) }
 
 func (w incSorter) PendingSlice() []int { return w.Incremental.PendingElements() }
 
@@ -194,7 +201,9 @@ func (b *batchSorter) Has(e int) bool { return e >= 0 && e < len(b.seen) && b.se
 
 func (b *batchSorter) Pending() int { return b.pending }
 
-func (b *batchSorter) Flush() error {
+// Flush re-sorts the members on a fresh session; the regimen brings its
+// own scratch, so ar is unused.
+func (b *batchSorter) Flush(*core.FoldArena) error {
 	if b.pending == 0 {
 		return nil
 	}

@@ -39,8 +39,8 @@ import (
 
 // bytesGateFloor is the smallest baseline B/op the bytes gate applies
 // to. Below it, runs of the same code differ by more than any factor
-// worth gating: BenchmarkHandshakeRound read 0–53 B/op and
-// BenchmarkRoundBatch/batch 158–1 246 B/op.
+// worth gating: on a 2-vCPU VM BenchmarkHandshakeRound/batch read
+// 0–96 B/op and BenchmarkRoundBatch/batch 193–302 B/op.
 const bytesGateFloor = 64 << 10
 
 type entry struct {

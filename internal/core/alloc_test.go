@@ -176,7 +176,7 @@ func TestSortBytesPerCall(t *testing.T) {
 
 // TestIncrementalFlushAllocs holds the fold's steady state at ~0 allocs,
 // both on the sorter's private arena (Flush) and on an arena shared with
-// a second sorter that folds between every fold of the first (FlushIn),
+// a second sorter that folds before every fold of the first (FlushIn),
 // as a service shard's collections do.
 func TestIncrementalFlushAllocs(t *testing.T) {
 	if raceEnabled {
@@ -190,49 +190,43 @@ func TestIncrementalFlushAllocs(t *testing.T) {
 		}
 		return inc
 	}
-	var shared FoldArena
-	for _, tc := range []struct {
-		name string
-		fold func(*Incremental) error
-		// other, when set, is a second sorter folded on the same arena
-		// before each fold of the measured one.
-		other *Incremental
-	}{
-		{"Flush", (*Incremental).Flush, nil},
-		{"FlushIn/shared", func(inc *Incremental) error { return FlushIn(inc, &shared) }, newSorter(34)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inc := newSorter(33)
+	for _, shared := range []bool{false, true} {
+		name := "Flush"
+		if shared {
+			name = "FlushIn/shared"
+		}
+		t.Run(name, func(t *testing.T) {
+			inc, other := newSorter(33), newSorter(34)
+			var ar FoldArena
 			next := 0
-			add := func(count int) {
+			// step adds count elements and folds them: on inc's own arena,
+			// or on ar right after other folds the same elements on it.
+			step := func(count int) {
 				for i := 0; i < count; i++ {
 					if err := inc.Add(next); err != nil {
 						t.Fatal(err)
 					}
-					if tc.other != nil {
-						if err := tc.other.Add(next); err != nil {
+					if shared {
+						if err := other.Add(next); err != nil {
 							t.Fatal(err)
 						}
 					}
 					next++
 				}
-			}
-			fold := func() {
-				if tc.other != nil {
-					if err := tc.fold(tc.other); err != nil {
-						t.Fatal(err)
+				var err error
+				if shared {
+					if err = FlushIn(other, &ar); err == nil {
+						err = FlushIn(inc, &ar)
 					}
+				} else {
+					err = inc.Flush()
 				}
-				if err := tc.fold(inc); err != nil {
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			add(2048) // reach steady state: all 8 classes discovered, pools warm
-			fold()
-			allocs := testing.AllocsPerRun(50, func() {
-				add(128)
-				fold()
-			})
+			step(2048) // reach steady state: all 8 classes discovered, pools warm
+			allocs := testing.AllocsPerRun(50, func() { step(128) })
 			// Steady state is zero; allow amortized doubling of the answer pools.
 			if allocs > 4 {
 				t.Errorf("Add*128+fold steady state = %v allocs/op, want <= 4 (was ~8.7k before the flat engine)", allocs)

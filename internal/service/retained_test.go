@@ -48,7 +48,6 @@ func TestRetainedBytesIndependentOfFoldSize(t *testing.T) {
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(svc)
 		svc.Close()
 		return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / cols
 	}

@@ -281,112 +281,48 @@ func (s *Service) restoreCollection(sh *shard, cs *wal.CollectionState) error {
 	c.ingested.Store(cs.Ingested)
 	c.batches.Store(cs.Batches)
 	c.publish()
-	sh.cols[cs.Key] = c
+	sh.add(c)
 	if eng.srt.Pending() > 0 {
 		sh.dirty[c] = struct{}{}
 	}
 	return nil
 }
 
-// applyRecord re-applies one replayed WAL record — the same mutations the
-// live operation performed, minus the appends (the record already exists).
-// Flush records re-fold at exactly the boundaries the live service chose,
-// which is what makes replayed classes and stats bit-identical: the fold
-// schedule is read back from the log, never re-decided from (possibly
-// changed) batching config.
+// applyRecord re-applies one replayed WAL record through the same code
+// the live operation ran after appending it: newCollection and add for a
+// create, remove for a drop, applyResilience for a resilience update, and
+// apply for a batch, flush, delete or invalidate. Only the appends are
+// skipped (the record already exists), and the fold-latency gauges stay
+// alone. Flush records re-fold at exactly the boundaries the live service
+// chose, which is what makes replayed classes and stats bit-identical:
+// the fold schedule is read back from the log, never re-decided from
+// (possibly changed) batching config.
 //
 //ecsort:shard-goroutine
 func (s *Service) applyRecord(sh *shard, rec wal.Record) error {
-	switch rec.Type {
-	case wal.RecCreate:
+	c, exists := sh.cols[rec.Key]
+	if rec.Type == wal.RecCreate {
 		var spec OracleSpec
 		if err := json.Unmarshal(rec.Spec, &spec); err != nil {
 			return fmt.Errorf("create %q: undecodable spec: %v", rec.Key, err)
 		}
-		if _, taken := sh.cols[rec.Key]; taken {
+		if exists {
 			return fmt.Errorf("create %q: collection already exists", rec.Key)
 		}
 		eng, err := s.buildSorter(spec)
 		if err != nil {
 			return fmt.Errorf("create %q: %w", rec.Key, err)
 		}
-		c := newCollection(rec.Key, spec, eng)
-		c.snap.Store(&Snapshot{Classes: [][]int{}})
-		sh.cols[rec.Key] = c
+		sh.add(newCollection(rec.Key, spec, eng))
+		return nil
+	}
+	if !exists {
+		return fmt.Errorf("record type %d for %q: no such collection", rec.Type, rec.Key)
+	}
+	switch rec.Type {
 	case wal.RecDrop:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("drop %q: no such collection", rec.Key)
-		}
-		delete(sh.cols, rec.Key)
-		delete(sh.dirty, c)
-	case wal.RecBatch:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("batch for %q: no such collection", rec.Key)
-		}
-		for _, e := range rec.Items {
-			if err := c.srt.Add(e); err != nil {
-				return fmt.Errorf("batch for %q: %v", rec.Key, err)
-			}
-		}
-		c.ingested.Add(int64(len(rec.Items)))
-		c.batches.Add(1)
-		c.pending.Store(int64(c.srt.Pending()))
-		sh.dirty[c] = struct{}{}
-	case wal.RecFlush:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("flush for %q: no such collection", rec.Key)
-		}
-		// Publish directly instead of going through Service.fold: replay
-		// must not append new flush records or skew the live fold-latency
-		// gauges.
-		if err := c.srt.Flush(&sh.arena); err != nil {
-			return fmt.Errorf("flush for %q: %w", rec.Key, err)
-		}
-		c.publish()
-		delete(sh.dirty, c)
-	case wal.RecDelete:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("delete for %q: no such collection", rec.Key)
-		}
-		if err := c.srt.Delete(rec.Elem); err != nil {
-			return fmt.Errorf("delete for %q: %v", rec.Key, err)
-		}
-		c.deleted.Add(1)
-		c.publish()
-		if c.srt.Pending() == 0 {
-			delete(sh.dirty, c)
-		}
-	case wal.RecInvalidate:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("invalidate for %q: no such collection", rec.Key)
-		}
-		if !c.srt.Has(rec.Elem) {
-			return fmt.Errorf("invalidate for %q: element %d not added", rec.Key, rec.Elem)
-		}
-		// A live invalidate only logs for merged elements, so under a
-		// deterministic oracle the element is merged here too. Under a
-		// noisy oracle replayed folds may merge differently, leaving the
-		// element pending — then the withdrawal it asked for has already
-		// happened, and skipping is the consistent reading (replay
-		// bit-identity is only promised for deterministic oracles; see
-		// docs/PERSISTENCE.md).
-		if _, err := c.srt.Invalidate(rec.Elem); err == nil {
-			c.invalidated.Add(1)
-		}
-		c.publish()
-		if c.srt.Pending() > 0 {
-			sh.dirty[c] = struct{}{}
-		}
+		sh.remove(c)
 	case wal.RecResilience:
-		c, ok := sh.cols[rec.Key]
-		if !ok {
-			return fmt.Errorf("resilience update for %q: no such collection", rec.Key)
-		}
 		var rs ResilienceSpec
 		if err := json.Unmarshal(rec.Spec, &rs); err != nil {
 			return fmt.Errorf("resilience update for %q: undecodable spec: %v", rec.Key, err)
@@ -394,8 +330,22 @@ func (s *Service) applyRecord(sh *shard, rec wal.Record) error {
 		if err := s.applyResilience(c, rs); err != nil {
 			return fmt.Errorf("resilience update for %q: %v", rec.Key, err)
 		}
+	case wal.RecInvalidate:
+		if !c.srt.Has(rec.Elem) {
+			return fmt.Errorf("invalidate for %q: element %d not added", rec.Key, rec.Elem)
+		}
+		// A live invalidate only logs for merged elements, so under a
+		// deterministic oracle the element is merged here too. Under a
+		// noisy oracle replayed folds may merge differently, leaving the
+		// element pending — then the withdrawal it asked for has already
+		// happened, and apply's refusal, which changes nothing, is the
+		// consistent reading (replay bit-identity is only promised for
+		// deterministic oracles; see docs/PERSISTENCE.md).
+		sh.apply(c, rec)
 	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
+		if _, err := sh.apply(c, rec); err != nil {
+			return fmt.Errorf("record type %d for %q: %w", rec.Type, rec.Key, err)
+		}
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ecsort/internal/dist"
+	"ecsort/internal/wal"
 )
 
 // RepairConfig tunes the background self-repair daemon.
@@ -241,18 +242,14 @@ func snapshotElements(snap *Snapshot) []int {
 }
 
 // repairCorrect applies one correction on the shard's writer loop:
-// withdraw the merged classes of both elements (WAL-logged per element)
-// and re-fold, so the members re-verify against the oracle and the
-// published partition moves toward ground truth. The fold is logged as
-// an ordinary flush record; replay applies the same withdrawal and
-// re-fold.
+// withdraw the merged classes of both elements and re-fold, so the
+// members re-verify against the oracle and the published partition
+// moves toward ground truth. Each withdrawal is an ordinary logged
+// invalidate (write) and the re-fold an ordinary fold with its flush
+// record, so replay applies the same withdrawals and re-fold through the
+// same apply.
 func (s *Service) repairCorrect(sh *shard, c *collection, a, b int) error {
-	return s.do(sh, func() error {
-		if cur, err := sh.lookup(c.key); err != nil {
-			return err
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-repair", ErrNotFound, c.key)
-		}
+	return s.doOn(sh, c, "repair", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: c.key, RetryAfter: ra}
 		}
@@ -263,29 +260,10 @@ func (s *Service) repairCorrect(sh *shard, c *collection, a, b int) error {
 			if c.snap.Load().ClassIndexOf(e) < 0 {
 				continue
 			}
-			if sh.wal != nil {
-				if err := sh.wal.AppendInvalidate(c.key, e); err != nil {
-					return err
-				}
-			}
-			if _, err := c.srt.Invalidate(e); err != nil {
+			if _, err := sh.write(c, wal.Record{Type: wal.RecInvalidate, Key: c.key, Elem: e}); err != nil {
 				return err
 			}
-			c.invalidated.Add(1)
-			c.publish()
 		}
-		sh.dirty[c] = struct{}{}
-		if err := s.fold(sh, c); err != nil {
-			c.pending.Store(int64(c.srt.Pending()))
-			if sh.wal != nil {
-				sh.wal.Commit()
-			}
-			return err
-		}
-		delete(sh.dirty, c)
-		if sh.wal != nil {
-			return sh.wal.Commit()
-		}
-		return nil
+		return s.fold(sh, c)
 	})
 }

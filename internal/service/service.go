@@ -256,13 +256,16 @@ type collection struct {
 	repaired    atomic.Int64
 }
 
-// newCollection assembles a collection around a built engine. Runs on
+// newCollection assembles a collection around a built engine, publishing
+// the empty snapshot of a collection that has folded nothing. Runs on
 // the owning shard goroutine (the create op) or during Open's recovery
 // pass, which precedes the goroutine and inherits its exclusivity.
 //
 //ecsort:shard-goroutine
 func newCollection(key string, spec OracleSpec, eng engine) *collection {
-	return &collection{key: key, spec: spec, algoName: eng.algoName, srt: eng.srt, orc: eng.orc, res: eng.res}
+	c := &collection{key: key, spec: spec, algoName: eng.algoName, srt: eng.srt, orc: eng.orc, res: eng.res}
+	c.snap.Store(&Snapshot{Classes: [][]int{}})
+	return c
 }
 
 // degraded reports whether the collection currently refuses writes —
@@ -358,9 +361,14 @@ func (c *collection) info(withSnapshot bool) CollectionInfo {
 	return info
 }
 
-// op is one unit of work executed by a shard's writer goroutine.
+// op is one unit of work executed by a shard's writer goroutine. An op
+// built against a collection carries it in c, and the shard loop runs fn
+// only while c is still the collection registered under its key (see
+// run).
 type op struct {
 	fn   func() error
+	c    *collection
+	verb string // names the op in run's recreated-collection error
 	done chan error
 }
 
@@ -380,7 +388,10 @@ type shard struct {
 	// that the recovery tests are built on. Never closed in production.
 	die chan struct{}
 
-	mu   sync.RWMutex // guards cols (lookups come from reader goroutines)
+	// cols is written only by the shard goroutine, under mu, so the
+	// shard goroutine reads it without mu; lookups from other goroutines
+	// take mu.RLock.
+	mu   sync.RWMutex
 	cols map[string]*collection
 
 	// dirty tracks collections with unflushed pending elements, for the
@@ -586,17 +597,14 @@ func (s *Service) runShard(sh *shard) {
 	for {
 		select {
 		case o := <-sh.ops:
-			o.done <- o.fn()
+			o.done <- s.run(sh, o)
 			s.maybeRotate(sh)
 		case <-tick:
 			for c := range sh.dirty {
-				if err := s.fold(sh, c); err != nil {
-					// An oracle/session failure here has no caller to
-					// report to; leave the collection dirty and let the
-					// next synchronous op surface the error.
-					continue
-				}
-				delete(sh.dirty, c)
+				// A fold that fails here has no caller to report to; it
+				// leaves the collection dirty, and the next synchronous
+				// op surfaces the error.
+				s.fold(sh, c)
 			}
 			if sh.wal != nil {
 				// Ticker folds appended flush records with no operation
@@ -638,11 +646,134 @@ func (s *Service) runShard(sh *shard) {
 	}
 }
 
-// fold flushes c's pending buffer into its answer, publishes the new
-// snapshot, and appends the fold-boundary record to the shard's WAL, so
-// replay re-folds at exactly the same points (the determinism anchor).
-// Batch-fold latency feeds the /metrics backpressure gauges. Shard
+// run executes one op on the shard goroutine. An op built against a
+// collection first re-checks it: a concurrent drop (or drop and
+// re-create) between the caller's lookup and the op's turn must not let
+// a write land on an orphaned sorter and report success. After the op,
+// the one WAL commit of the operation applies the fsync policy to every
+// record it appended, so under fsync "always" a batch and its fold
+// boundary reach disk in a single flush before the caller sees the ack.
+// A failed op still commits what it appended (a batch whose fold
+// failed stays logged), and its own error wins over the commit's.
+//
+//ecsort:shard-goroutine
+func (s *Service) run(sh *shard, o op) error {
+	if o.c != nil {
+		cur, err := sh.lookup(o.c.key)
+		if err != nil {
+			return err
+		}
+		if cur != o.c {
+			return fmt.Errorf("%w: %q was recreated mid-%s", ErrNotFound, o.c.key, o.verb)
+		}
+	}
+	err := o.fn()
+	if sh.wal != nil {
+		if cerr := sh.wal.Commit(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// log appends rec to the shard's WAL; a memory-only shard logs nothing.
+// Shard goroutine only.
+func (sh *shard) log(rec wal.Record) error {
+	if sh.wal == nil {
+		return nil
+	}
+	return sh.wal.Append(rec)
+}
+
+// write is the write-ahead order of a live batch, delete or invalidate:
+// log rec, then apply it to c. An append failure rejects the write with
+// the collection untouched, and a crash after the append replays rec on
+// boot through the same apply.
+func (sh *shard) write(c *collection, rec wal.Record) (requeued int, err error) {
+	if err := sh.log(rec); err != nil {
+		return 0, err
+	}
+	return sh.apply(c, rec)
+}
+
+// apply is the one place a batch, flush, delete or invalidate record
+// takes effect on c: the sorter call, the snapshot publish, the
+// counters, the pending gauge and the dirty set. Live writes reach it
+// through write, right after appending the record; fold applies before
+// it appends; replay (applyRecord) applies each record it reads back, so
+// a recovered collection is rebuilt by the very code that built it. For
+// an invalidate it returns how many members went back to the pending
+// buffer.
+//
+// A failed fold keeps the pending buffer: the collection stays dirty, so
+// the interval flusher retries and staleness stays bounded. A failed
+// add, delete or invalidate changed nothing and returns before the
+// bookkeeping.
+//
+//ecsort:shard-goroutine
+func (sh *shard) apply(c *collection, rec wal.Record) (requeued int, err error) {
+	switch rec.Type {
+	case wal.RecBatch:
+		for _, e := range rec.Items {
+			if err := c.srt.Add(e); err != nil {
+				return 0, err
+			}
+		}
+		c.ingested.Add(int64(len(rec.Items)))
+		c.batches.Add(1)
+	case wal.RecFlush:
+		if err = c.srt.Flush(&sh.arena); err == nil {
+			c.publish()
+		}
+	case wal.RecDelete:
+		if err := c.srt.Delete(rec.Elem); err != nil {
+			return 0, err
+		}
+		c.deleted.Add(1)
+		c.publish()
+	case wal.RecInvalidate:
+		if requeued, err = c.srt.Invalidate(rec.Elem); err != nil {
+			return 0, err
+		}
+		c.invalidated.Add(1)
+		c.publish()
+	default:
+		return 0, fmt.Errorf("record type %d is not a collection write", rec.Type)
+	}
+	pending := c.srt.Pending()
+	c.pending.Store(int64(pending))
+	if pending > 0 {
+		sh.dirty[c] = struct{}{}
+	} else {
+		delete(sh.dirty, c)
+	}
+	return requeued, err
+}
+
+// add registers c under its key, the effect of a create record. Shard
 // goroutine only.
+func (sh *shard) add(c *collection) {
+	sh.mu.Lock()
+	sh.cols[c.key] = c
+	sh.mu.Unlock()
+}
+
+// remove unregisters c, the effect of a drop record. Shard goroutine
+// only.
+func (sh *shard) remove(c *collection) {
+	sh.mu.Lock()
+	delete(sh.cols, c.key)
+	sh.mu.Unlock()
+	delete(sh.dirty, c)
+}
+
+// fold flushes c's pending buffer into its answer and publishes the new
+// snapshot (apply), then appends the fold-boundary record to the shard's
+// WAL, so replay re-folds at exactly the same points (the determinism
+// anchor). The record goes after the fold, not before it as write's
+// records do: a failed fold must leave no flush record behind. Batch-fold
+// latency feeds the /metrics backpressure gauges; replay applies its
+// flush records directly and leaves them alone. Shard goroutine only.
 //
 //ecsort:shard-goroutine
 func (s *Service) fold(sh *shard, c *collection) error {
@@ -667,7 +798,8 @@ func (s *Service) fold(sh *shard, c *collection) error {
 			c.res.BindContext(nil)
 		}()
 	}
-	if err := c.srt.Flush(&sh.arena); err != nil {
+	rec := wal.Record{Type: wal.RecFlush, Key: c.key}
+	if _, err := sh.apply(c, rec); err != nil {
 		if ra, bad := c.degraded(); bad {
 			// The fold died because the breaker tripped mid-flush; report
 			// the degradation (503 + Retry-After upstream) rather than the
@@ -676,21 +808,15 @@ func (s *Service) fold(sh *shard, c *collection) error {
 		}
 		return err
 	}
-	c.publish()
 	d := time.Since(start).Nanoseconds()
 	s.folds.Add(1)
 	s.foldNanos.Add(d)
 	s.lastFoldNanos.Store(d)
-	if sh.wal != nil {
-		// An append failure after a successful in-memory fold means the
-		// fold boundary may not survive a crash — replay would leave the
-		// batch pending instead, which is consistent but not what the
-		// caller observed. Surface the disk error loudly.
-		if err := sh.wal.AppendFlush(c.key); err != nil {
-			return err
-		}
-	}
-	return nil
+	// An append failure after a successful in-memory fold means the fold
+	// boundary may not survive a crash — replay would leave the batch
+	// pending instead, which is consistent but not what the caller
+	// observed. Surface the disk error loudly.
+	return sh.log(rec)
 }
 
 // maybeRotate rolls the shard's WAL to a fresh segment once the current
@@ -727,13 +853,20 @@ func (s *Service) RuntimeStats() rt.Stats { return s.pool.Stats() }
 // do runs fn on the shard's writer goroutine and waits for it.
 //
 //ecsort:shard-dispatch
-func (s *Service) do(sh *shard, fn func() error) error {
+func (s *Service) do(sh *shard, fn func() error) error { return s.doOn(sh, nil, "", fn) }
+
+// doOn runs fn like do, but only while c (looked up by the caller) is
+// still the collection registered under its key; verb names the
+// operation in the error otherwise.
+//
+//ecsort:shard-dispatch
+func (s *Service) doOn(sh *shard, c *collection, verb string, fn func() error) error {
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
 		return ErrClosed
 	}
-	o := op{fn: fn, done: make(chan error, 1)}
+	o := op{fn: fn, c: c, verb: verb, done: make(chan error, 1)}
 	sh.ops <- o
 	s.closeMu.RUnlock()
 	return <-o.done
@@ -826,22 +959,13 @@ func (s *Service) CreateCollection(key string, spec OracleSpec) error {
 	}
 	sh := s.shardOf(key)
 	return s.do(sh, func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
 		if _, ok := sh.cols[key]; ok {
 			return fmt.Errorf("%w: %q", ErrExists, key)
 		}
-		if sh.wal != nil {
-			if err := sh.wal.AppendCreate(key, specJSON); err != nil {
-				return err
-			}
-			if err := sh.wal.Commit(); err != nil {
-				return err
-			}
+		if err := sh.log(wal.Record{Type: wal.RecCreate, Key: key, Spec: specJSON}); err != nil {
+			return err
 		}
-		c := newCollection(key, spec, eng)
-		c.snap.Store(&Snapshot{Classes: [][]int{}})
-		sh.cols[key] = c
+		sh.add(newCollection(key, spec, eng))
 		return nil
 	})
 }
@@ -852,22 +976,14 @@ func (s *Service) CreateCollection(key string, spec OracleSpec) error {
 func (s *Service) DropCollection(key string) error {
 	sh := s.shardOf(key)
 	return s.do(sh, func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		c, ok := sh.cols[key]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNotFound, key)
+		c, err := sh.lookup(key)
+		if err != nil {
+			return err
 		}
-		if sh.wal != nil {
-			if err := sh.wal.AppendDrop(key); err != nil {
-				return err
-			}
-			if err := sh.wal.Commit(); err != nil {
-				return err
-			}
+		if err := sh.log(wal.Record{Type: wal.RecDrop, Key: key}); err != nil {
+			return err
 		}
-		delete(sh.cols, key)
-		delete(sh.dirty, c)
+		sh.remove(c)
 		return nil
 	})
 }
@@ -896,22 +1012,12 @@ func (s *Service) UpdateResilience(key string, rs ResilienceSpec) error {
 			return fmt.Errorf("%w: unencodable resilience spec: %v", ErrBadSpec, err)
 		}
 	}
-	return s.do(sh, func() error {
-		if cur, lookupErr := sh.lookup(key); lookupErr != nil {
-			return lookupErr
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-update", ErrNotFound, key)
-		}
+	return s.doOn(sh, c, "update", func() error {
 		if c.res == nil {
 			return fmt.Errorf("%w: %q has no resilience middleware to retune (create it with a resilience or faults profile)", ErrBadSpec, key)
 		}
-		if sh.wal != nil {
-			if err := sh.wal.AppendResilience(key, specJSON); err != nil {
-				return err
-			}
-			if err := sh.wal.Commit(); err != nil {
-				return err
-			}
+		if err := sh.log(wal.Record{Type: wal.RecResilience, Key: key, Spec: specJSON}); err != nil {
+			return err
 		}
 		return s.applyResilience(c, rs)
 	})
@@ -929,15 +1035,7 @@ func (s *Service) Ingest(key string, items []int, forceFlush bool) (IngestResult
 		return IngestResult{}, err
 	}
 	var res IngestResult
-	err = s.do(sh, func() error {
-		// Revalidate on the writer goroutine: a concurrent drop (or
-		// drop-and-recreate) between lookup and execution must not let
-		// writes land on an orphaned sorter and report success.
-		if cur, lookupErr := sh.lookup(key); lookupErr != nil {
-			return lookupErr
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-ingest", ErrNotFound, key)
-		}
+	err = s.doOn(sh, c, "ingest", func() error {
 		ra, probe, admitted := c.admitWrite()
 		if !admitted {
 			// Read-only mode: accepting the batch would either wedge on
@@ -945,28 +1043,14 @@ func (s *Service) Ingest(key string, items []int, forceFlush bool) (IngestResult
 			// client believes accepted. Reject with the cooldown.
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
-		n := c.spec.N()
-		if err := validateBatch(items, n, c.srt); err != nil {
+		if err := validateBatch(items, c.spec.N(), c.srt); err != nil {
 			return err
 		}
-		if sh.wal != nil {
-			// Write-ahead: the accepted batch is logged before any sorter
-			// mutation, so an append failure rejects the batch with the
-			// collection untouched, and a crash after this point replays
-			// the batch on boot.
-			if err := sh.wal.AppendBatch(key, items); err != nil {
-				return err
-			}
+		// After validation Add cannot fail: it only rejects out-of-range
+		// and duplicate elements.
+		if _, err := sh.write(c, wal.Record{Type: wal.RecBatch, Key: key, Items: items}); err != nil {
+			return err
 		}
-		for _, e := range items {
-			if err := c.srt.Add(e); err != nil {
-				// Unreachable after pre-validation; Add only rejects
-				// out-of-range and duplicate elements.
-				return err
-			}
-		}
-		c.ingested.Add(int64(len(items)))
-		c.batches.Add(1)
 		res.Accepted = len(items)
 		// A probe write must fold now: buffering it would claim the
 		// half-open slot without ever asking the oracle, and nothing
@@ -976,31 +1060,11 @@ func (s *Service) Ingest(key string, items []int, forceFlush bool) (IngestResult
 			if err := s.fold(sh, c); err != nil {
 				// A failed fold is live now that batch regimens can fail
 				// (const-round λ overestimates, Close cancellation). The
-				// accepted items stay buffered; keep the pending gauge
-				// truthful and the collection dirty so the interval
-				// flusher retries and staleness stays bounded. The batch
-				// record is already in the WAL, so the buffered items
-				// survive a crash too.
-				c.pending.Store(int64(c.srt.Pending()))
-				sh.dirty[c] = struct{}{}
-				if sh.wal != nil {
-					sh.wal.Commit()
-				}
+				// accepted items stay buffered, and the batch record is
+				// already in the WAL, so they survive a crash too.
 				return err
 			}
-			delete(sh.dirty, c)
 			res.Flushed = true
-		} else if c.srt.Pending() > 0 {
-			c.pending.Store(int64(c.srt.Pending()))
-			sh.dirty[c] = struct{}{}
-		}
-		if sh.wal != nil {
-			// One commit per accepted operation: under fsync "always" the
-			// batch and its fold boundary reach disk in a single flush
-			// before the client sees the ack.
-			if err := sh.wal.Commit(); err != nil {
-				return err
-			}
 		}
 		res.Pending = c.srt.Pending()
 		res.Version = c.snap.Load().Version
@@ -1021,31 +1085,14 @@ func (s *Service) Flush(key string) (*Snapshot, error) {
 		return nil, err
 	}
 	var snap *Snapshot
-	err = s.do(sh, func() error {
-		if cur, lookupErr := sh.lookup(key); lookupErr != nil {
-			return lookupErr
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-flush", ErrNotFound, key)
-		}
+	err = s.doOn(sh, c, "flush", func() error {
 		if ra, _, admitted := c.admitWrite(); !admitted {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
-		if c.srt.Pending() == 0 {
-			// Nothing buffered: the published snapshot is already
-			// current, so skip the O(n) rebuild a republish would cost.
-			snap = c.snap.Load()
-			return nil
-		}
-		if err := s.fold(sh, c); err != nil {
-			// Same bookkeeping as the Ingest fold path: buffered items
-			// survive, so the gauge and the dirty set must say so.
-			c.pending.Store(int64(c.srt.Pending()))
-			sh.dirty[c] = struct{}{}
-			return err
-		}
-		delete(sh.dirty, c)
-		if sh.wal != nil {
-			if err := sh.wal.Commit(); err != nil {
+		// With nothing buffered the published snapshot is already
+		// current, so skip the O(n) rebuild a republish would cost.
+		if c.srt.Pending() > 0 {
+			if err := s.fold(sh, c); err != nil {
 				return err
 			}
 		}
@@ -1088,39 +1135,17 @@ func (s *Service) DeleteItem(key string, element int) (ChurnResult, error) {
 		return ChurnResult{}, fmt.Errorf("%w: element %d out of range [0,%d)", ErrBadItem, element, n)
 	}
 	var res ChurnResult
-	err = s.do(sh, func() error {
-		if cur, lookupErr := sh.lookup(key); lookupErr != nil {
-			return lookupErr
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-delete", ErrNotFound, key)
-		}
+	err = s.doOn(sh, c, "delete", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
+		// After the Has check Delete cannot fail: it only rejects
+		// elements that are not added.
 		if !c.srt.Has(element) {
 			return fmt.Errorf("%w: element %d not in %q", ErrNotFound, element, key)
 		}
-		if sh.wal != nil {
-			// Write-ahead, same discipline as Ingest: an append failure
-			// rejects the delete with the collection untouched.
-			if err := sh.wal.AppendDelete(key, element); err != nil {
-				return err
-			}
-		}
-		if err := c.srt.Delete(element); err != nil {
-			// Unreachable after the Has check; Delete only rejects
-			// elements that are not added.
+		if _, err := sh.write(c, wal.Record{Type: wal.RecDelete, Key: key, Elem: element}); err != nil {
 			return err
-		}
-		c.deleted.Add(1)
-		c.publish()
-		if c.srt.Pending() == 0 {
-			delete(sh.dirty, c)
-		}
-		if sh.wal != nil {
-			if err := sh.wal.Commit(); err != nil {
-				return err
-			}
 		}
 		res = ChurnResult{Element: element, Pending: c.srt.Pending(), Version: c.snap.Load().Version}
 		return nil
@@ -1148,12 +1173,7 @@ func (s *Service) InvalidateClass(key string, classIndex int, foldNow bool) (Chu
 		return ChurnResult{}, err
 	}
 	var res ChurnResult
-	err = s.do(sh, func() error {
-		if cur, lookupErr := sh.lookup(key); lookupErr != nil {
-			return lookupErr
-		} else if cur != c {
-			return fmt.Errorf("%w: %q was recreated mid-invalidate", ErrNotFound, key)
-		}
+	err = s.doOn(sh, c, "invalidate", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
@@ -1165,34 +1185,16 @@ func (s *Service) InvalidateClass(key string, classIndex int, foldNow bool) (Chu
 			return fmt.Errorf("%w: class %d not in %q (snapshot has %d classes)",
 				ErrNotFound, classIndex, key, len(snap.Classes))
 		}
+		// A snapshot class member is merged by construction, so
+		// Invalidate cannot fail on it.
 		rep := snap.Classes[classIndex][0]
-		if sh.wal != nil {
-			if err := sh.wal.AppendInvalidate(key, rep); err != nil {
-				return err
-			}
-		}
-		n, err := c.srt.Invalidate(rep)
+		n, err := sh.write(c, wal.Record{Type: wal.RecInvalidate, Key: key, Elem: rep})
 		if err != nil {
-			// Unreachable: a snapshot class member is merged by
-			// construction.
 			return err
 		}
-		c.invalidated.Add(1)
-		c.publish()
-		sh.dirty[c] = struct{}{}
 		if foldNow {
 			if err := s.fold(sh, c); err != nil {
 				// The members stay pending; the interval flusher retries.
-				c.pending.Store(int64(c.srt.Pending()))
-				if sh.wal != nil {
-					sh.wal.Commit()
-				}
-				return err
-			}
-			delete(sh.dirty, c)
-		}
-		if sh.wal != nil {
-			if err := sh.wal.Commit(); err != nil {
 				return err
 			}
 		}

@@ -16,19 +16,19 @@ func TestChurnRecordsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch("demo", []int{0, 1, 2}); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "demo", Items: []int{0, 1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFlush("demo"); err != nil {
+	if err := l.Append(Record{Type: RecFlush, Key: "demo"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendDelete("demo", 1); err != nil {
+	if err := l.Append(Record{Type: RecDelete, Key: "demo", Elem: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendInvalidate("demo", 2); err != nil {
+	if err := l.Append(Record{Type: RecInvalidate, Key: "demo", Elem: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFlush("demo"); err != nil {
+	if err := l.Append(Record{Type: RecFlush, Key: "demo"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -57,10 +57,10 @@ func TestSizeTracksAppends(t *testing.T) {
 	if got := l.Size(); got != headerSize {
 		t.Fatalf("fresh segment Size = %d, want %d", got, headerSize)
 	}
-	if err := l.AppendBatch("k", []int{1, 2, 3}); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "k", Items: []int{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendDelete("k", 2); err != nil {
+	if err := l.Append(Record{Type: RecDelete, Key: "k", Elem: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -94,7 +94,7 @@ func TestVersion1SegmentRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFlush("demo"); err != nil {
+	if err := l.Append(Record{Type: RecFlush, Key: "demo"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

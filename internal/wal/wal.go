@@ -262,81 +262,51 @@ func (l *Log) Gen() uint64 { return l.gen }
 // Path returns the segment file's path.
 func (l *Log) Path() string { return l.path }
 
-// AppendCreate appends a collection-create record: key plus its opaque
-// spec encoding (the service stores OracleSpec JSON).
-func (l *Log) AppendCreate(key string, spec []byte) error {
-	p := l.payload(RecCreate, key)
-	p = binary.AppendUvarint(p, uint64(len(spec)))
-	p = append(p, spec...)
-	return l.appendFrame(p)
-}
-
-// AppendDrop appends a collection-drop record.
-func (l *Log) AppendDrop(key string) error {
-	return l.appendFrame(l.payload(RecDrop, key))
-}
-
-// AppendBatch appends one accepted ingest batch. The element ids are
-// uvarint-encoded into the log's reusable buffer, so a steady-state
-// append allocates nothing.
+// Append appends one record, encoded field for field as decodeRecord
+// reads it back: the type byte and the key, then the spec (RecCreate,
+// RecResilience), the element count and ids (RecBatch) or the element
+// (RecDelete, RecInvalidate), all uvarint-framed. The payload is built in
+// the log's reusable buffer, so a steady-state append allocates nothing.
+// A record type decodeRecord does not know is refused with nothing
+// written.
 //
 //ecsort:hotpath
-func (l *Log) AppendBatch(key string, items []int) error {
-	p := l.payload(RecBatch, key)
-	p = binary.AppendUvarint(p, uint64(len(items)))
-	for _, e := range items {
-		p = binary.AppendUvarint(p, uint64(e))
+func (l *Log) Append(r Record) error {
+	// Leave room for the frame header: [len u32][crc u32] are back-filled
+	// by appendFrame.
+	p := append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, r.Type)
+	p = binary.AppendUvarint(p, uint64(len(r.Key)))
+	p = append(p, r.Key...)
+	switch r.Type {
+	case RecCreate, RecResilience:
+		p = binary.AppendUvarint(p, uint64(len(r.Spec)))
+		p = append(p, r.Spec...)
+	case RecDrop, RecFlush:
+		// key only
+	case RecDelete, RecInvalidate:
+		p = binary.AppendUvarint(p, uint64(r.Elem))
+	case RecBatch:
+		p = binary.AppendUvarint(p, uint64(len(r.Items)))
+		for _, e := range r.Items {
+			p = binary.AppendUvarint(p, uint64(e))
+		}
+	default:
+		return unknownRecord(r.Type)
 	}
 	return l.appendFrame(p)
 }
 
-// AppendFlush appends a fold-boundary record for key.
-//
-//ecsort:hotpath
-func (l *Log) AppendFlush(key string) error {
-	return l.appendFrame(l.payload(RecFlush, key))
-}
-
-// AppendDelete appends a single-element delete record.
-func (l *Log) AppendDelete(key string, elem int) error {
-	p := l.payload(RecDelete, key)
-	p = binary.AppendUvarint(p, uint64(elem))
-	return l.appendFrame(p)
-}
-
-// AppendInvalidate appends a class-invalidation record, keyed by one
-// member element of the invalidated class.
-func (l *Log) AppendInvalidate(key string, elem int) error {
-	p := l.payload(RecInvalidate, key)
-	p = binary.AppendUvarint(p, uint64(elem))
-	return l.appendFrame(p)
-}
-
-// AppendResilience appends a resilience-profile update record: key plus
-// the new profile's opaque encoding (the service stores ResilienceSpec
-// JSON).
-func (l *Log) AppendResilience(key string, spec []byte) error {
-	p := l.payload(RecResilience, key)
-	p = binary.AppendUvarint(p, uint64(len(spec)))
-	p = append(p, spec...)
-	return l.appendFrame(p)
+// unknownRecord reports an Append of a type no reader could decode. Kept
+// out of Append so its formatting never costs the hot path an
+// allocation.
+func unknownRecord(typ byte) error {
+	return fmt.Errorf("wal: append of unknown record type %d", typ)
 }
 
 // Size returns the segment file's current size in bytes — header plus
 // every appended frame. The service's size-based rotation compares it
 // against Config.MaxSegmentBytes after each operation.
 func (l *Log) Size() int64 { return l.size }
-
-// payload starts a record payload in the reusable buffer, leaving room
-// for the frame header: [len u32][crc u32] are back-filled by
-// appendFrame.
-func (l *Log) payload(typ byte, key string) []byte {
-	p := append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	p = append(p, typ)
-	p = binary.AppendUvarint(p, uint64(len(key)))
-	p = append(p, key...)
-	return p
-}
 
 // appendFrame back-fills the length and CRC of the encoded payload and
 // writes the frame with one Write call.

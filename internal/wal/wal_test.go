@@ -34,19 +34,19 @@ func TestSegmentRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := []byte(`{"kind":"label","labels":[0,1,0]}`)
-	if err := l.AppendCreate("demo", spec); err != nil {
+	if err := l.Append(Record{Type: RecCreate, Key: "demo", Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch("demo", []int{0, 2, 1}); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "demo", Items: []int{0, 2, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFlush("demo"); err != nil {
+	if err := l.Append(Record{Type: RecFlush, Key: "demo"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch("demo", nil); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "demo", Items: nil}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendDrop("demo"); err != nil {
+	if err := l.Append(Record{Type: RecDrop, Key: "demo"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -83,7 +83,7 @@ func TestReplaySkipsSegmentsBelowGen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendFlush("k"); err != nil {
+		if err := l.Append(Record{Type: RecFlush, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -116,14 +116,14 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendBatch("k", []int{1, 2, 3}); err != nil {
+		if err := l.Append(Record{Type: RecBatch, Key: "k", Items: []int{1, 2, 3}}); err != nil {
 			t.Fatal(err)
 		}
 		intactSize, err := l.f.Seek(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendFlush("k"); err != nil {
+		if err := l.Append(Record{Type: RecFlush, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -154,7 +154,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l2.AppendDrop("k"); err != nil {
+		if err := l2.Append(Record{Type: RecDrop, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l2.Close(); err != nil {
@@ -200,10 +200,10 @@ func TestCorruptCRCFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch("k", []int{7, 8}); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "k", Items: []int{7, 8}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendFlush("k"); err != nil {
+	if err := l.Append(Record{Type: RecFlush, Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -325,7 +325,7 @@ func TestCommitPolicies(t *testing.T) {
 	}
 	base := ctr.Fsyncs.Load() // Create itself syncs the header
 	for i := 0; i < 3; i++ {
-		if err := l.AppendFlush("k"); err != nil {
+		if err := l.Append(Record{Type: RecFlush, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Commit(); err != nil {
@@ -349,7 +349,7 @@ func TestCommitPolicies(t *testing.T) {
 	}
 	base = ctr2.Fsyncs.Load()
 	for i := 0; i < 3; i++ {
-		if err := l2.AppendFlush("k"); err != nil {
+		if err := l2.Append(Record{Type: RecFlush, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := l2.Commit(); err != nil {
@@ -397,10 +397,10 @@ func TestFormatVersionWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCreate("k", []byte(`{"kind":"label"}`)); err != nil {
+	if err := l.Append(Record{Type: RecCreate, Key: "k", Spec: []byte(`{"kind":"label"}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch("k", []int{1, 2, 3}); err != nil {
+	if err := l.Append(Record{Type: RecBatch, Key: "k", Items: []int{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

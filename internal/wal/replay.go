@@ -162,10 +162,7 @@ func truncateTorn(f *os.File, seg Segment, offset int64, sum *ReplaySummary) err
 		if err := f.Truncate(0); err != nil {
 			return fmt.Errorf("wal: truncate torn segment: %w", err)
 		}
-		var hdr [headerSize]byte
-		copy(hdr[:4], segMagic)
-		binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-		binary.LittleEndian.PutUint64(hdr[8:16], seg.Gen)
+		hdr := NewHeader(segMagic, FormatVersion, seg.Gen)
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			return fmt.Errorf("wal: rewrite torn segment header: %w", err)
 		}

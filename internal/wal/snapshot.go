@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -66,19 +65,8 @@ type Checkpoint struct {
 // at any point leaves either the old checkpoint or the new one, never a
 // torn mix.
 func WriteCheckpoint(dir string, cp *Checkpoint) error {
-	payload := encodeCheckpoint(cp)
-	var buf []byte
-	var hdr [headerSize]byte
-	copy(hdr[:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], cp.WALGen)
-	buf = append(buf, hdr[:]...)
-	var frame [frameOverhead]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, frame[:]...)
-	buf = append(buf, payload...)
-
+	hdr := NewHeader(snapMagic, FormatVersion, cp.WALGen)
+	buf := AppendFrame(hdr[:], encodeCheckpoint(cp))
 	tmp := filepath.Join(dir, SnapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -126,25 +114,13 @@ func ReadCheckpoint(dir string) (cp *Checkpoint, ok bool, err error) {
 	if err := checkHeader(hdr, snapMagic); err != nil {
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
-	gen := binary.LittleEndian.Uint64(hdr[8:16])
-	var frame [frameOverhead]byte
-	if _, err := io.ReadFull(f, frame[:]); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: short frame at offset %d: %v", ErrCorrupt, path, headerSize, err)
+	payload, err := ReadFrame(f, nil)
+	if err != nil {
+		// ReadFrame wraps ErrCorrupt itself only for a bad length or
+		// CRC; a checkpoint cut short is corrupt too.
+		return nil, false, fmt.Errorf("%w: %s: checkpoint frame at offset %d: %v", ErrCorrupt, path, headerSize, err)
 	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	wantCRC := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxRecordSize {
-		return nil, false, fmt.Errorf("%w: %s: impossible checkpoint length %d", ErrCorrupt, path, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, false, fmt.Errorf("%w: %s: torn checkpoint payload at offset %d: %v", ErrCorrupt, path, headerSize+frameOverhead, err)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, false, fmt.Errorf("%w: %s: CRC mismatch at offset %d: got %#08x, want %#08x",
-			ErrCorrupt, path, headerSize, got, wantCRC)
-	}
-	cp = &Checkpoint{WALGen: gen}
+	cp = &Checkpoint{WALGen: binary.LittleEndian.Uint64(hdr[8:16])}
 	if err := decodeCheckpoint(payload, cp); err != nil {
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}

@@ -197,10 +197,7 @@ func Create(dir string, gen uint64, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], gen)
+	hdr := NewHeader(segMagic, FormatVersion, gen)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: write segment header: %w", err)

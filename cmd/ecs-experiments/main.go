@@ -8,6 +8,7 @@
 //	ecs-experiments -exp all -scale 10 -trials 3
 //	ecs-experiments -exp fig5-zeta -scale 1 -trials 10   # paper-scale
 //	ecs-experiments -exp lb-equal -n 1024
+//	ecs-experiments -exp fig1 -n 1048576 -k 8            # one Figure 1 table
 //
 // -scale divides the paper's input sizes (10,000–200,000; zeta
 // 1,000–20,000); -scale 1 -trials 10 reproduces Section 5 exactly, at the
@@ -30,37 +31,46 @@ import (
 )
 
 func main() {
-	var c config
-	exp := flag.String("exp", "all", "experiment: all | algo | fig5-uniform | fig5-geometric | fig5-poisson | fig5-zeta | fig1 | rounds-cr | rounds-er | rounds-const | lb-equal | lb-smallest | dominance | zeta-exponent | procs | profile")
-	flag.IntVar(&c.scale, "scale", 10, "divide the paper's input sizes by this factor")
-	flag.IntVar(&c.trials, "trials", 3, "trials per input size (paper: 10)")
-	flag.IntVar(&c.n, "n", 1024, "input size for lower-bound and dominance experiments")
-	flag.Int64Var(&c.seed, "seed", 2016, "random seed")
-	flag.StringVar(&c.csvDir, "csv", "", "also write raw observations as CSV files into this directory")
-	flag.StringVar(&c.algo, "algo", "auto", "algorithm registry name for the algo experiment (ecsort -algos lists them)")
-	flag.IntVar(&c.k, "k", 8, "class count for the algo experiment's inputs and its k hint")
-	flag.Float64Var(&c.lambda, "lambda", 0, "lambda hint for the algo experiment (const regimens, auto)")
-	flag.Parse()
+	c, names := parseFlags(os.Args[1:])
 	c.out = os.Stdout
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{
-			"fig1",
-			"zeta-exponent",
-			"fig5-uniform", "fig5-geometric", "fig5-poisson", "fig5-zeta",
-			"rounds-cr", "rounds-er", "rounds-const",
-			"procs", "profile",
-			"lb-equal", "lb-smallest",
-			"dominance",
-		}
-	}
 	for _, name := range names {
 		fmt.Printf("\n######## experiment: %s ########\n", name)
 		if err := c.run(name); err != nil {
 			fmt.Fprintln(os.Stderr, "ecs-experiments:", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// parseFlags reads the command line into a config and the experiments
+// to run, exiting with a usage message on a malformed flag.
+func parseFlags(args []string) (config, []string) {
+	var c config
+	fs := flag.NewFlagSet("ecs-experiments", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment: all | algo | fig5-uniform | fig5-geometric | fig5-poisson | fig5-zeta | fig1 | rounds-cr | rounds-er | rounds-const | lb-equal | lb-smallest | dominance | zeta-exponent | procs | profile")
+	fs.IntVar(&c.scale, "scale", 10, "divide the paper's input sizes by this factor")
+	fs.IntVar(&c.trials, "trials", 3, "trials per input size (paper: 10)")
+	fs.IntVar(&c.n, "n", 1024, "input size for lower-bound and dominance experiments; with -exp fig1, render Figure 1 for this n alone")
+	fs.Int64Var(&c.seed, "seed", 2016, "random seed")
+	fs.StringVar(&c.csvDir, "csv", "", "also write raw observations as CSV files into this directory")
+	fs.StringVar(&c.algo, "algo", "auto", "algorithm registry name for the algo experiment (ecsort -algos lists them)")
+	fs.IntVar(&c.k, "k", 8, "class count for the algo experiment's inputs and its k hint; with -exp fig1, render Figure 1 for this k alone")
+	fs.Float64Var(&c.lambda, "lambda", 0, "lambda hint for the algo experiment (const regimens, auto)")
+	fs.Parse(args)
+	if *exp != "all" {
+		fs.Visit(func(f *flag.Flag) {
+			c.fig1One = c.fig1One || f.Name == "n" || f.Name == "k"
+		})
+		return c, []string{*exp}
+	}
+	return c, []string{
+		"fig1",
+		"zeta-exponent",
+		"fig5-uniform", "fig5-geometric", "fig5-poisson", "fig5-zeta",
+		"rounds-cr", "rounds-er", "rounds-const",
+		"procs", "profile",
+		"lb-equal", "lb-smallest",
+		"dominance",
 	}
 }
 
@@ -73,7 +83,10 @@ type config struct {
 	algo             string
 	k                int
 	lambda           float64
-	out              io.Writer
+	// fig1One makes fig1 render the one table for (n, k) instead of its
+	// three fixed pairs; set when -exp fig1 runs with -n or -k given.
+	fig1One bool
+	out     io.Writer
 }
 
 // writeCSV writes raw observations to name.csv in the -csv directory; it
@@ -159,7 +172,14 @@ func (c config) run(name string) error {
 		}
 		return harness.RenderZetaExponents(c.out, sweep)
 	case "fig1":
-		for _, tc := range []struct{ n, k int }{{1 << 14, 2}, {1 << 17, 4}, {1 << 20, 8}} {
+		pairs := []struct{ n, k int }{{1 << 14, 2}, {1 << 17, 4}, {1 << 20, 8}}
+		if c.fig1One {
+			if c.n < 1 || c.k < 1 {
+				return fmt.Errorf("fig1: n and k must be positive")
+			}
+			pairs = []struct{ n, k int }{{c.n, c.k}}
+		}
+		for _, tc := range pairs {
 			if err := harness.RenderFigure1(c.out, tc.n, tc.k, harness.Figure1Schedule(tc.n, tc.k)); err != nil {
 				return err
 			}

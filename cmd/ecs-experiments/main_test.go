@@ -2,13 +2,58 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"ecsort/internal/harness"
 )
+
+// TestFig1RendersOneTableForGivenNK: -exp fig1 with -n or -k renders
+// exactly the one Figure 1 table for that (n, k); without them, and
+// under -exp all, it keeps its three fixed tables.
+func TestFig1RendersOneTableForGivenNK(t *testing.T) {
+	render := func(args ...string) string {
+		t.Helper()
+		c, names := parseFlags(args)
+		var out bytes.Buffer
+		c.out = &out
+		if names[0] != "fig1" {
+			t.Fatalf("%v runs %v first, want fig1", args, names)
+		}
+		if err := c.run("fig1"); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out.String()
+	}
+	table := func(n, k int) string {
+		var b bytes.Buffer
+		if err := harness.RenderFigure1(&b, n, k, harness.Figure1Schedule(n, k)); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if got, want := render("-exp", "fig1", "-n", "4096", "-k", "4"), table(4096, 4); got != want {
+		t.Errorf("-exp fig1 -n 4096 -k 4 printed\n%s\nwant\n%s", got, want)
+	}
+	three := table(1<<14, 2) + table(1<<17, 4) + table(1<<20, 8)
+	for _, args := range [][]string{{"-exp", "fig1"}, {"-exp", "all", "-n", "4096", "-k", "4"}} {
+		if got := render(args...); got != three {
+			t.Errorf("%v printed\n%s\nwant the three fixed tables", args, got)
+		}
+	}
+	for _, args := range [][]string{{"-exp", "fig1", "-n", "0"}, {"-exp", "fig1", "-k", "-1"}} {
+		c, _ := parseFlags(args)
+		c.out = io.Discard
+		if err := c.run("fig1"); err == nil {
+			t.Errorf("%v was accepted", args)
+		}
+	}
+}
 
 // TestEverySweepWithAWriterLeavesCSV runs, at a tiny scale, each sweep
 // that has a CSV writer and checks that -csv leaves exactly the expected

@@ -249,7 +249,7 @@ func snapshotElements(snap *Snapshot) []int {
 // record, so replay applies the same withdrawals and re-fold through the
 // same apply.
 func (s *Service) repairCorrect(sh *shard, c *collection, a, b int) error {
-	return s.doOn(sh, c, "repair", func() error {
+	return s.do(sh, c, "repair", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: c.key, RetryAfter: ra}
 		}

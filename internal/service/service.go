@@ -850,17 +850,13 @@ func (s *Service) maybeRotate(sh *shard) {
 // width, jobs, chunks, inline rounds) — surfaced in /metrics.
 func (s *Service) RuntimeStats() rt.Stats { return s.pool.Stats() }
 
-// do runs fn on the shard's writer goroutine and waits for it.
-//
-//ecsort:shard-dispatch
-func (s *Service) do(sh *shard, fn func() error) error { return s.doOn(sh, nil, "", fn) }
-
-// doOn runs fn like do, but only while c (looked up by the caller) is
+// do runs fn on the shard's writer goroutine and waits for it. With c
+// set (the collection the caller looked up), fn runs only while c is
 // still the collection registered under its key; verb names the
 // operation in the error otherwise.
 //
 //ecsort:shard-dispatch
-func (s *Service) doOn(sh *shard, c *collection, verb string, fn func() error) error {
+func (s *Service) do(sh *shard, c *collection, verb string, fn func() error) error {
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
@@ -883,7 +879,7 @@ func (s *Service) Checkpoint() error {
 	var first error
 	for _, sh := range s.shards {
 		sh := sh
-		if err := s.do(sh, func() error { return s.checkpointShard(sh) }); err != nil && first == nil {
+		if err := s.do(sh, nil, "", func() error { return s.checkpointShard(sh) }); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -958,7 +954,7 @@ func (s *Service) CreateCollection(key string, spec OracleSpec) error {
 		}
 	}
 	sh := s.shardOf(key)
-	return s.do(sh, func() error {
+	return s.do(sh, nil, "", func() error {
 		if _, ok := sh.cols[key]; ok {
 			return fmt.Errorf("%w: %q", ErrExists, key)
 		}
@@ -975,7 +971,7 @@ func (s *Service) CreateCollection(key string, spec OracleSpec) error {
 // dropped.
 func (s *Service) DropCollection(key string) error {
 	sh := s.shardOf(key)
-	return s.do(sh, func() error {
+	return s.do(sh, nil, "", func() error {
 		c, err := sh.lookup(key)
 		if err != nil {
 			return err
@@ -1012,7 +1008,7 @@ func (s *Service) UpdateResilience(key string, rs ResilienceSpec) error {
 			return fmt.Errorf("%w: unencodable resilience spec: %v", ErrBadSpec, err)
 		}
 	}
-	return s.doOn(sh, c, "update", func() error {
+	return s.do(sh, c, "update", func() error {
 		if c.res == nil {
 			return fmt.Errorf("%w: %q has no resilience middleware to retune (create it with a resilience or faults profile)", ErrBadSpec, key)
 		}
@@ -1035,7 +1031,7 @@ func (s *Service) Ingest(key string, items []int, forceFlush bool) (IngestResult
 		return IngestResult{}, err
 	}
 	var res IngestResult
-	err = s.doOn(sh, c, "ingest", func() error {
+	err = s.do(sh, c, "ingest", func() error {
 		ra, probe, admitted := c.admitWrite()
 		if !admitted {
 			// Read-only mode: accepting the batch would either wedge on
@@ -1085,7 +1081,7 @@ func (s *Service) Flush(key string) (*Snapshot, error) {
 		return nil, err
 	}
 	var snap *Snapshot
-	err = s.doOn(sh, c, "flush", func() error {
+	err = s.do(sh, c, "flush", func() error {
 		if ra, _, admitted := c.admitWrite(); !admitted {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
@@ -1135,7 +1131,7 @@ func (s *Service) DeleteItem(key string, element int) (ChurnResult, error) {
 		return ChurnResult{}, fmt.Errorf("%w: element %d out of range [0,%d)", ErrBadItem, element, n)
 	}
 	var res ChurnResult
-	err = s.doOn(sh, c, "delete", func() error {
+	err = s.do(sh, c, "delete", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}
@@ -1173,7 +1169,7 @@ func (s *Service) InvalidateClass(key string, classIndex int, foldNow bool) (Chu
 		return ChurnResult{}, err
 	}
 	var res ChurnResult
-	err = s.doOn(sh, c, "invalidate", func() error {
+	err = s.do(sh, c, "invalidate", func() error {
 		if ra, bad := c.degraded(); bad {
 			return &DegradedError{Key: key, RetryAfter: ra}
 		}

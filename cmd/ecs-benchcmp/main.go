@@ -11,11 +11,13 @@
 //
 // By default the tool is informational and always exits 0: one-shot CI
 // bench runs are too noisy for ns/op gating. Pass -max-alloc-regress to
-// fail when any benchmark's allocs/op (which is deterministic) exceeds
-// its baseline by more than the given factor, or its B/op does on a
-// baseline of at least 64 KiB per op. Below that floor warm-up jitter
-// dominates B/op, and entries recorded before B/op was tracked carry no
-// bytes baseline; neither is gated on bytes.
+// fail when any benchmark's allocs/op exceeds its baseline by more than
+// the given factor, or its B/op does on a baseline of at least 64 KiB
+// per op. Below that floor warm-up jitter dominates B/op, and entries
+// recorded before B/op was tracked carry no bytes baseline; neither is
+// gated on bytes. allocs/op is far steadier than ns/op but not
+// deterministic: some service benchmarks vary by up to ~5% run to run
+// at -benchtime 1x, which a factor of 1.5 absorbs.
 //
 // With -write the tool records instead of comparing: every benchmark in
 // the given output (which must come from a -benchmem run) is added to
@@ -122,7 +124,7 @@ func main() {
 			name, fmtNum(b.NsOp), fmtNum(b.AllocsOp), fmtBytes(b.BytesOp))
 	}
 	fmt.Println()
-	fmt.Println("ns/op on shared CI runners is indicative only; allocs/op is deterministic, and so is B/op above 64 KiB per op.")
+	fmt.Println("ns/op on shared CI runners is indicative only; allocs/op, and B/op above 64 KiB per op, vary by a few percent at most, which the gate factor absorbs.")
 
 	if *maxAllocRegress > 0 {
 		fails := regressions(base, current, order, *maxAllocRegress)

@@ -57,21 +57,23 @@ func parseFlags(args []string) (config, []string) {
 	fs.IntVar(&c.k, "k", 8, "class count for the algo experiment's inputs and its k hint; with -exp fig1, render Figure 1 for this k alone")
 	fs.Float64Var(&c.lambda, "lambda", 0, "lambda hint for the algo experiment (const regimens, auto)")
 	fs.Parse(args)
-	if *exp != "all" {
-		fs.Visit(func(f *flag.Flag) {
-			c.fig1One = c.fig1One || f.Name == "n" || f.Name == "k"
-		})
-		return c, []string{*exp}
+	if *exp == "all" {
+		return c, []string{
+			"fig1",
+			"zeta-exponent",
+			"fig5-uniform", "fig5-geometric", "fig5-poisson", "fig5-zeta",
+			"rounds-cr", "rounds-er", "rounds-const",
+			"procs", "profile",
+			"lb-equal", "lb-smallest",
+			"dominance",
+		}
 	}
-	return c, []string{
-		"fig1",
-		"zeta-exponent",
-		"fig5-uniform", "fig5-geometric", "fig5-poisson", "fig5-zeta",
-		"rounds-cr", "rounds-er", "rounds-const",
-		"procs", "profile",
-		"lb-equal", "lb-smallest",
-		"dominance",
-	}
+	fs.Visit(func(f *flag.Flag) {
+		if *exp == "fig1" && (f.Name == "n" || f.Name == "k") {
+			c.fig1One = true
+		}
+	})
+	return c, []string{*exp}
 }
 
 // config holds the flag values the experiments read and the writer their

@@ -8,7 +8,8 @@ import (
 	"os"
 )
 
-// Record is one decoded WAL record handed to the replay callback.
+// Record is one WAL record: what Log.Append encodes, and what Replay
+// decodes and hands its callback.
 type Record struct {
 	// Type is one of RecCreate, RecDrop, RecBatch, RecFlush, RecDelete,
 	// RecInvalidate, RecResilience.

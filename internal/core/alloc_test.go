@@ -26,21 +26,20 @@ func TestMergeGroupCRAllocs(t *testing.T) {
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
 	ar := newCRArena(512)
-	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	na, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(answers) > 24 {
-		next, err := mergePairsCR(s, ar, answers)
-		if err != nil {
+	for na > 24 {
+		if na, err = mergePairsCR(s, ar); err != nil {
 			t.Fatal(err)
 		}
-		answers = next
 	}
 	// Copy out of the arena: the benchmark group must survive arena reuse.
-	group := make([]Answer, len(answers))
-	for i, a := range answers {
-		group[i] = NewAnswer(a.Classes())
+	lvl := ar.current()
+	group := make([]Answer, na)
+	for i := range group {
+		group[i] = NewAnswer(lvl.answer(i).Classes())
 	}
 	if _, err := MergeGroupCR(s, group); err != nil { // warm the scratch pool
 		t.Fatal(err)
@@ -106,6 +105,44 @@ func TestPairPlanPointerFree(t *testing.T) {
 	}
 }
 
+// TestLevelsPointerFree pins the flat merge-tree level layout: every
+// field of levels is a pool (or array of pools) whose element type holds
+// no pointer, so a level stores no per-answer header and its pools give
+// the GC nothing to scan.
+func TestLevelsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(levels{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		elem := f.Type
+		for elem.Kind() == reflect.Array || elem.Kind() == reflect.Slice {
+			elem = elem.Elem()
+		}
+		if holdsPointers(elem) {
+			t.Errorf("levels.%s has element type %s, which holds pointers", f.Name, elem)
+		}
+	}
+}
+
+// holdsPointers reports whether a value of type typ contains a pointer
+// the GC must scan.
+func holdsPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return holdsPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
+}
+
 // partitionMismatch describes how a differs from the partition labels
 // induces on 0..len(labels)-1, or returns "" when they agree. It
 // allocates nothing, so it can run inside AllocsPerRun; labels must be
@@ -138,15 +175,17 @@ func partitionMismatch(a Answer, labels []int, elemSeen, labelSeen []bool) strin
 // TestSortBytesPerCall bounds the heap bytes one public SortER or
 // SortCRUnknownK call allocates on n = 2^14 zeta(2) labels. Each call
 // builds its own arena, sized once from n; before the arenas were
-// presized, slice growth cost ~810 B per element (ER) and ~400 (CR), and
+// presized, slice growth cost ~810 B per element (ER) and ~400 (CR);
 // before the first merge level skipped the stored singleton level, the
-// arenas cost ~165 (ER) and ~155 (CR).
+// arenas cost ~165 (ER) and ~155 (CR); and while each level stored a
+// 48-byte answer header and a leading offset per answer, ~117 (ER) and
+// ~109 (CR).
 func TestSortBytesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
 	const n = 1 << 14
-	const maxBytesPerElem = 140 // measured: ~117 (ER), ~109 (CRUnknownK)
+	const maxBytesPerElem = 96 // measured: ~80 (ER), ~64 (CRUnknownK)
 	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
 	for _, tc := range []struct {
 		name string

@@ -22,12 +22,16 @@ import "ecsort/internal/model"
 // Answer is immutable once built; answers produced by the merge engine
 // may share backing arrays with an arena, so treat values as read-only
 // views.
+//
+// Offsets are absolute in the backing slice. Every answer the package
+// returns starts at offset 0, but a view of one answer on a merge-tree
+// level (see level) reads the level's shared pools: its offsets start
+// where the previous answer's classes end.
 type Answer struct {
-	// elems holds the covered elements grouped by class: class i occupies
-	// elems[offs[i]:offs[i+1]], and its first member is the class
-	// representative.
+	// elems is the backing slice: class i occupies elems[offs[i]:offs[i+1]],
+	// and its first member is the class representative.
 	elems []int
-	// offs has K+1 entries with offs[0] == 0; nil for the empty answer.
+	// offs has K+1 entries; nil for the empty answer.
 	offs []int
 }
 
@@ -91,7 +95,24 @@ func (a Answer) K() int {
 // Size returns the number of elements covered by the answer.
 //
 //ecsort:hotpath
-func (a Answer) Size() int { return len(a.elems) }
+func (a Answer) Size() int { return len(a.span()) }
+
+// span returns the covered elements, class by class, as a view into the
+// backing slice.
+//
+//ecsort:hotpath
+func (a Answer) span() []int {
+	if len(a.offs) == 0 {
+		return nil
+	}
+	return a.elems[a.offs[0]:a.offs[len(a.offs)-1]]
+}
+
+// starts returns the positions of the class representatives in the
+// backing slice.
+//
+//ecsort:hotpath
+func (a Answer) starts() []int { return a.offs[:a.K()] }
 
 // Class returns the members of class i as a read-only view into the
 // answer's backing array. Class i's first member is its representative.
@@ -117,8 +138,8 @@ func (a Answer) Reps() []int {
 // Elements returns all elements covered by the answer, class by class, as
 // a fresh slice.
 func (a Answer) Elements() []int {
-	out := make([]int, len(a.elems))
-	copy(out, a.elems)
+	out := make([]int, a.Size())
+	copy(out, a.span())
 	return out
 }
 
@@ -131,27 +152,32 @@ func (a Answer) Classes() [][]int {
 	if k == 0 {
 		return nil
 	}
-	backing := make([]int, len(a.elems))
-	copy(backing, a.elems)
+	backing := make([]int, a.Size())
+	copy(backing, a.span())
+	base := a.offs[0]
 	out := make([][]int, k)
 	for i := 0; i < k; i++ {
-		out[i] = backing[a.offs[i]:a.offs[i+1]:a.offs[i+1]]
+		out[i] = backing[a.offs[i]-base : a.offs[i+1]-base : a.offs[i+1]-base]
 	}
 	return out
 }
 
 // Flat returns the answer's backing element slice and offset table as
 // read-only views: class i occupies elems[offs[i]:offs[i+1]]. offs is nil
-// for the empty answer. Snapshot publishers use this to copy a whole
-// partition with two memmoves.
+// for the empty answer. Every answer the package hands out — NewAnswer,
+// Singleton, Singletons, the Merge* entry points, Incremental.Flat —
+// starts at offset 0: offs[0] == 0 and elems holds exactly the answer's
+// elements. Snapshot publishers rely on that to copy a whole partition
+// with two memmoves.
 func (a Answer) Flat() (elems, offs []int) { return a.elems, a.offs }
 
 // MergePairER merges two answers in the ER model using the Latin-square
 // rotation schedule: at most max(K(a), K(b)) rounds of disjoint
 // representative tests (the engine of Theorem 2, where this is at most k
-// rounds per merge). For round-sharing across independent merges at the
-// same level of a merge tree — with all plan state held in an arena
-// sized once per sort — see SortER.
+// rounds per merge). It copies a and b into a two-answer level and merges
+// it as SortER merges each of its levels; for round-sharing across
+// independent merges at the same level of a merge tree — with all plan
+// state held in an arena sized once per sort — see SortER.
 func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
 	// The rep→class table is sized by the largest representative, not
 	// the universe, so a small merge in a huge universe stays cheap.
@@ -162,26 +188,28 @@ func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
 	for j := 0; j < b.K(); j++ {
 		maxRep = max(maxRep, b.Rep(j))
 	}
+	kMin, kMax := min(a.K(), b.K()), max(a.K(), b.K())
 	ar := &erArena{
+		plans:    make([]pairPlan, 0, 1),
+		active:   make([]int32, 0, 1),
+		spans:    make([]erSpan, 0, 1),
+		batch:    make([]model.Pair, 0, kMin),
+		results:  make([]bool, kMin),
 		classOf:  make([]int32, maxRep+1),
-		match:    make([]int32, 2*min(a.K(), b.K())),
-		matchedB: make([]bool, max(a.K(), b.K())),
+		match:    make([]int32, 2*kMin),
+		matchedB: make([]bool, kMax),
 	}
-	level := []Answer{a, b}
-	plan := ar.newPlan(level, 0, 1, 0, 0)
-	var batch []model.Pair
-	for {
-		batch = plan.emitNext(ar, level, batch[:0])
-		if len(batch) == 0 {
-			out, _, _ := plan.appendMatched(ar, level, nil, nil)
-			return out, nil
-		}
-		res, err := s.Round(batch)
-		if err != nil {
-			return Answer{}, err
-		}
-		plan.absorb(ar, batch, res)
+	in := ar.spare()
+	for _, side := range [2]Answer{a, b} {
+		in.elems, in.offs = appendAnswer(side, in.elems, in.offs)
+		in.seal()
 	}
+	ar.flip(in)
+	if _, err := mergeLevelER(s, ar); err != nil {
+		return Answer{}, err
+	}
+	out := ar.current()
+	return out.answer(0), nil
 }
 
 // pairPlan is the incremental state of one ER pair-merge. Rotation round r
@@ -192,11 +220,12 @@ func MergePairER(s *model.Session, a, b Answer) (Answer, error) {
 // answer are mutually distinct, so a matched class needs no further tests.
 //
 // A plan is a pointer-free record of int32 indices: its answers are
-// positions in the level being merged, and its match state lives in the
-// arena's level-wide backing — match[mo:mo+K(a)] is matchOf (the b-class
-// matched to each a-class, or -1), the next K(a) entries hold the list of
-// still-unmatched a-classes in ascending order (its first left entries are
-// live), and matchedB[mb:mb+K(b)] flags the matched b-classes. The arena's
+// positions on the flat level being merged, whose bounds give their class
+// ranges, and its match state lives in the arena's level-wide backing —
+// match[mo:mo+K(a)] is matchOf (the b-class matched to each a-class, or
+// -1), the next K(a) entries hold the list of still-unmatched a-classes
+// in ascending order (its first left entries are live), and
+// matchedB[mb:mb+K(b)] flags the matched b-classes. The arena's
 // element-indexed classOf maps each representative to its class index.
 type pairPlan struct {
 	a, b int32 // level indices of the merged answers; K(a) <= K(b)
@@ -206,27 +235,27 @@ type pairPlan struct {
 	left int32 // length of the unmatched list
 }
 
-// newPlan sets up the merge of level[x] and level[y], smaller side first,
-// with its match state at ar.match[mo:] (2·K(a) entries) and
+// newPlan sets up the merge of answers x and y of lvl, smaller side
+// first, with its match state at ar.match[mo:] (2·K(a) entries) and
 // ar.matchedB[mb:] (K(b) entries).
 //
 //ecsort:hotpath
-func (ar *erArena) newPlan(level []Answer, x, y, mo, mb int) pairPlan {
-	if level[x].K() > level[y].K() {
+func (ar *erArena) newPlan(lvl *level, x, y, mo, mb int) pairPlan {
+	if lvl.k(x) > lvl.k(y) {
 		x, y = y, x
 	}
-	a, b := level[x], level[y]
-	ka := a.K()
+	as, bs := lvl.starts(x), lvl.starts(y)
+	ka := len(as)
 	matchOf, unmatched := ar.match[mo:mo+ka], ar.match[mo+ka:mo+2*ka]
-	for i := range matchOf {
+	for i, o := range as {
 		matchOf[i] = -1
 		unmatched[i] = int32(i)
-		ar.classOf[a.Rep(i)] = int32(i)
+		ar.classOf[lvl.elems[o]] = int32(i)
 	}
-	matchedB := ar.matchedB[mb : mb+b.K()]
-	for j := range matchedB {
+	matchedB := ar.matchedB[mb : mb+len(bs)]
+	for j, o := range bs {
 		matchedB[j] = false
-		ar.classOf[b.Rep(j)] = int32(j)
+		ar.classOf[lvl.elems[o]] = int32(j)
 	}
 	return pairPlan{a: int32(x), b: int32(y), mo: int32(mo), mb: int32(mb), left: int32(ka)}
 }
@@ -238,12 +267,14 @@ func (ar *erArena) newPlan(level []Answer, x, y, mo, mb int) pairPlan {
 //
 // A round walks only the unmatched list, dropping the a-classes the last
 // round matched as it goes, so once every a-class has its partner the
-// schedule ends without visiting the remaining rounds.
+// schedule ends without visiting the remaining rounds. Representatives
+// are read straight off lvl through its bounds: no answer view is built
+// per round.
 //
 //ecsort:hotpath
-func (p *pairPlan) emitNext(ar *erArena, level []Answer, dst []model.Pair) []model.Pair {
-	a, b := level[p.a], level[p.b]
-	ka, kb := int32(a.K()), int32(b.K())
+func (p *pairPlan) emitNext(ar *erArena, lvl *level, dst []model.Pair) []model.Pair {
+	as, bs := lvl.starts(int(p.a)), lvl.starts(int(p.b))
+	ka, kb := int32(len(as)), int32(len(bs))
 	matchOf := ar.match[p.mo : p.mo+ka]
 	list := ar.match[p.mo+ka : p.mo+ka+p.left]
 	matchedB := ar.matchedB[p.mb : p.mb+kb]
@@ -261,7 +292,7 @@ func (p *pairPlan) emitNext(ar *erArena, level []Answer, dst []model.Pair) []mod
 				j -= kb
 			}
 			if !matchedB[j] {
-				dst = append(dst, model.Pair{A: a.Rep(int(i)), B: b.Rep(int(j))})
+				dst = append(dst, model.Pair{A: lvl.elems[as[i]], B: lvl.elems[bs[j]]})
 			}
 		}
 		list = list[:w]
@@ -288,19 +319,16 @@ func (p *pairPlan) absorb(ar *erArena, pairs []model.Pair, res []bool) {
 }
 
 // appendMatched writes the finished merge as one flat answer appended to
-// the elems/offs destination slices (typically the arena's level pools)
-// and returns the answer viewing the appended region plus the extended
-// slices. Output classes are a's classes in order, each extended by its
-// matched b class if any, then b's unmatched classes — exactly the
-// ordering the map-based ER engine produced, so results are bit-for-bit
-// identical.
+// the elems/offs destination pools, whose offsets must end at len(elems)
+// as for buildMerged, and returns the extended pools. Output classes are
+// a's classes in order, each extended by its matched b class if any, then
+// b's unmatched classes — exactly the ordering the map-based ER engine
+// produced, so results are bit-for-bit identical.
 //
 //ecsort:hotpath
-func (p *pairPlan) appendMatched(ar *erArena, level []Answer, elems, offs []int) (Answer, []int, []int) {
-	a, b := level[p.a], level[p.b]
+func (p *pairPlan) appendMatched(ar *erArena, lvl *level, elems, offs []int) ([]int, []int) {
+	a, b := lvl.answer(int(p.a)), lvl.answer(int(p.b))
 	matchOf, matchedB := ar.match[p.mo:], ar.matchedB[p.mb:]
-	base, offBase := len(elems), len(offs)
-	offs = append(offs, base)
 	for i := 0; i < a.K(); i++ {
 		elems = append(elems, a.Class(i)...)
 		if j := matchOf[i]; j >= 0 {
@@ -314,15 +342,5 @@ func (p *pairPlan) appendMatched(ar *erArena, level []Answer, elems, offs []int)
 			offs = append(offs, len(elems))
 		}
 	}
-	out := Answer{
-		elems: elems[base:len(elems):len(elems)],
-		offs:  offs[offBase:len(offs):len(offs)],
-	}
-	// Rebase the answer's offsets to its own elems view.
-	if base != 0 {
-		for i := range out.offs {
-			out.offs[i] -= base
-		}
-	}
-	return out, elems, offs
+	return elems, offs
 }

@@ -81,20 +81,19 @@ func BenchmarkMergeGroup(b *testing.B) {
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
 	ar := newCRArena(512)
-	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	na, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for len(answers) > 24 {
-		next, err := mergePairsCR(s, ar, answers)
-		if err != nil {
+	for na > 24 {
+		if na, err = mergePairsCR(s, ar); err != nil {
 			b.Fatal(err)
 		}
-		answers = next
 	}
-	group := make([]Answer, len(answers))
-	for i, a := range answers {
-		group[i] = NewAnswer(a.Classes())
+	lvl := ar.current()
+	group := make([]Answer, na)
+	for i := range group {
+		group[i] = NewAnswer(lvl.answer(i).Classes())
 	}
 	var sc mergeScratch
 	if _, err := mergeGroupScratch(s, &sc, group); err != nil {

@@ -30,9 +30,9 @@ import (
 // is correct for any k ≥ 1 (k only steers the phase switch and hence the
 // round count). The session must be in CR mode.
 //
-// One merge arena serves the whole sort: level outputs double-buffer
-// between two flat pools sized by n, so after the first level no
-// per-merge or per-pair allocation happens.
+// One merge arena serves the whole sort: levels double-buffer between two
+// sets of flat pools sized by n, so after the first level no per-merge or
+// per-pair allocation happens.
 func SortCR(s *model.Session, k int) (Result, error) {
 	if s.Mode() != model.CR {
 		return Result{}, fmt.Errorf("core: SortCR requires a CR session, got %v", s.Mode())
@@ -46,35 +46,32 @@ func SortCR(s *model.Session, k int) (Result, error) {
 	}
 	p := n // the model grants one processor per element
 	ar := newCRArena(n)
-	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	na, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
 	if err != nil {
 		return Result{}, err
 	}
 
 	// Phase 1: pairwise merges until each answer owns >= 4k² processors.
-	for len(answers) > 1 && p/len(answers) < 4*k*k {
-		next, err := mergePairsCR(s, ar, answers)
-		if err != nil {
+	for na > 1 && p/na < 4*k*k {
+		if na, err = mergePairsCR(s, ar); err != nil {
 			return Result{}, err
 		}
-		answers = next
 	}
 
 	// Phase 2: compounding group merges, one physical round per iteration.
-	for len(answers) > 1 {
-		c := p / (len(answers) * k * k)
+	for na > 1 {
+		c := p / (na * k * k)
 		if c < 2 {
 			c = 2
 		}
 		g := 2*c + 1
-		if g > len(answers) {
-			g = len(answers)
+		if g > na {
+			g = na
 		}
-		next, err := mergeGroupsCR(s, ar, answers, g)
-		if err != nil {
+		if na, err = mergeGroupsCR(s, ar, g); err != nil {
 			return Result{}, err
 		}
-		answers = next
 	}
-	return Result{Classes: answers[0].Classes(), Stats: s.Stats()}, nil
+	last := ar.current()
+	return Result{Classes: last.answer(0).Classes(), Stats: s.Stats()}, nil
 }

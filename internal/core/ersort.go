@@ -17,12 +17,14 @@ import (
 //
 // SortER needs no knowledge of k. The session must be in ER mode.
 //
-// One arena serves the whole sort, sized once from n: level outputs
-// double-buffer between two flat pools, rotation tests stream into one
-// batch, and every plan is a pointer-free record indexing the level and
-// the arena's match backing, so the sort never grows a slice. The first
-// level, whose merges take one test each, runs as one round written
-// straight into the arena, so the n singleton leaves are never stored.
+// One arena serves the whole sort, sized once from n: each level is one
+// flat class list — elements, shared class boundaries and per-answer
+// bounds, with no per-answer header — double-buffered between two sets
+// of pools; rotation tests stream into one batch; and every plan is a
+// pointer-free record indexing the level and the arena's match backing,
+// so the sort never grows a slice. The first level, whose merges take one
+// test each, runs as one round written straight into the arena, so the n
+// singleton leaves are never stored.
 func SortER(s *model.Session) (Result, error) {
 	if s.Mode() != model.ER {
 		return Result{}, fmt.Errorf("core: SortER requires an ER session, got %v", s.Mode())
@@ -45,18 +47,15 @@ func SortER(s *model.Session) (Result, error) {
 //
 //ecsort:hotpath
 func sortERArena(s *model.Session, ar *erArena) (Answer, error) {
-	answers, err := ar.firstLevel(s, ar.batch, ar.results)
+	na, err := ar.firstLevel(s, ar.batch, ar.results)
+	for err == nil && na > 1 {
+		na, err = mergeLevelER(s, ar)
+	}
 	if err != nil {
 		return Answer{}, err
 	}
-	for len(answers) > 1 {
-		next, err := mergeLevelER(s, ar, answers)
-		if err != nil {
-			return Answer{}, err
-		}
-		answers = next
-	}
-	return answers[0], nil
+	last := ar.current()
+	return last.answer(0), nil
 }
 
 // erArena is the per-sort state of the ER merge tree: the level buffers
@@ -102,27 +101,26 @@ func newERArena(n int) *erArena {
 	}
 }
 
-// mergeLevelER merges answers pairwise — (0,1), (2,3), ... — sharing
-// rounds across the level: the i-th rotation round of every active merge
-// is combined into one parallel round of disjoint tests. Plan i writes
-// output answer i. Outputs go to the arena's spare buffers, which then
-// become current; the input level's buffers are recycled two levels on,
-// so callers must not retain answers across calls.
+// mergeLevelER merges the current level's answers pairwise — (0,1),
+// (2,3), ... — sharing rounds across the level: the i-th rotation round of
+// every active merge is combined into one parallel round of disjoint
+// tests. After the level's last round it writes plan i's merged answer as
+// output answer i, in plan order, so neighbouring answers share their
+// boundary in the spare buffers, which then become current; the input
+// level's buffers are recycled two levels on. It returns the new level's
+// answer count.
 //
 //ecsort:hotpath
-func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, error) {
-	elems, offs, next := ar.spare()
-	next = next[:(len(answers)+1)/2]
+func mergeLevelER(s *model.Session, ar *erArena) (int, error) {
+	lvl := ar.current()
+	na := lvl.answers()
 	plans := ar.plans[:0]
 	mo, mb := 0, 0
-	for start := 0; start+1 < len(answers); start += 2 {
-		p := ar.newPlan(answers, start, start+1, mo, mb)
-		mo += 2 * answers[p.a].K()
-		mb += answers[p.b].K()
+	for x := 0; x+1 < na; x += 2 {
+		p := ar.newPlan(&lvl, x, x+1, mo, mb)
+		mo += 2 * lvl.k(int(p.a))
+		mb += lvl.k(int(p.b))
 		plans = append(plans, p)
-	}
-	if len(answers)%2 == 1 {
-		next[len(next)-1], elems, offs = appendAnswer(answers[len(answers)-1], elems, offs)
 	}
 
 	active := ar.active[:0]
@@ -134,11 +132,9 @@ func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, er
 		batch, spans = batch[:0], spans[:0]
 		still := active[:0]
 		for _, pi := range active {
-			p := &plans[pi]
 			lo := len(batch)
-			batch = p.emitNext(ar, answers, batch)
-			if len(batch) == lo { // schedule exhausted: finalize the merge
-				next[pi], elems, offs = p.appendMatched(ar, answers, elems, offs)
+			batch = plans[pi].emitNext(ar, &lvl, batch)
+			if len(batch) == lo { // schedule exhausted
 				continue
 			}
 			spans = append(spans, erSpan{plan: pi, lo: int32(lo), hi: int32(len(batch))})
@@ -150,12 +146,22 @@ func mergeLevelER(s *model.Session, ar *erArena, answers []Answer) ([]Answer, er
 		}
 		res, err := s.RoundBuf(batch, ar.results)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		for _, sp := range spans {
 			plans[sp.plan].absorb(ar, batch[sp.lo:sp.hi], res[sp.lo:sp.hi])
 		}
 	}
-	ar.flip()
-	return next, nil
+
+	next := ar.spare()
+	for i := range plans {
+		next.elems, next.offs = plans[i].appendMatched(ar, &lvl, next.elems, next.offs)
+		next.seal()
+	}
+	if na%2 == 1 {
+		next.elems, next.offs = appendAnswer(lvl.answer(na-1), next.elems, next.offs)
+		next.seal()
+	}
+	ar.flip(next)
+	return next.answers(), nil
 }

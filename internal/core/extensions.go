@@ -30,59 +30,53 @@ func SortCRUnknownK(s *model.Session) (Result, error) {
 	}
 	p := n
 	ar := newCRArena(n)
-	answers, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
+	na, err := ar.firstLevel(s, ar.sc.pairs, ar.sc.results)
 	if err != nil {
 		return Result{}, err
 	}
 	kObs := 1
 
 	observe := func() {
-		for _, a := range answers {
-			if a.K() > kObs {
-				kObs = a.K()
-			}
+		lvl := ar.current()
+		for i := 0; i < na; i++ {
+			kObs = max(kObs, lvl.k(i))
 		}
 	}
 	observe()
 
 	// Phase 1 with the adaptive threshold 4·kObs².
-	for len(answers) > 1 && p/len(answers) < 4*kObs*kObs {
-		next, err := mergePairsCR(s, ar, answers)
-		if err != nil {
+	for na > 1 && p/na < 4*kObs*kObs {
+		if na, err = mergePairsCR(s, ar); err != nil {
 			return Result{}, err
 		}
-		answers = next
 		observe()
 	}
 	// Phase 2, re-deriving c from the current observation each iteration.
-	for len(answers) > 1 {
-		c := p / (len(answers) * kObs * kObs)
+	for na > 1 {
+		c := p / (na * kObs * kObs)
 		if c < 2 {
 			c = 2
 		}
 		g := 2*c + 1
-		if g > len(answers) {
-			g = len(answers)
+		if g > na {
+			g = na
 		}
-		next, err := mergeGroupsCR(s, ar, answers, g)
-		if err != nil {
+		if na, err = mergeGroupsCR(s, ar, g); err != nil {
 			return Result{}, err
 		}
-		answers = next
 		observe()
 		// The observation may have jumped past the phase-2 invariant
 		// (c ≥ 2); if so, fall back to pairwise merging until processors
 		// per answer catch up again.
-		for len(answers) > 1 && p/len(answers) < 4*kObs*kObs {
-			next, err := mergePairsCR(s, ar, answers)
-			if err != nil {
+		for na > 1 && p/na < 4*kObs*kObs {
+			if na, err = mergePairsCR(s, ar); err != nil {
 				return Result{}, err
 			}
-			answers = next
 			observe()
 		}
 	}
-	return Result{Classes: answers[0].Classes(), Stats: s.Stats()}, nil
+	last := ar.current()
+	return Result{Classes: last.answer(0).Classes(), Stats: s.Stats()}, nil
 }
 
 // AdaptiveConstRoundConfig configures SortConstRoundERAdaptive.

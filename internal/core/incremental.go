@@ -143,12 +143,11 @@ func (ar *FoldArena) fold(inc *Incremental, group []Answer) error {
 	if err := inc.session.Err(); err != nil {
 		return err
 	}
-	merged, elems, offs := sc.buildMerged(group, ar.elems[:0], ar.offs[:0])
-	ar.elems, ar.offs = elems, offs
-	inc.elems = growInts(inc.elems[:0], len(merged.elems))
-	inc.offs = growInts(inc.offs[:0], len(merged.offs))
-	copy(inc.elems, merged.elems)
-	copy(inc.offs, merged.offs)
+	ar.elems, ar.offs = sc.buildMerged(group, ar.elems[:0], append(ar.offs[:0], 0))
+	inc.elems = growInts(inc.elems[:0], len(ar.elems))
+	inc.offs = growInts(inc.offs[:0], len(ar.offs))
+	copy(inc.elems, ar.elems)
+	copy(inc.offs, ar.offs)
 	inc.answer = Answer{elems: inc.elems, offs: inc.offs}
 	inc.pending = inc.pending[:0]
 	inc.flushes++

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"ecsort/internal/model"
@@ -30,18 +31,15 @@ type mergeScratch struct {
 	slotBase []int
 	classID  []int // root slot -> output class id, assigned by first appearance
 	cursor   []int // output class id -> write cursor, then offsets scratch
-	spans    []mergeSpan
 }
 
-// errSmallGroup rejects degenerate merge group sizes; predeclared so the
+// errSmallGroup and errRoundTooWide reject degenerate merge group sizes
+// and logical rounds too wide for a level's int32 cuts; predeclared so the
 // per-level hot path never touches fmt.
-var errSmallGroup = errors.New("core: merge group size < 2")
-
-// mergeSpan marks one group's slice of a batched logical round.
-type mergeSpan struct {
-	start, end int // answers[start:end] form the group
-	lo, hi     int // its tests occupy pairs[lo:hi]
-}
+var (
+	errSmallGroup   = errors.New("core: merge group size < 2")
+	errRoundTooWide = errors.New("core: logical round exceeds 2^31-1 tests")
+)
 
 // appendCross appends every cross-answer representative test of the group
 // to dst in canonical order — for each u < v, each class i of group[u]
@@ -51,18 +49,25 @@ type mergeSpan struct {
 //
 //ecsort:hotpath
 func appendCross(dst []model.Pair, group []Answer) []model.Pair {
-	for u := 0; u < len(group); u++ {
-		gu := group[u]
-		ku := gu.K()
-		for v := u + 1; v < len(group); v++ {
-			gv := group[v]
-			kv := gv.K()
-			for i := 0; i < ku; i++ {
-				x := gu.Rep(i)
-				for j := 0; j < kv; j++ {
-					dst = append(dst, model.Pair{A: x, B: gv.Rep(j)})
-				}
-			}
+	for u, gu := range group {
+		for _, gv := range group[u+1:] {
+			dst = appendReps(dst, gu.elems, gu.starts(), gv.elems, gv.starts())
+		}
+	}
+	return dst
+}
+
+// appendReps appends a test of every representative of one answer against
+// every representative of another, in class order, and returns the
+// extended slice. Each answer is given as its element pool and the
+// positions of its class representatives in that pool.
+//
+//ecsort:hotpath
+func appendReps(dst []model.Pair, ae, as, be, bs []int) []model.Pair {
+	for _, i := range as {
+		x := ae[i]
+		for _, j := range bs {
+			dst = append(dst, model.Pair{A: x, B: be[j]})
 		}
 	}
 	return dst
@@ -99,15 +104,17 @@ func (sc *mergeScratch) unite(group []Answer, res []bool) {
 }
 
 // buildMerged writes the united group as one flat answer appended to the
-// elems/offs destination slices (typically arena pools or exact-size
-// fresh slices) and returns the answer viewing the appended region plus
-// the extended slices. Output classes are ordered by the first slot of
-// each united component and members concatenate in slot order — exactly
-// the ordering the map-based engine produced, so results are
-// bit-for-bit identical. Call unite for the group first.
+// elems/offs destination pools (a level's spare buffers or exact-size
+// fresh slices) and returns the extended pools. offs must end at
+// len(elems): the new answer's first class starts at that shared
+// boundary, and each of its classes appends only its end. Output classes
+// are ordered by the first slot of each united component and members
+// concatenate in slot order — exactly the ordering the map-based engine
+// produced, so results are bit-for-bit identical. Call unite for the
+// group first.
 //
 //ecsort:hotpath
-func (sc *mergeScratch) buildMerged(group []Answer, elems, offs []int) (Answer, []int, []int) {
+func (sc *mergeScratch) buildMerged(group []Answer, elems, offs []int) ([]int, []int) {
 	slots := sc.dsu.Len()
 	if cap(sc.classID) < slots {
 		sc.classID = make([]int, slots)
@@ -137,39 +144,26 @@ func (sc *mergeScratch) buildMerged(group []Answer, elems, offs []int) (Answer, 
 		}
 	}
 	// Offsets from sizes, then turn sizes into write cursors.
-	base := len(elems)
-	offBase := len(offs)
-	offs = append(offs, base)
+	first := len(offs) - 1 // the shared boundary the answer starts at
 	for c := 0; c < k; c++ {
 		offs = append(offs, offs[len(offs)-1]+sizes[c])
 	}
-	total := offs[len(offs)-1] - base
 	for c := 0; c < k; c++ {
-		sizes[c] = offs[offBase+c] - base
+		sizes[c] = offs[first+c]
 	}
 	// Pass 2: place members in slot order.
-	elems = growInts(elems, base+total)
+	elems = growInts(elems, offs[len(offs)-1])
 	slot = 0
 	for _, a := range group {
 		for i := 0; i < a.K(); i++ {
 			c := classID[sc.dsu.Find(slot)]
 			cls := a.Class(i)
-			copy(elems[base+sizes[c]:], cls)
+			copy(elems[sizes[c]:], cls)
 			sizes[c] += len(cls)
 			slot++
 		}
 	}
-	out := Answer{
-		elems: elems[base : base+total : base+total],
-		offs:  offs[offBase : offBase+k+1 : offBase+k+1],
-	}
-	// Rebase the answer's offsets to its own elems view.
-	if base != 0 {
-		for i := range out.offs {
-			out.offs[i] -= base
-		}
-	}
-	return out, elems, offs
+	return elems, offs
 }
 
 // growInts extends s to length n, preserving contents and doubling the
@@ -232,8 +226,8 @@ func mergeGroupScratch(s *model.Session, sc *mergeScratch, group []Answer) (Answ
 	for _, a := range group {
 		size += a.Size()
 	}
-	out, _, _ := sc.buildMerged(group, make([]int, 0, size), make([]int, 0, sc.dsu.Len()+1))
-	return out, nil
+	elems, offs := sc.buildMerged(group, make([]int, 0, size), append(make([]int, 0, sc.dsu.Len()+1), 0))
+	return Answer{elems: elems, offs: offs}, nil
 }
 
 // MergePairCR merges two answers in the CR model with one logical round of
@@ -268,20 +262,61 @@ func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 	return mergeGroupScratch(s, sc, group)
 }
 
+// level is one level of a merge tree in flat form. Its answers' classes
+// lie back to back in elems, and neighbouring classes and answers share
+// their boundaries: class c occupies elems[offs[c]:offs[c+1]], and answer
+// i owns classes bound[i]..bound[i+1]-1. A level of C classes and A
+// answers therefore stores C+1 offsets and A+1 bounds, and a view of one
+// of its answers (answer) carries offsets that are absolute in elems.
+type level struct {
+	elems []int
+	offs  []int
+	bound []int32
+}
+
+// answers returns the number of answers on the level.
+//
+//ecsort:hotpath
+func (l *level) answers() int { return len(l.bound) - 1 }
+
+// k returns the number of classes of answer i.
+//
+//ecsort:hotpath
+func (l *level) k(i int) int { return int(l.bound[i+1] - l.bound[i]) }
+
+// starts returns the positions in elems of answer i's class
+// representatives: its classes' first members.
+//
+//ecsort:hotpath
+func (l *level) starts(i int) []int { return l.offs[l.bound[i]:l.bound[i+1]] }
+
+// answer returns answer i as a read-only view over the level's pools.
+//
+//ecsort:hotpath
+func (l *level) answer(i int) Answer {
+	return Answer{elems: l.elems, offs: l.offs[l.bound[i] : l.bound[i+1]+1]}
+}
+
+// seal ends the answer whose classes were appended since the last bound.
+//
+//ecsort:hotpath
+func (l *level) seal() { l.bound = append(l.bound, int32(len(l.offs)-1)) }
+
 // levels double-buffers the flat storage of a merge tree's levels: the
-// element pool, offset pool and answer headers of the current level and
-// of the level being built from it. The n singleton leaves are never
-// stored: firstLevel writes level 1 straight into the first buffers, so
-// those hold levels 1, 3, 5, … (at most ⌈n/2⌉ answers) and the second
-// buffers levels 2, 4, … (at most ⌈n/4⌉). Every buffer is sized once from
-// n, because a level covers at most n elements and its A answers need at
-// most n+A offsets. The level being built never shares a buffer with the
-// level it reads.
+// element, offset and bound pools of the current level and of the level
+// being built from it. The n singleton leaves are never stored:
+// firstLevel writes level 1 straight into the first buffers, so those
+// hold levels 1, 3, 5, … (at most ⌈n/2⌉ answers) and the second buffers
+// levels 2, 4, … (at most ⌈n/4⌉). Every buffer is sized once from n: a
+// level covers at most n elements in at most n classes, so each offset
+// pool holds n+1 entries, and the bound pools ⌈n/2⌉+1 and ⌈n/4⌉+1. No
+// pool holds a pointer, and the level being built never shares a buffer
+// with the level it reads.
 type levels struct {
 	elems [2][]int
 	offs  [2][]int
-	ans   [2][]Answer
-	cur   int // index of the buffers the current level views
+	bound [2][]int32
+	cur   int // index of the buffers holding the current level
 }
 
 // newLevels sizes the buffers for n elements: the first set for level 1's
@@ -290,22 +325,22 @@ func newLevels(n int) levels {
 	half, quarter := n-n/2, (n+3)/4
 	return levels{
 		elems: [2][]int{make([]int, n), make([]int, 0, n)},
-		offs:  [2][]int{make([]int, 0, n+half), make([]int, 0, n+quarter)},
-		ans:   [2][]Answer{make([]Answer, 0, half), make([]Answer, 0, quarter)},
+		offs:  [2][]int{make([]int, 0, n+1), make([]int, 0, n+1)},
+		bound: [2][]int32{make([]int32, 0, half+1), make([]int32, 0, quarter+1)},
 	}
 }
 
 // firstLevel builds level 1 of the merge tree, makes it current and
-// returns it. Level 1 merges the singletons 2i and 2i+1 for every i, which
-// in both the ER and the CR tree is the single test (2i, 2i+1): the ⌊n/2⌋
-// tests run as one logical round through batch and results, so the
-// session validates, splits and charges them like any round. The level's
-// element pool is the identity permutation: answer i views elements 2i
-// and 2i+1 as one class or two, and element n−1 is carried over alone
-// when n is odd.
+// returns its answer count. Level 1 merges the singletons 2i and 2i+1 for
+// every i, which in both the ER and the CR tree is the single test
+// (2i, 2i+1): the ⌊n/2⌋ tests run as one logical round through batch and
+// results, so the session validates, splits and charges them like any
+// round. The level's element pool is the identity permutation: answer i
+// owns elements 2i and 2i+1 as one class or two, and element n−1 is
+// carried over alone when n is odd.
 //
 //ecsort:hotpath
-func (lv *levels) firstLevel(s *model.Session, batch []model.Pair, results []bool) ([]Answer, error) {
+func (lv *levels) firstLevel(s *model.Session, batch []model.Pair, results []bool) (int, error) {
 	elems := lv.elems[0]
 	n := len(elems)
 	batch = batch[:0]
@@ -314,53 +349,69 @@ func (lv *levels) firstLevel(s *model.Session, batch []model.Pair, results []boo
 	}
 	res, err := s.RoundBuf(batch, results)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	lv.cur = 0
 	for i := range elems {
 		elems[i] = i
 	}
-	offs, ans := lv.offs[0][:0], lv.ans[0][:0]
+	l := level{elems: elems, offs: append(lv.offs[0][:0], 0), bound: append(lv.bound[0][:0], 0)}
 	for i, same := range res {
-		lo := len(offs)
-		if same {
-			offs = append(offs, 0, 2)
-		} else {
-			offs = append(offs, 0, 1, 2)
+		if !same {
+			l.offs = append(l.offs, 2*i+1)
 		}
-		ans = append(ans, Answer{elems: elems[2*i : 2*i+2 : 2*i+2], offs: offs[lo:len(offs):len(offs)]})
+		l.offs = append(l.offs, 2*i+2)
+		l.seal()
 	}
 	if n%2 == 1 {
-		ans = append(ans, Answer{elems: elems[n-1 : n : n], offs: singletonOffs})
+		l.offs = append(l.offs, n)
+		l.seal()
 	}
-	return ans, nil
+	lv.offs[0], lv.bound[0], lv.cur = l.offs, l.bound, 0
+	return l.answers(), nil
 }
 
-// spare returns the emptied buffers the next level is built into.
+// current returns the current level.
 //
 //ecsort:hotpath
-func (lv *levels) spare() (elems, offs []int, ans []Answer) {
-	dst := 1 - lv.cur
-	return lv.elems[dst][:0], lv.offs[dst][:0], lv.ans[dst][:0]
+func (lv *levels) current() level {
+	c := lv.cur
+	return level{elems: lv.elems[c], offs: lv.offs[c], bound: lv.bound[c]}
 }
 
-// flip makes the level built in the spare buffers current.
-func (lv *levels) flip() { lv.cur = 1 - lv.cur }
+// spare returns the emptied buffers the next level is built into: no
+// elements, and the leading offset and bound 0.
+//
+//ecsort:hotpath
+func (lv *levels) spare() level {
+	d := 1 - lv.cur
+	return level{elems: lv.elems[d][:0], offs: append(lv.offs[d][:0], 0), bound: append(lv.bound[d][:0], 0)}
+}
 
-// appendAnswer copies a into the elems/offs destination pools and
-// returns the copied view — the carry-over path for an answer with no
+// flip makes next, the level built in the spare buffers, current.
+//
+//ecsort:hotpath
+func (lv *levels) flip(next level) {
+	d := 1 - lv.cur
+	lv.elems[d], lv.offs[d], lv.bound[d] = next.elems, next.offs, next.bound
+	lv.cur = d
+}
+
+// appendAnswer copies a's classes into the elems/offs destination pools,
+// whose offsets must end at len(elems) as for buildMerged, and returns
+// the extended pools — the carry-over path for an answer with no
 // partner, so the source pool can be recycled next level.
 //
 //ecsort:hotpath
-func appendAnswer(a Answer, elems, offs []int) (Answer, []int, []int) {
-	base, offBase := len(elems), len(offs)
-	elems = append(elems, a.elems...)
-	offs = append(offs, a.offs...)
-	out := Answer{
-		elems: elems[base : base+a.Size() : base+a.Size()],
-		offs:  offs[offBase : offBase+len(a.offs) : offBase+len(a.offs)],
+func appendAnswer(a Answer, elems, offs []int) ([]int, []int) {
+	if a.K() == 0 {
+		return elems, offs
 	}
-	return out, elems, offs
+	shift := len(elems) - a.offs[0]
+	elems = append(elems, a.span()...)
+	for _, o := range a.offs[1:] {
+		offs = append(offs, o+shift)
+	}
+	return elems, offs
 }
 
 // crArena is the per-sort state of the batched level merges of SortCR and
@@ -370,7 +421,9 @@ func appendAnswer(a Answer, elems, offs []int) (Answer, []int, []int) {
 // and to its exact width.
 type crArena struct {
 	levels
-	sc mergeScratch
+	sc    mergeScratch
+	cuts  []int32  // per group of the level: the end of its tests in sc.pairs
+	group []Answer // views of the answers of the group being built
 }
 
 // newCRArena sizes the arena for n elements. Its first level comes from
@@ -381,29 +434,31 @@ func newCRArena(n int) *crArena {
 		sc: mergeScratch{
 			pairs:   make([]model.Pair, 0, n),
 			results: make([]bool, n),
-			spans:   make([]mergeSpan, 0, (n+3)/4), // ⌈n/4⌉: groups of level 2
 		},
+		cuts: make([]int32, 0, (n+3)/4), // ⌈n/4⌉: groups of level 2
 	}
 }
 
-// mergePairsCR merges answers two at a time — (0,1), (2,3), ... — with all
-// tests of the iteration batched into one logical round, mirroring that
-// the merges happen simultaneously on disjoint processor groups.
-func mergePairsCR(s *model.Session, ar *crArena, answers []Answer) ([]Answer, error) {
-	return mergeGroupsCR(s, ar, answers, 2)
+// mergePairsCR merges the current level's answers two at a time — (0,1),
+// (2,3), ... — with all tests of the iteration batched into one logical
+// round, mirroring that the merges happen simultaneously on disjoint
+// processor groups.
+func mergePairsCR(s *model.Session, ar *crArena) (int, error) {
+	return mergeGroupsCR(s, ar, 2)
 }
 
 // groupShape returns the number of cross-answer representative tests
-// appendCross emits for a group, Σ_{u<v} K(u)·K(v), and the group's
-// (answer, class) slot count, Σ K(u).
+// appendCross emits for the group of answers start..end-1,
+// Σ_{u<v} K(u)·K(v), and the group's (answer, class) slot count, Σ K(u).
 //
 //ecsort:hotpath
-func groupShape(group []Answer) (tests, slots int) {
+func (l *level) groupShape(start, end int) (tests, slots int) {
 	sq := 0
-	for _, a := range group {
-		slots += a.K()
-		sq += a.K() * a.K()
+	for u := start; u < end; u++ {
+		k := l.k(u)
+		sq += k * k
 	}
+	slots = int(l.bound[end] - l.bound[start])
 	return (slots*slots - sq) / 2, slots
 }
 
@@ -425,51 +480,75 @@ func (sc *mergeScratch) reserve(tests, slots int) {
 	}
 }
 
-// mergeGroupsCR partitions answers into consecutive groups of size g and
-// merges each group, batching every group's cross tests into one logical
-// round. A trailing group smaller than g (possibly a single answer) is
-// merged or carried over. Outputs are written into the arena's spare
-// buffers, which then become current; the input level's buffers are
-// recycled two levels on, so callers must not retain answers across calls.
+// appendCross is appendCross for the group of answers start..end-1 of the
+// level, read straight off its pools: the same tests in the same order,
+// with no answer view built.
 //
 //ecsort:hotpath
-func mergeGroupsCR(s *model.Session, ar *crArena, answers []Answer, g int) ([]Answer, error) {
+func (l *level) appendCross(dst []model.Pair, start, end int) []model.Pair {
+	for u := start; u < end; u++ {
+		for v := u + 1; v < end; v++ {
+			dst = appendReps(dst, l.elems, l.starts(u), l.elems, l.starts(v))
+		}
+	}
+	return dst
+}
+
+// mergeGroupsCR partitions the current level's answers into consecutive
+// groups of size g and merges each group, batching every group's cross
+// tests into one logical round, and returns the new level's answer count.
+// A trailing group smaller than g (possibly a single answer) is merged or
+// carried over. Outputs are written into the arena's spare buffers, which
+// then become current; the input level's buffers are recycled two levels
+// on.
+//
+//ecsort:hotpath
+func mergeGroupsCR(s *model.Session, ar *crArena, g int) (int, error) {
 	if g < 2 {
-		return nil, errSmallGroup
+		return 0, errSmallGroup
 	}
 	sc := &ar.sc
+	lvl := ar.current()
+	na := lvl.answers()
 	tests, slots := 0, 0
-	for start := 0; start < len(answers); start += g {
-		t, k := groupShape(answers[start:min(start+g, len(answers))])
+	for start := 0; start < na; start += g {
+		t, k := lvl.groupShape(start, min(start+g, na))
 		tests, slots = tests+t, max(slots, k)
 	}
+	if tests > math.MaxInt32 {
+		return 0, errRoundTooWide
+	}
 	sc.reserve(tests, slots)
-	sc.pairs = sc.pairs[:0]
-	sc.spans = sc.spans[:0]
-	for start := 0; start < len(answers); start += g {
-		end := min(start+g, len(answers))
-		lo := len(sc.pairs)
-		sc.pairs = appendCross(sc.pairs, answers[start:end])
-		sc.spans = append(sc.spans, mergeSpan{start: start, end: end, lo: lo, hi: len(sc.pairs)})
+	if cap(ar.group) < g {
+		ar.group = make([]Answer, 0, g)
+	}
+	sc.pairs, ar.cuts = sc.pairs[:0], ar.cuts[:0]
+	for start := 0; start < na; start += g {
+		sc.pairs = lvl.appendCross(sc.pairs, start, min(start+g, na))
+		ar.cuts = append(ar.cuts, int32(len(sc.pairs)))
 	}
 	res, err := sc.round(s)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	elems, offs, next := ar.spare()
-	for _, sp := range sc.spans {
-		group := answers[sp.start:sp.end]
-		var out Answer
+	next := ar.spare()
+	lo := int32(0)
+	for gi, hi := range ar.cuts {
+		group := ar.group[:0]
+		for u := gi * g; u < min(gi*g+g, na); u++ {
+			group = append(group, lvl.answer(u))
+		}
 		if len(group) == 1 {
 			// Carry-over: copy into the destination pool so the source
 			// pool can be recycled next level.
-			out, elems, offs = appendAnswer(group[0], elems, offs)
+			next.elems, next.offs = appendAnswer(group[0], next.elems, next.offs)
 		} else {
-			sc.unite(group, res[sp.lo:sp.hi])
-			out, elems, offs = sc.buildMerged(group, elems, offs)
+			sc.unite(group, res[lo:hi])
+			next.elems, next.offs = sc.buildMerged(group, next.elems, next.offs)
 		}
-		next = append(next, out)
+		next.seal()
+		lo = hi
 	}
-	ar.flip()
-	return next, nil
+	ar.flip(next)
+	return next.answers(), nil
 }

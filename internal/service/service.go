@@ -594,6 +594,14 @@ func (s *Service) runShard(sh *shard) {
 		defer t.Stop()
 		ckpt = t.C
 	}
+	// syncT syncs an idle shard's WAL tail under fsync "interval": Commit
+	// syncs only at an operation boundary once the interval has passed,
+	// so whenever an event leaves the log dirty the loop arms syncT for
+	// the rest of the interval, and its expiry commits.
+	syncT := time.NewTimer(time.Hour)
+	syncT.Stop()
+	defer syncT.Stop()
+	syncArmed := false
 	for {
 		select {
 		case o := <-sh.ops:
@@ -612,6 +620,13 @@ func (s *Service) runShard(sh *shard) {
 				sh.wal.Commit()
 			}
 			s.maybeRotate(sh)
+		case <-syncT.C:
+			syncArmed = false
+			if sh.wal.Commit() != nil {
+				// Leave a failing sync to the next operation, whose own
+				// commit reports it, rather than retrying in a spin.
+				continue
+			}
 		case <-sh.die:
 			// Crash simulation: exit with the WAL unsynced and unclosed.
 			return
@@ -641,6 +656,12 @@ func (s *Service) runShard(sh *shard) {
 					}
 					return
 				}
+			}
+		}
+		if !syncArmed && sh.wal != nil {
+			if d, due := sh.wal.SyncDue(); due {
+				syncT.Reset(d)
+				syncArmed = true
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ecsort/internal/wal"
 )
@@ -121,6 +122,40 @@ func TestWALRecordsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("WAL records drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestIdleShardSyncsWALTail: under fsync "interval", Commit syncs only
+// at an operation boundary once the interval has passed, so the last
+// writes before a quiet period need the shard's sync timer to reach disk.
+// A create and one small ingest land inside the interval of the
+// segment's boot sync; with no operation after them, the fsync counter
+// must still move within the interval.
+func TestIdleShardSyncsWALTail(t *testing.T) {
+	const interval = 250 * time.Millisecond
+	start := time.Now()
+	svc, err := Open(Config{Shards: 1, Workers: 1, DataDir: t.TempDir(), Fsync: "interval", FsyncInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.CreateCollection("k", OracleSpec{Kind: KindLabel, Labels: []int{0, 1, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Ingest("k", []int{0, 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	synced := svc.walCtr.Fsyncs.Load()
+	if time.Since(start) >= interval {
+		t.Skipf("setup took %v, longer than the %v interval: the ingest's own commit may have synced the tail", time.Since(start), interval)
+	}
+	deadline := time.Now().Add(10 * interval)
+	for svc.walCtr.Fsyncs.Load() == synced {
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL tail unsynced %v after the last write: %d appends, %d fsyncs",
+				10*interval, svc.walCtr.Appends.Load(), svc.walCtr.Fsyncs.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -350,6 +350,19 @@ func (l *Log) Commit() error {
 	return nil
 }
 
+// SyncDue reports whether the log holds appended bytes that a Commit
+// under SyncInterval has yet to sync, and how long from now a Commit will
+// sync them (zero or less once the interval is up). The other policies
+// leave nothing due: SyncAlways syncs at every Commit and SyncNever never
+// does. A shard arms a timer with it, so its tail is synced within one
+// interval even when no further operation arrives to commit it.
+func (l *Log) SyncDue() (time.Duration, bool) {
+	if !l.dirty || l.opts.policy() != SyncInterval {
+		return 0, false
+	}
+	return l.opts.interval() - time.Since(l.lastSync), true
+}
+
 // Sync forces dirty bytes to stable storage now, regardless of policy.
 func (l *Log) Sync() error {
 	if !l.dirty {

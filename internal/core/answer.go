@@ -108,12 +108,6 @@ func (a Answer) span() []int {
 	return a.elems[a.offs[0]:a.offs[len(a.offs)-1]]
 }
 
-// starts returns the positions of the class representatives in the
-// backing slice.
-//
-//ecsort:hotpath
-func (a Answer) starts() []int { return a.offs[:a.K()] }
-
 // Class returns the members of class i as a read-only view into the
 // answer's backing array. Class i's first member is its representative.
 //

@@ -51,7 +51,7 @@ var (
 func appendCross(dst []model.Pair, group []Answer) []model.Pair {
 	for u, gu := range group {
 		for _, gv := range group[u+1:] {
-			dst = appendReps(dst, gu.elems, gu.starts(), gv.elems, gv.starts())
+			dst = appendReps(dst, gu.elems, gu.offs[:gu.K()], gv.elems, gv.offs[:gv.K()])
 		}
 	}
 	return dst

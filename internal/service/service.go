@@ -596,12 +596,11 @@ func (s *Service) runShard(sh *shard) {
 	}
 	// syncT syncs an idle shard's WAL tail under fsync "interval": Commit
 	// syncs only at an operation boundary once the interval has passed,
-	// so whenever an event leaves the log dirty the loop arms syncT for
-	// the rest of the interval, and its expiry commits.
+	// so after every event that leaves the log dirty the loop arms syncT
+	// for the rest of the interval, and its expiry commits.
 	syncT := time.NewTimer(time.Hour)
 	syncT.Stop()
 	defer syncT.Stop()
-	syncArmed := false
 	for {
 		select {
 		case o := <-sh.ops:
@@ -621,7 +620,6 @@ func (s *Service) runShard(sh *shard) {
 			}
 			s.maybeRotate(sh)
 		case <-syncT.C:
-			syncArmed = false
 			if sh.wal.Commit() != nil {
 				// Leave a failing sync to the next operation, whose own
 				// commit reports it, rather than retrying in a spin.
@@ -658,10 +656,11 @@ func (s *Service) runShard(sh *shard) {
 				}
 			}
 		}
-		if !syncArmed && sh.wal != nil {
+		if sh.wal != nil {
 			if d, due := sh.wal.SyncDue(); due {
 				syncT.Reset(d)
-				syncArmed = true
+			} else {
+				syncT.Stop()
 			}
 		}
 	}

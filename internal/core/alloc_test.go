@@ -106,9 +106,9 @@ func TestPairPlanPointerFree(t *testing.T) {
 }
 
 // TestLevelsPointerFree pins the flat merge-tree level layout: every
-// field of levels is a pool (or array of pools) whose element type holds
-// no pointer, so a level stores no per-answer header and its pools give
-// the GC nothing to scan.
+// field of levels is a number or an array or slice of numbers, so a
+// level stores no per-answer header and its pools give the GC nothing
+// to scan.
 func TestLevelsPointerFree(t *testing.T) {
 	typ := reflect.TypeOf(levels{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -117,30 +117,10 @@ func TestLevelsPointerFree(t *testing.T) {
 		for elem.Kind() == reflect.Array || elem.Kind() == reflect.Slice {
 			elem = elem.Elem()
 		}
-		if holdsPointers(elem) {
-			t.Errorf("levels.%s has element type %s, which holds pointers", f.Name, elem)
+		if k := elem.Kind(); k < reflect.Bool || k > reflect.Complex128 {
+			t.Errorf("levels.%s has element type %s, want a pointer-free number", f.Name, elem)
 		}
 	}
-}
-
-// holdsPointers reports whether a value of type typ contains a pointer
-// the GC must scan.
-func holdsPointers(typ reflect.Type) bool {
-	switch typ.Kind() {
-	case reflect.Array:
-		return holdsPointers(typ.Elem())
-	case reflect.Struct:
-		for i := 0; i < typ.NumField(); i++ {
-			if holdsPointers(typ.Field(i).Type) {
-				return true
-			}
-		}
-		return false
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
-		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
-		return true
-	}
-	return false
 }
 
 // partitionMismatch describes how a differs from the partition labels

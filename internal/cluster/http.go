@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 
 	"ecsort/internal/service"
@@ -68,49 +67,34 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 // /metrics — scraping both gives the full picture without the
 // coordinator re-exporting anything.
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	states := co.Health(r.Context())
 	// Read the route count, then write: a slow client must not hold the
 	// route lock that creates, drops and every keyed lookup take.
 	co.mu.RLock()
 	collections := len(co.routes)
 	co.mu.RUnlock()
-	fmt.Fprintf(w, "# HELP ecsort_cluster_nodes Backend nodes in the cluster.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_nodes gauge\n")
-	fmt.Fprintf(w, "ecsort_cluster_nodes %d\n", len(states))
-	fmt.Fprintf(w, "# HELP ecsort_cluster_collections Collections in the routing table.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_collections gauge\n")
-	fmt.Fprintf(w, "ecsort_cluster_collections %d\n", collections)
-	fmt.Fprintf(w, "# HELP ecsort_cluster_node_up Whether the node answered its last exchange.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_node_up gauge\n")
-	for _, st := range states {
-		up := 0
-		if st.Up {
-			up = 1
+	m := service.NewMetricsWriter(w)
+	m.Family("ecsort_cluster_nodes", "gauge", "Backend nodes in the cluster.").Int(int64(len(states)))
+	m.Family("ecsort_cluster_collections", "gauge", "Collections in the routing table.").Int(int64(collections))
+	for _, f := range []struct {
+		name, typ, help string
+		value           func(NodeState) int64
+	}{
+		{"ecsort_cluster_node_up", "gauge", "Whether the node answered its last exchange.",
+			func(st NodeState) int64 { return service.BoolMetric(st.Up) }},
+		{"ecsort_cluster_node_collections", "gauge", "Collections owned by the node.",
+			func(st NodeState) int64 { return int64(st.Collections) }},
+		{"ecsort_cluster_routed_total", "counter", "Requests routed to the node.",
+			func(st NodeState) int64 { return st.Routed }},
+		{"ecsort_cluster_route_errors_total", "counter", "Transport-level failures per node.",
+			func(st NodeState) int64 { return st.Errors }},
+		{"ecsort_cluster_node_degraded_collections", "gauge", "Degraded collections reported by the node.",
+			func(st NodeState) int64 { return int64(len(st.Degraded)) }},
+	} {
+		m.Family(f.name, f.typ, f.help)
+		for _, st := range states {
+			m.LabeledInt("node", st.Name, f.value(st))
 		}
-		fmt.Fprintf(w, "ecsort_cluster_node_up{node=%q} %d\n", st.Name, up)
 	}
-	fmt.Fprintf(w, "# HELP ecsort_cluster_node_collections Collections owned by the node.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_node_collections gauge\n")
-	for _, st := range states {
-		fmt.Fprintf(w, "ecsort_cluster_node_collections{node=%q} %d\n", st.Name, st.Collections)
-	}
-	fmt.Fprintf(w, "# HELP ecsort_cluster_routed_total Requests routed to the node.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_routed_total counter\n")
-	for _, st := range states {
-		fmt.Fprintf(w, "ecsort_cluster_routed_total{node=%q} %d\n", st.Name, st.Routed)
-	}
-	fmt.Fprintf(w, "# HELP ecsort_cluster_route_errors_total Transport-level failures per node.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_route_errors_total counter\n")
-	for _, st := range states {
-		fmt.Fprintf(w, "ecsort_cluster_route_errors_total{node=%q} %d\n", st.Name, st.Errors)
-	}
-	fmt.Fprintf(w, "# HELP ecsort_cluster_node_degraded_collections Degraded collections reported by the node.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_node_degraded_collections gauge\n")
-	for _, st := range states {
-		fmt.Fprintf(w, "ecsort_cluster_node_degraded_collections{node=%q} %d\n", st.Name, len(st.Degraded))
-	}
-	fmt.Fprintf(w, "# HELP ecsort_cluster_heavy_placements_total Collections the weight estimator steered off their hash slot.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_cluster_heavy_placements_total counter\n")
-	fmt.Fprintf(w, "ecsort_cluster_heavy_placements_total %d\n", co.HeavyPlacements())
+	m.Family("ecsort_cluster_heavy_placements_total", "counter", "Collections the weight estimator steered off their hash slot.").Int(co.HeavyPlacements())
 }

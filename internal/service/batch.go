@@ -29,15 +29,6 @@ func (o *countingBatchOracle) SameBatch(pairs []model.Pair, out []bool) {
 	o.batch.SameBatch(pairs, out)
 }
 
-// BatchOracleStats reports the service-wide batch-oracle amortization
-// counters: rounds is whole-chunk SameBatch invocations across every
-// collection, pairs the equivalence tests they carried. pairs/rounds
-// is the per-invocation amortization; both are zero when no
-// collection's oracle is batch-capable.
-func (s *Service) BatchOracleStats() (rounds, pairs int64) {
-	return s.batchRounds.Load(), s.batchPairs.Load()
-}
-
 // validateBatch pre-validates one ingest batch against the collection
 // engine — range, within-batch duplicates, already-ingested elements —
 // so the whole batch is rejected before the WAL or the sorter sees any

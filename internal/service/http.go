@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -214,25 +213,19 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		RetryAfterSeconds float64 `json:"retry_after_seconds"`
 	}
 	var degraded []degradedInfo
-	collections := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, c := range sh.cols {
-			collections++
-			if ra, bad := c.degraded(); bad {
-				degraded = append(degraded, degradedInfo{
-					Key:               c.key,
-					Breaker:           c.res.State().String(),
-					RetryAfterSeconds: ra.Seconds(),
-				})
-			}
+	cols := s.collections()
+	for _, c := range cols {
+		if ra, bad := c.degraded(); bad {
+			degraded = append(degraded, degradedInfo{
+				Key:               c.key,
+				Breaker:           c.res.State().String(),
+				RetryAfterSeconds: ra.Seconds(),
+			})
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(degraded, func(i, j int) bool { return degraded[i].Key < degraded[j].Key })
 	body := map[string]any{
 		"status":      "ready",
-		"collections": collections,
+		"collections": len(cols),
 		"recovery":    s.recovery,
 	}
 	status := http.StatusOK
@@ -248,195 +241,114 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"collections": s.Collections()})
 }
 
-// handleMetrics renders Prometheus-style text metrics: service-wide
-// totals plus per-collection series, labeled by collection key. Each
-// collection's snapshot is loaded exactly once per scrape, so every
-// series of one collection comes from the same flush.
+// handleMetrics renders Prometheus text metrics: service-wide totals
+// plus per-collection series, labeled by collection key. Each
+// collection's counters, snapshot and resilience counters are read
+// exactly once per scrape, so every series of one collection comes from
+// the same flush, and every family lists the same collections.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var infos []CollectionInfo
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, c := range sh.cols {
-			infos = append(infos, c.info(true))
-		}
-		sh.mu.RUnlock()
+	type row struct {
+		CollectionInfo
+		res *oracle.ResilientStats // nil without the resilience middleware
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Key < infos[j].Key })
+	cols := s.collections()
+	rows := make([]row, len(cols))
 	var totalElems, totalPending, totalBatches, totalFlushes int64
-	for _, in := range infos {
-		totalElems += in.Ingested
-		totalPending += in.Pending
-		totalBatches += in.Batches
-		totalFlushes += in.Flushes
+	for i, c := range cols {
+		rows[i].CollectionInfo = c.info(true)
+		if c.res != nil {
+			st := c.res.Stats()
+			rows[i].res = &st
+		}
+		totalElems += rows[i].Ingested
+		totalPending += rows[i].Pending
+		totalBatches += rows[i].Batches
+		totalFlushes += rows[i].Flushes
 	}
-	fmt.Fprintf(w, "# HELP ecsort_collections Number of live collections.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_collections gauge\n")
-	fmt.Fprintf(w, "ecsort_collections %d\n", len(infos))
-	fmt.Fprintf(w, "# HELP ecsort_elements_ingested_total Elements accepted across all collections.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_elements_ingested_total counter\n")
-	fmt.Fprintf(w, "ecsort_elements_ingested_total %d\n", totalElems)
-	fmt.Fprintf(w, "# HELP ecsort_elements_pending Buffered elements awaiting a flush.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_elements_pending gauge\n")
-	fmt.Fprintf(w, "ecsort_elements_pending %d\n", totalPending)
-	fmt.Fprintf(w, "# HELP ecsort_batches_total Accepted ingest batches.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_batches_total counter\n")
-	fmt.Fprintf(w, "ecsort_batches_total %d\n", totalBatches)
-	fmt.Fprintf(w, "# HELP ecsort_flushes_total Compounding flush rounds executed.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_flushes_total counter\n")
-	fmt.Fprintf(w, "ecsort_flushes_total %d\n", totalFlushes)
+	m := NewMetricsWriter(w)
+	m.Family("ecsort_collections", "gauge", "Number of live collections.").Int(int64(len(rows)))
+	m.Family("ecsort_elements_ingested_total", "counter", "Elements accepted across all collections.").Int(totalElems)
+	m.Family("ecsort_elements_pending", "gauge", "Buffered elements awaiting a flush.").Int(totalPending)
+	m.Family("ecsort_batches_total", "counter", "Accepted ingest batches.").Int(totalBatches)
+	m.Family("ecsort_flushes_total", "counter", "Compounding flush rounds executed.").Int(totalFlushes)
 
 	// Execution runtime: the persistent pool every collection's session
 	// runs its parallel rounds on.
 	rs := s.pool.Stats()
-	fmt.Fprintf(w, "# HELP ecsort_runtime_workers Parallel width of the shared execution pool.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_runtime_workers gauge\n")
-	fmt.Fprintf(w, "ecsort_runtime_workers %d\n", rs.Workers)
-	fmt.Fprintf(w, "# HELP ecsort_runtime_jobs_total Parallel round jobs dispatched to the pool.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_runtime_jobs_total counter\n")
-	fmt.Fprintf(w, "ecsort_runtime_jobs_total %d\n", rs.Jobs)
-	fmt.Fprintf(w, "# HELP ecsort_runtime_chunks_total Work chunks executed across all pool jobs.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_runtime_chunks_total counter\n")
-	fmt.Fprintf(w, "ecsort_runtime_chunks_total %d\n", rs.Chunks)
-	fmt.Fprintf(w, "# HELP ecsort_runtime_inline_rounds_total Rounds executed serially on the submitting goroutine.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_runtime_inline_rounds_total counter\n")
-	fmt.Fprintf(w, "ecsort_runtime_inline_rounds_total %d\n", rs.Inline)
+	m.Family("ecsort_runtime_workers", "gauge", "Parallel width of the shared execution pool.").Int(int64(rs.Workers))
+	m.Family("ecsort_runtime_jobs_total", "counter", "Parallel round jobs dispatched to the pool.").Int(rs.Jobs)
+	m.Family("ecsort_runtime_chunks_total", "counter", "Work chunks executed across all pool jobs.").Int(rs.Chunks)
+	m.Family("ecsort_runtime_inline_rounds_total", "counter", "Rounds executed serially on the submitting goroutine.").Int(rs.Inline)
 
 	// Backpressure: shard op-queue depth (writer backlog under overload)
 	// and batch-fold latency (how long Flush+publish holds a shard).
-	fmt.Fprintf(w, "# HELP ecsort_shard_queue_depth Queued writer ops per shard.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_shard_queue_depth gauge\n")
+	m.Family("ecsort_shard_queue_depth", "gauge", "Queued writer ops per shard.")
 	for i, sh := range s.shards {
-		fmt.Fprintf(w, "ecsort_shard_queue_depth{shard=\"%d\"} %d\n", i, len(sh.ops))
+		m.LabeledInt("shard", strconv.Itoa(i), int64(len(sh.ops)))
 	}
-	fmt.Fprintf(w, "# HELP ecsort_shard_queue_capacity Bound of each shard's op queue.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_shard_queue_capacity gauge\n")
-	fmt.Fprintf(w, "ecsort_shard_queue_capacity %d\n", cap(s.shards[0].ops))
-	fmt.Fprintf(w, "# HELP ecsort_fold_total Batch folds (flush+publish) executed on shard goroutines.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_fold_total counter\n")
-	fmt.Fprintf(w, "ecsort_fold_total %d\n", s.folds.Load())
-	fmt.Fprintf(w, "# HELP ecsort_fold_duration_seconds_total Cumulative batch-fold latency.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_fold_duration_seconds_total counter\n")
-	fmt.Fprintf(w, "ecsort_fold_duration_seconds_total %.9f\n", float64(s.foldNanos.Load())/1e9)
-	fmt.Fprintf(w, "# HELP ecsort_fold_last_duration_seconds Latency of the most recent batch fold.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_fold_last_duration_seconds gauge\n")
-	fmt.Fprintf(w, "ecsort_fold_last_duration_seconds %.9f\n", float64(s.lastFoldNanos.Load())/1e9)
+	m.Family("ecsort_shard_queue_capacity", "gauge", "Bound of each shard's op queue.").Int(int64(cap(s.shards[0].ops)))
+	m.Family("ecsort_fold_total", "counter", "Batch folds (flush+publish) executed on shard goroutines.").Int(s.folds.Load())
+	m.Family("ecsort_fold_duration_seconds_total", "counter", "Cumulative batch-fold latency.").Seconds(time.Duration(s.foldNanos.Load()))
+	m.Family("ecsort_fold_last_duration_seconds", "gauge", "Latency of the most recent batch fold.").Seconds(time.Duration(s.lastFoldNanos.Load()))
 
 	// Durability: WAL append/fsync activity, checkpoint progress, and
 	// what the last boot recovered. ecsort_durable is 0 for a
 	// memory-only service, and the families below then read as zeros.
-	fmt.Fprintf(w, "# HELP ecsort_durable Whether the service runs with a write-ahead-logged data directory.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_durable gauge\n")
-	fmt.Fprintf(w, "ecsort_durable %d\n", boolMetric(s.recovery.Durable))
-	fmt.Fprintf(w, "# HELP ecsort_wal_appends_total Records appended across all shard WALs.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_appends_total counter\n")
-	fmt.Fprintf(w, "ecsort_wal_appends_total %d\n", s.walCtr.Appends.Load())
-	fmt.Fprintf(w, "# HELP ecsort_wal_bytes_total Framed bytes written to shard WALs.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_bytes_total counter\n")
-	fmt.Fprintf(w, "ecsort_wal_bytes_total %d\n", s.walCtr.Bytes.Load())
-	fmt.Fprintf(w, "# HELP ecsort_wal_fsyncs_total WAL fsyncs issued by the durability policy.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_fsyncs_total counter\n")
-	fmt.Fprintf(w, "ecsort_wal_fsyncs_total %d\n", s.walCtr.Fsyncs.Load())
-	fmt.Fprintf(w, "# HELP ecsort_wal_fsync_duration_seconds_total Cumulative time spent in WAL fsync.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_fsync_duration_seconds_total counter\n")
-	fmt.Fprintf(w, "ecsort_wal_fsync_duration_seconds_total %.9f\n", float64(s.walCtr.FsyncNanos.Load())/1e9)
-	fmt.Fprintf(w, "# HELP ecsort_wal_last_fsync_duration_seconds Duration of the most recent WAL fsync.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_last_fsync_duration_seconds gauge\n")
-	fmt.Fprintf(w, "ecsort_wal_last_fsync_duration_seconds %.9f\n", float64(s.walCtr.LastFsyncNanos.Load())/1e9)
-	fmt.Fprintf(w, "# HELP ecsort_wal_rotations_total Size-triggered WAL segment rotations (no checkpoint).\n")
-	fmt.Fprintf(w, "# TYPE ecsort_wal_rotations_total counter\n")
-	fmt.Fprintf(w, "ecsort_wal_rotations_total %d\n", s.walRotations.Load())
-	fmt.Fprintf(w, "# HELP ecsort_checkpoints_total Shard checkpoints written (snapshot + WAL truncation).\n")
-	fmt.Fprintf(w, "# TYPE ecsort_checkpoints_total counter\n")
-	fmt.Fprintf(w, "ecsort_checkpoints_total %d\n", s.checkpoints.Load())
-	fmt.Fprintf(w, "# HELP ecsort_checkpoint_errors_total Failed checkpoint attempts.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_checkpoint_errors_total counter\n")
-	fmt.Fprintf(w, "ecsort_checkpoint_errors_total %d\n", s.checkpointErrors.Load())
-	fmt.Fprintf(w, "# HELP ecsort_checkpoint_last_age_seconds Seconds since the most recent checkpoint; -1 before the first.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_checkpoint_last_age_seconds gauge\n")
-	if last := s.lastCheckpointNano.Load(); last > 0 {
-		fmt.Fprintf(w, "ecsort_checkpoint_last_age_seconds %.3f\n", time.Since(time.Unix(0, last)).Seconds())
-	} else {
-		fmt.Fprintf(w, "ecsort_checkpoint_last_age_seconds -1\n")
-	}
-	fmt.Fprintf(w, "# HELP ecsort_recovery_duration_seconds Wall time the last boot spent replaying durable state.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_recovery_duration_seconds gauge\n")
-	fmt.Fprintf(w, "ecsort_recovery_duration_seconds %.9f\n", s.recovery.Duration.Seconds())
-	fmt.Fprintf(w, "# HELP ecsort_recovery_records_replayed WAL records replayed by the last boot.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_recovery_records_replayed gauge\n")
-	fmt.Fprintf(w, "ecsort_recovery_records_replayed %d\n", s.recovery.Records)
-	fmt.Fprintf(w, "# HELP ecsort_recovery_torn_tails Segments whose crash-torn final record the last boot truncated.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_recovery_torn_tails gauge\n")
-	fmt.Fprintf(w, "ecsort_recovery_torn_tails %d\n", s.recovery.TornTails)
+	m.Family("ecsort_durable", "gauge", "Whether the service runs with a write-ahead-logged data directory.").Int(BoolMetric(s.recovery.Durable))
+	m.Family("ecsort_wal_appends_total", "counter", "Records appended across all shard WALs.").Int(s.walCtr.Appends.Load())
+	m.Family("ecsort_wal_bytes_total", "counter", "Framed bytes written to shard WALs.").Int(s.walCtr.Bytes.Load())
+	m.Family("ecsort_wal_fsyncs_total", "counter", "WAL fsyncs issued by the durability policy.").Int(s.walCtr.Fsyncs.Load())
+	m.Family("ecsort_wal_fsync_duration_seconds_total", "counter", "Cumulative time spent in WAL fsync.").Seconds(time.Duration(s.walCtr.FsyncNanos.Load()))
+	m.Family("ecsort_wal_last_fsync_duration_seconds", "gauge", "Duration of the most recent WAL fsync.").Seconds(time.Duration(s.walCtr.LastFsyncNanos.Load()))
+	m.Family("ecsort_wal_rotations_total", "counter", "Size-triggered WAL segment rotations (no checkpoint).").Int(s.walRotations.Load())
+	m.Family("ecsort_checkpoints_total", "counter", "Shard checkpoints written (snapshot + WAL truncation).").Int(s.checkpoints.Load())
+	m.Family("ecsort_checkpoint_errors_total", "counter", "Failed checkpoint attempts.").Int(s.checkpointErrors.Load())
+	m.Family("ecsort_checkpoint_last_age_seconds", "gauge", "Seconds since the most recent checkpoint; -1 before the first.").Age(s.lastCheckpointNano.Load())
+	m.Family("ecsort_recovery_duration_seconds", "gauge", "Wall time the last boot spent replaying durable state.").Seconds(s.recovery.Duration)
+	m.Family("ecsort_recovery_records_replayed", "gauge", "WAL records replayed by the last boot.").Int(int64(s.recovery.Records))
+	m.Family("ecsort_recovery_torn_tails", "gauge", "Segments whose crash-torn final record the last boot truncated.").Int(int64(s.recovery.TornTails))
 
 	// Self-repair daemon: sweep/sample/divergence/correction totals plus
 	// how recently a divergence was last seen (-1 before the first).
-	for _, m := range []struct {
-		name, help string
-		value      int64
-	}{
-		{"ecsort_repair_sweeps_total", "Repair sweeps executed.", s.repairSweeps.Load()},
-		{"ecsort_repair_samples_total", "Element pairs re-verified against their oracle.", s.repairSamples.Load()},
-		{"ecsort_repair_divergences_total", "Sampled pairs whose oracle verdict contradicted the published partition.", s.repairDivergences.Load()},
-		{"ecsort_repair_corrections_total", "Divergences repaired (classes withdrawn and re-folded).", s.repairCorrections.Load()},
-		{"ecsort_repair_skipped_degraded_total", "Collection sweeps skipped because the oracle breaker was open.", s.repairSkipped.Load()},
-		{"ecsort_repair_errors_total", "Failed repair oracle asks and correction attempts.", s.repairErrors.Load()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
-	}
-	fmt.Fprintf(w, "# HELP ecsort_repair_last_divergence_age_seconds Seconds since the repair daemon last saw a divergence; -1 before the first.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_repair_last_divergence_age_seconds gauge\n")
-	if last := s.lastDivergenceNano.Load(); last > 0 {
-		fmt.Fprintf(w, "ecsort_repair_last_divergence_age_seconds %.3f\n", time.Since(time.Unix(0, last)).Seconds())
-	} else {
-		fmt.Fprintf(w, "ecsort_repair_last_divergence_age_seconds -1\n")
-	}
+	m.Family("ecsort_repair_sweeps_total", "counter", "Repair sweeps executed.").Int(s.repairSweeps.Load())
+	m.Family("ecsort_repair_samples_total", "counter", "Element pairs re-verified against their oracle.").Int(s.repairSamples.Load())
+	m.Family("ecsort_repair_divergences_total", "counter", "Sampled pairs whose oracle verdict contradicted the published partition.").Int(s.repairDivergences.Load())
+	m.Family("ecsort_repair_corrections_total", "counter", "Divergences repaired (classes withdrawn and re-folded).").Int(s.repairCorrections.Load())
+	m.Family("ecsort_repair_skipped_degraded_total", "counter", "Collection sweeps skipped because the oracle breaker was open.").Int(s.repairSkipped.Load())
+	m.Family("ecsort_repair_errors_total", "counter", "Failed repair oracle asks and correction attempts.").Int(s.repairErrors.Load())
+	m.Family("ecsort_repair_last_divergence_age_seconds", "gauge", "Seconds since the repair daemon last saw a divergence; -1 before the first.").Age(s.lastDivergenceNano.Load())
 
 	// Fault tolerance: per-collection degraded/breaker gauges and the
 	// resilience middleware's counters, only for collections that carry
 	// the middleware.
-	fmt.Fprintf(w, "# HELP ecsort_collection_degraded Whether the collection's oracle breaker currently refuses writes.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_collection_degraded gauge\n")
-	for _, in := range infos {
-		fmt.Fprintf(w, "ecsort_collection_degraded{collection=%q} %d\n", in.Key, boolMetric(in.RetryAfterSeconds > 0))
+	m.Family("ecsort_collection_degraded", "gauge", "Whether the collection's oracle breaker currently refuses writes.")
+	for _, in := range rows {
+		m.LabeledInt("collection", in.Key, BoolMetric(in.RetryAfterSeconds > 0))
 	}
-	resStats := make(map[string]oracle.ResilientStats)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, c := range sh.cols {
-			if c.res != nil {
-				resStats[c.key] = c.res.Stats()
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	resKeys := make([]string, 0, len(resStats))
-	for k := range resStats {
-		resKeys = append(resKeys, k)
-	}
-	sort.Strings(resKeys)
-	for _, m := range []struct {
+	for _, f := range []struct {
 		name, help string
-		value      func(oracle.ResilientStats) int64
+		value      func(*oracle.ResilientStats) int64
 	}{
 		{"ecsort_oracle_attempts_total", "Oracle calls issued through the resilience middleware (incl. retries and votes).",
-			func(st oracle.ResilientStats) int64 { return st.Attempts }},
+			func(st *oracle.ResilientStats) int64 { return st.Attempts }},
 		{"ecsort_oracle_retries_total", "Backed-off oracle re-attempts.",
-			func(st oracle.ResilientStats) int64 { return st.Retries }},
+			func(st *oracle.ResilientStats) int64 { return st.Retries }},
 		{"ecsort_oracle_failures_total", "Oracle asks that exhausted their retry budget.",
-			func(st oracle.ResilientStats) int64 { return st.Failures }},
+			func(st *oracle.ResilientStats) int64 { return st.Failures }},
 		{"ecsort_oracle_fast_fails_total", "Oracle calls rejected by an open circuit breaker.",
-			func(st oracle.ResilientStats) int64 { return st.FastFails }},
+			func(st *oracle.ResilientStats) int64 { return st.FastFails }},
 		{"ecsort_oracle_breaker_trips_total", "Circuit breaker trips.",
-			func(st oracle.ResilientStats) int64 { return st.Trips }},
+			func(st *oracle.ResilientStats) int64 { return st.Trips }},
 		{"ecsort_oracle_batch_asks_total", "Whole-chunk exchanges issued through the middleware's batch path.",
-			func(st oracle.ResilientStats) int64 { return st.BatchAsks }},
+			func(st *oracle.ResilientStats) int64 { return st.BatchAsks }},
 		{"ecsort_oracle_batch_fallbacks_total", "Pairs re-asked individually after a batch exchange failed them.",
-			func(st oracle.ResilientStats) int64 { return st.BatchFallbacks }},
+			func(st *oracle.ResilientStats) int64 { return st.BatchFallbacks }},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-		for _, k := range resKeys {
-			fmt.Fprintf(w, "%s{collection=%q} %d\n", m.name, k, m.value(resStats[k]))
+		m.Family(f.name, "counter", f.help)
+		for _, in := range rows {
+			if in.res != nil {
+				m.LabeledInt("collection", in.Key, f.value(in.res))
+			}
 		}
 	}
 
@@ -444,63 +356,37 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// invocations (one per worker-pool chunk), pairs the tests they
 	// carried — pairs/rounds is the amortization factor the batch path
 	// buys over per-pair dispatch.
-	batchRounds, batchPairs := s.BatchOracleStats()
-	fmt.Fprintf(w, "# HELP ecsort_oracle_batch_rounds_total Whole-chunk oracle invocations across all collections.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_oracle_batch_rounds_total counter\n")
-	fmt.Fprintf(w, "ecsort_oracle_batch_rounds_total %d\n", batchRounds)
-	fmt.Fprintf(w, "# HELP ecsort_oracle_batch_pairs_total Equivalence tests answered through whole-chunk oracle invocations.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_oracle_batch_pairs_total counter\n")
-	fmt.Fprintf(w, "ecsort_oracle_batch_pairs_total %d\n", batchPairs)
+	m.Family("ecsort_oracle_batch_rounds_total", "counter", "Whole-chunk oracle invocations across all collections.").Int(s.batchRounds.Load())
+	m.Family("ecsort_oracle_batch_pairs_total", "counter", "Equivalence tests answered through whole-chunk oracle invocations.").Int(s.batchPairs.Load())
 
 	// Per-collection gauges from the published snapshots (comparisons,
-	// rounds, widest round, class counts), never touching the writers.
-	fmt.Fprintf(w, "# HELP ecsort_collection_classes Classes in the published snapshot.\n")
-	fmt.Fprintf(w, "# TYPE ecsort_collection_classes gauge\n")
-	for _, in := range infos {
-		fmt.Fprintf(w, "ecsort_collection_classes{collection=%q} %d\n", in.Key, in.Classes)
-	}
-	for _, m := range []struct {
+	// rounds, widest round, class counts), never touching the writers,
+	// then the churn counters: deletes, class withdrawals, repair
+	// corrections.
+	for _, f := range []struct {
 		name, typ, help string
-		value           func(*Snapshot) int64
+		value           func(CollectionInfo) int64
 	}{
+		{"ecsort_collection_classes", "gauge", "Classes in the published snapshot.",
+			func(in CollectionInfo) int64 { return int64(in.Classes) }},
 		{"ecsort_collection_comparisons_total", "counter", "Equivalence tests charged to the collection's session.",
-			func(sn *Snapshot) int64 { return sn.Stats.Comparisons }},
+			func(in CollectionInfo) int64 { return in.Snapshot.Stats.Comparisons }},
 		{"ecsort_collection_rounds_total", "counter", "Physical comparison rounds executed.",
-			func(sn *Snapshot) int64 { return int64(sn.Stats.Rounds) }},
+			func(in CollectionInfo) int64 { return int64(in.Snapshot.Stats.Rounds) }},
 		{"ecsort_collection_max_round_size", "gauge", "Widest physical round so far.",
-			func(sn *Snapshot) int64 { return int64(sn.Stats.MaxRoundSize) }},
+			func(in CollectionInfo) int64 { return int64(in.Snapshot.Stats.MaxRoundSize) }},
 		{"ecsort_collection_elements", "gauge", "Elements covered by the published snapshot.",
-			func(sn *Snapshot) int64 { return int64(sn.Size) }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		for _, in := range infos {
-			fmt.Fprintf(w, "%s{collection=%q} %d\n", m.name, in.Key, m.value(in.Snapshot))
-		}
-	}
-
-	// Churn counters: deletes, class withdrawals, repair corrections.
-	for _, m := range []struct {
-		name, help string
-		value      func(CollectionInfo) int64
-	}{
-		{"ecsort_collection_deleted_total", "Elements removed by delete calls.",
+			func(in CollectionInfo) int64 { return int64(in.Snapshot.Size) }},
+		{"ecsort_collection_deleted_total", "counter", "Elements removed by delete calls.",
 			func(in CollectionInfo) int64 { return in.Deleted }},
-		{"ecsort_collection_invalidated_total", "Class withdrawals (explicit invalidations plus repair corrections).",
+		{"ecsort_collection_invalidated_total", "counter", "Class withdrawals (explicit invalidations plus repair corrections).",
 			func(in CollectionInfo) int64 { return in.Invalidated }},
-		{"ecsort_collection_repaired_total", "Divergences the repair daemon corrected.",
+		{"ecsort_collection_repaired_total", "counter", "Divergences the repair daemon corrected.",
 			func(in CollectionInfo) int64 { return in.Repaired }},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-		for _, in := range infos {
-			fmt.Fprintf(w, "%s{collection=%q} %d\n", m.name, in.Key, m.value(in))
+		m.Family(f.name, f.typ, f.help)
+		for _, in := range rows {
+			m.LabeledInt("collection", in.Key, f.value(in.CollectionInfo))
 		}
 	}
-}
-
-// boolMetric renders a bool as the 0/1 gauge Prometheus expects.
-func boolMetric(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

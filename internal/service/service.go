@@ -1260,15 +1260,26 @@ func (s *Service) CollectionStats(key string) (CollectionInfo, error) {
 // by key.
 func (s *Service) Collections() []CollectionInfo {
 	var out []CollectionInfo
+	for _, c := range s.collections() {
+		out = append(out, c.info(false))
+	}
+	return out
+}
+
+// collections lists every collection, sorted by key, from one walk over
+// the shards: whatever a caller then reads covers one set of
+// collections, even while others are created or dropped.
+func (s *Service) collections() []*collection {
+	var cols []*collection
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, c := range sh.cols {
-			out = append(out, c.info(false))
+			cols = append(cols, c)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	sort.Slice(cols, func(i, j int) bool { return cols[i].key < cols[j].key })
+	return cols
 }
 
 // ClassOf returns element's class in key's collection — an O(1) lookup

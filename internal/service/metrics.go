@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -36,7 +37,7 @@ func (m *MetricsWriter) Int(v int64) { m.line(m.name + " " + strconv.FormatInt(v
 
 // LabeledInt writes the family's sample v for label="value".
 func (m *MetricsWriter) LabeledInt(label, value string, v int64) {
-	m.line(m.name + "{" + label + "=" + strconv.Quote(value) + "} " + strconv.FormatInt(v, 10))
+	m.line(m.name + "{" + label + `="` + labelValue(value) + `"} ` + strconv.FormatInt(v, 10))
 }
 
 // Seconds writes the family's unlabeled sample d in seconds, with nine
@@ -60,6 +61,28 @@ func (m *MetricsWriter) Age(last int64) {
 // reading holds up one line and no lock its caller took. A failed write
 // means the reader went away, and the rest of the body goes to no one.
 func (m *MetricsWriter) line(s string) { io.WriteString(m.w, s+"\n") }
+
+// labelValue escapes s as the text format defines a label value:
+// backslash, double quote and line feed take a backslash, and nothing
+// else does. Each byte of invalid UTF-8 becomes U+FFFD, as in the JSON
+// listing of the same key (strings.ToValidUTF8 would merge a run of
+// them into one).
+func labelValue(s string) string {
+	var b strings.Builder
+	for _, r := range s { // an invalid byte ranges as one utf8.RuneError
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
 
 // BoolMetric renders b as the 0/1 value of a boolean gauge.
 func BoolMetric(b bool) int64 {

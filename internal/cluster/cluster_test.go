@@ -537,10 +537,9 @@ func TestPlacementEstimator(t *testing.T) {
 
 	// place: loads [100, 10, 100] and a heavy weight → node 1, counted.
 	co := &Coordinator{
-		nodes:       []*nodeClient{{name: "a"}, {name: "b"}, {name: "c"}},
-		heavyFactor: 2.0,
-		load:        []float64{100, 10, 100},
-		routes:      map[string]route{},
+		nodes:  []*nodeClient{{name: "a"}, {name: "b"}, {name: "c"}},
+		load:   []float64{100, 10, 100},
+		routes: map[string]route{},
 	}
 	if got := co.place("whatever", 1000); got != 1 {
 		t.Fatalf("heavy placement: got node %d, want 1 (least loaded)", got)
@@ -677,25 +676,6 @@ func TestMismatchedSpecCreateDoesNotWedge(t *testing.T) {
 	}
 	if _, err := cl.CreateCollection(ctx, "after", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1}}); err != nil {
 		t.Fatalf("coordinator wedged after mixed create: %v", err)
-	}
-}
-
-// TestNegativeHeavyFactorDisables pins the documented Config contract:
-// a negative HeavyFactor means pure hash placement, never least-loaded.
-func TestNegativeHeavyFactorDisables(t *testing.T) {
-	co := &Coordinator{
-		nodes:       []*nodeClient{{name: "a"}, {name: "b"}, {name: "c"}},
-		heavyFactor: -1,
-		load:        []float64{100, 10, 100},
-		routes:      map[string]route{},
-	}
-	for _, key := range []string{"a", "b", "c", "heavy"} {
-		if got, want := co.place(key, 1e12), hashSlot(key, 3); got != want {
-			t.Fatalf("disabled heavy placement of %q: got %d, want hash slot %d", key, got, want)
-		}
-	}
-	if co.HeavyPlacements() != 0 {
-		t.Fatalf("heavy placements counted while disabled: %d", co.HeavyPlacements())
 	}
 }
 

@@ -25,11 +25,6 @@ type Config struct {
 	// collections rejecting with 503 + Retry-After — after a transport
 	// failure, before the next call probes it again. 0 means 3s.
 	DownCooldown time.Duration
-	// HeavyFactor is the estimated-weight multiple of the mean node
-	// load past which a new collection is placed on the least-loaded
-	// node instead of its hash slot. 0 means 2.0; negative disables
-	// heavy placement.
-	HeavyFactor float64
 }
 
 func (c Config) downCooldown() time.Duration {
@@ -91,10 +86,9 @@ func (nc *nodeClient) markUp() {
 // DegradedError path a tripped oracle breaker uses — without taking any
 // other node's collections down.
 type Coordinator struct {
-	cfg         Config
-	nodes       []*nodeClient
-	heavyFactor float64
-	start       time.Time
+	cfg   Config
+	nodes []*nodeClient
+	start time.Time
 
 	mu     sync.RWMutex
 	routes map[string]route
@@ -112,14 +106,10 @@ func New(cfg Config, backends []Backend) (*Coordinator, error) {
 		return nil, errors.New("cluster: coordinator needs at least one backend")
 	}
 	co := &Coordinator{
-		cfg:         cfg,
-		heavyFactor: cfg.HeavyFactor,
-		start:       time.Now(),
-		routes:      make(map[string]route),
-		load:        make([]float64, len(backends)),
-	}
-	if co.heavyFactor == 0 {
-		co.heavyFactor = defaultHeavyFactor
+		cfg:    cfg,
+		start:  time.Now(),
+		routes: make(map[string]route),
+		load:   make([]float64, len(backends)),
 	}
 	for _, b := range backends {
 		co.nodes = append(co.nodes, &nodeClient{name: b.Name, t: b.Transport})

@@ -118,10 +118,6 @@ func graphSignature(g *service.GraphSpec) uint64 {
 func (co *Coordinator) place(key string, weight float64) int {
 	nodes := len(co.nodes)
 	slot := hashSlot(key, nodes)
-	if co.heavyFactor < 0 {
-		// Heavy placement disabled: pure hash routing, never least-loaded.
-		return slot
-	}
 	var total float64
 	for _, l := range co.load {
 		total += l
@@ -132,7 +128,7 @@ func (co *Coordinator) place(key string, weight float64) int {
 		return slot
 	}
 	mean := total / float64(nodes)
-	if weight < co.heavyFactor*mean {
+	if weight < defaultHeavyFactor*mean {
 		return slot
 	}
 	// Heavy: argmin load, ties to the lowest index for determinism.

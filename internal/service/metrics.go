@@ -57,9 +57,8 @@ func (m *MetricsWriter) Age(last int64) {
 	m.line(m.name + " " + age)
 }
 
-// line writes s and its line feed in one Write, so a reader that stops
-// reading holds up one line and no lock its caller took. A failed write
-// means the reader went away, and the rest of the body goes to no one.
+// line writes s and its line feed in one Write. A failed write means
+// the reader went away, and the rest of the body goes to no one.
 func (m *MetricsWriter) line(s string) { io.WriteString(m.w, s+"\n") }
 
 // labelValue escapes s as the text format defines a label value:

@@ -394,9 +394,9 @@ func NewGraphIsoCachedOracle(graphs []*Graph) *GraphIsoCachedOracle {
 // protocol; see AgentNetwork.
 type Agent = agents.Agent
 
-// AgentNetwork simulates n message-passing agents; it executes whole
-// comparison rounds as concurrent pairwise protocol sessions and
-// physically enforces the one-handshake-per-agent-per-round ER rule.
+// AgentNetwork simulates n message-passing agents. Its Batch view runs
+// each chunk of a round as one wave of concurrent protocol sessions;
+// NewAgentSession and the service's agent collection kinds build on it.
 type AgentNetwork = agents.Network
 
 // NewAgentNetwork wraps a roster of agents.
@@ -414,17 +414,16 @@ func StateAgents(states []uint64) []Agent { return agents.StateRoster(states) }
 
 // NewAgentSession creates an ER session whose rounds execute on the
 // network — each comparison is a real two-goroutine protocol run. The
-// network's protocol sessions dispatch from cfg.Runtime, or from the
-// shared pool when it is nil. The binding is per-session: each call gets
-// its own bound executor, so creating a second session over the same
-// network never re-routes an earlier session's rounds. Every ER
-// Algorithm accepts the returned session, e.g.:
+// session enforces the ER rule before any handshake runs; each chunk of
+// a round then runs as one wave of protocol sessions on cfg.Runtime, or
+// on the shared pool when it is nil. Each call builds its own view of
+// the network, so a second session never re-routes an earlier session's
+// rounds. Every ER Algorithm accepts the returned session, e.g.:
 //
 //	nw := ecsort.NewAgentNetwork(ecsort.KeyAgents(labels, seed))
 //	res, err := ecsort.ER().Sort(ctx, ecsort.NewAgentSession(nw, ecsort.Config{}))
 func NewAgentSession(nw *AgentNetwork, cfg Config) *Session {
-	opts := append(cfg.options(), model.WithExecutor(nw.Bound(cfg.Runtime)))
-	return model.NewSession(nw, ModeER, opts...)
+	return model.NewSession(nw.Batch(cfg.Runtime), ModeER, cfg.options()...)
 }
 
 //

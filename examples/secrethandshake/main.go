@@ -48,8 +48,9 @@ func main() {
 	report("SortER (Thm 2)", res, affiliation, parties)
 
 	// The same sort over a live distributed network: every comparison
-	// round executes as concurrent two-goroutine protocol sessions, with
-	// the one-handshake-per-intern-per-round rule enforced physically.
+	// round executes as concurrent two-goroutine protocol sessions. The
+	// ER session checks the one-handshake-per-intern-per-round rule
+	// before any handshake of a round runs.
 	network := ecsort.NewAgentNetwork(ecsort.KeyAgents(affiliation, 0xC0FFEE))
 	res, err = ecsort.ER().Sort(ctx, ecsort.NewAgentSession(network, ecsort.Config{}))
 	if err != nil {

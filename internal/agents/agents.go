@@ -1,11 +1,8 @@
 // Package agents simulates the distributed reality behind the paper's
 // exclusive-read model: n autonomous agents, each holding private state,
 // that can only learn about each other by running a pairwise protocol
-// over a message channel. The Network executes one comparison round at a
-// time, physically enforcing the ER rule — every agent participates in at
-// most one protocol session per round — and running a round's sessions
-// concurrently on the persistent runtime pool, one goroutine per agent
-// side within each session.
+// over a message channel. Each protocol session runs one goroutine per
+// agent side.
 //
 // The package provides two concrete agents matching the paper's first two
 // applications:
@@ -19,9 +16,12 @@
 //     cryptographically binding commitment: small state spaces would
 //     admit dictionary attacks in a real deployment.)
 //
-// A Network plugs into the comparison-model substrate as a
-// model.Executor, so every ER algorithm in internal/core runs unchanged
-// on top of genuinely message-passing agents.
+// A Network plugs into the comparison-model substrate through its Batch
+// view: an ER model.Session enforces the exclusive-read rule before any
+// handshake runs, then each worker-pool chunk of a round runs as one
+// wave of concurrent protocol sessions. Every ER algorithm in
+// internal/core thus runs unchanged on genuinely message-passing
+// agents, and the service's agent collection kinds use the same view.
 package agents
 
 import (
@@ -55,43 +55,22 @@ type Network struct {
 	seq      uint64
 }
 
-// NewNetwork wraps a set of agents. ExecuteRound dispatches its protocol
-// sessions from the process-wide shared runtime pool; use Bound or Batch
-// to route a session's rounds through a dedicated one. The shared pool
-// is resolved lazily at the first round, so wrapping a roster (or
-// running single Same probes) never spins up pool workers.
+// NewNetwork wraps a set of agents. Same runs one protocol session on
+// the caller; Batch is the view a session's rounds run through. Neither
+// wrapping a roster nor a Same probe spins up pool workers.
 func NewNetwork(agents []Agent) *Network {
 	return &Network{agents: agents}
 }
 
-// Bound returns an executor view of the network whose rounds dispatch
-// from p (nil: the shared pool). Each session gets its own Bound
-// executor, so creating a second session never re-routes an earlier
-// session's rounds — the per-session binding NewAgentSession relies on.
-func (nw *Network) Bound(p *rt.Pool) model.Executor {
-	return &boundNetwork{nw: nw, pool: p}
-}
-
-// boundNetwork pins one pool to the network's round executor.
-type boundNetwork struct {
-	nw   *Network
-	pool *rt.Pool
-}
-
-// ExecuteRound implements model.Executor on the pinned pool.
-func (b *boundNetwork) ExecuteRound(pairs []model.Pair) []bool {
-	return b.nw.executeRound(b.pool, pairs)
-}
-
 // Batch returns a batch-oracle view of the network whose chunks
-// dispatch from p (nil: the shared pool), the concurrent-read sibling
-// of Bound: handing it to model.NewSession schedules every worker-pool
-// chunk as a wave of real protocol sessions instead of one session per
-// Same call. Unlike ExecuteRound it skips the ER-disjointness check —
-// a CR chunk may legitimately schedule one agent into several
-// concurrent sessions, which is safe because handshakes are pure
-// functions of (sessionID, private state). Like Bound, the pool
-// binding is per-view.
+// dispatch from p (nil: the shared pool, resolved at the first chunk).
+// A session over it runs each worker-pool chunk as one wave of real
+// protocol sessions. The view checks no read rule: an ER session
+// rejects a round that books an agent twice before any handshake runs,
+// and a CR chunk may schedule one agent into several concurrent
+// sessions, which is safe because handshakes are pure functions of
+// (sessionID, private state). The pool binding is per view, so a
+// second view never re-routes an earlier session's rounds.
 func (nw *Network) Batch(p *rt.Pool) model.BatchOracle {
 	return &batchNetwork{nw: nw, pool: p}
 }
@@ -109,10 +88,10 @@ func (b *batchNetwork) N() int { return b.nw.N() }
 func (b *batchNetwork) Same(i, j int) bool { return b.nw.Same(i, j) }
 
 // SameBatch implements model.BatchOracle: one mutex acquisition
-// allocates the whole chunk's session-ID block, then every pair's
-// handshake wave runs concurrently on the pinned pool. This is
-// executeRound minus the busy-map check and the result allocation —
-// verdicts land in the caller's out slice by index.
+// allocates the whole chunk's session-ID block, then the chunk runs as
+// one wave of protocol sessions on the pinned pool, verdicts landing in
+// out by index. Sides that disagree on a verdict panic: the pairwise
+// protocol itself is broken.
 //
 //ecsort:hotpath
 func (b *batchNetwork) SameBatch(pairs []model.Pair, out []bool) {
@@ -142,10 +121,9 @@ func (nw *Network) Sessions() int64 {
 	return nw.sessions
 }
 
-// Same implements model.Oracle by running a single protocol session, so a
-// Network can be handed directly to model.NewSession — pass the network
-// both as the oracle and as the executor (model.WithExecutor) to route
-// whole rounds through concurrent agent sessions.
+// Same implements model.Oracle by running a single protocol session on
+// the caller. A session over the network itself runs its rounds one
+// handshake at a time; build it over Batch to run each chunk as a wave.
 func (nw *Network) Same(i, j int) bool {
 	nw.mu.Lock()
 	id := nw.seq
@@ -155,47 +133,7 @@ func (nw *Network) Same(i, j int) bool {
 	return nw.runSession(id, i, j)
 }
 
-// ExecuteRound implements model.Executor: it runs a round's protocol
-// sessions concurrently on the shared runtime pool after checking the ER
-// rule, dispatching one session per runtime chunk so the concurrency of
-// a round is bounded by the pool's width instead of spawning an
-// unbounded goroutine per pair (each session still runs its two agent
-// goroutines internally). Both sides of a session must agree on the
-// verdict; disagreement panics, because it means the pairwise protocol
-// itself is broken.
-func (nw *Network) ExecuteRound(pairs []model.Pair) []bool {
-	return nw.executeRound(nil, pairs)
-}
-
-// executeRound runs one round's protocol sessions on the given pool
-// (nil: shared), the common core of ExecuteRound and Bound executors.
-func (nw *Network) executeRound(pool *rt.Pool, pairs []model.Pair) []bool {
-	busy := make(map[int]struct{}, 2*len(pairs))
-	for _, p := range pairs {
-		if _, dup := busy[p.A]; dup {
-			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.A))
-		}
-		if _, dup := busy[p.B]; dup {
-			panic(fmt.Sprintf("agents: agent %d scheduled twice in one round", p.B))
-		}
-		busy[p.A] = struct{}{}
-		busy[p.B] = struct{}{}
-	}
-	nw.mu.Lock()
-	base := nw.seq
-	nw.seq += uint64(len(pairs))
-	nw.sessions += int64(len(pairs))
-	nw.mu.Unlock()
-
-	if pool == nil {
-		pool = rt.Shared()
-	}
-	run := roundRun{nw: nw, base: base, pairs: pairs, out: make([]bool, len(pairs))}
-	pool.Run(len(pairs), len(pairs), &run)
-	return run.out
-}
-
-// roundRun adapts one round of protocol sessions to the runtime's chunk
+// roundRun adapts one wave of protocol sessions to the runtime's chunk
 // interface; with one pair per chunk, verdicts land by index.
 type roundRun struct {
 	nw    *Network

@@ -34,16 +34,23 @@ func TestStateAgentsHandshake(t *testing.T) {
 	}
 }
 
-func TestExecuteRoundConcurrentSessions(t *testing.T) {
+// sameBatch answers one chunk through the network's batch view.
+func sameBatch(nw *Network, pairs []model.Pair) []bool {
+	out := make([]bool, len(pairs))
+	nw.Batch(nil).SameBatch(pairs, out)
+	return out
+}
+
+func TestBatchConcurrentSessions(t *testing.T) {
 	labels := []int{0, 0, 1, 1, 2, 2}
 	nw := NewNetwork(GroupKeys(labels, 7))
-	res := nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}})
+	res := sameBatch(nw, []model.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}})
 	for i, r := range res {
 		if !r {
 			t.Fatalf("pair %d should match", i)
 		}
 	}
-	res = nw.ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 4}})
+	res = sameBatch(nw, []model.Pair{{A: 0, B: 2}, {A: 1, B: 4}})
 	if res[0] || res[1] {
 		t.Fatal("cross-group handshakes matched")
 	}
@@ -52,18 +59,8 @@ func TestExecuteRoundConcurrentSessions(t *testing.T) {
 	}
 }
 
-func TestExecuteRoundEnforcesER(t *testing.T) {
-	nw := NewNetwork(GroupKeys([]int{0, 0, 0}, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double-booked agent did not panic")
-		}
-	}()
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 1, B: 2}})
-}
-
 // TestFullSortsOverNetwork runs every ER algorithm on a live agent
-// network plugged in as the session executor.
+// network, through sessions over its batch view.
 func TestFullSortsOverNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 60
@@ -74,7 +71,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 
 	t.Run("SortER over key agents", func(t *testing.T) {
 		nw := NewNetwork(GroupKeys(labels, 99))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw.Batch(nil), model.ER)
 		res, err := core.SortER(s)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +91,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 			states[i] = uint64(l) * 0x9e3779b97f4a7c15
 		}
 		nw := NewNetwork(StateRoster(states))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw.Batch(nil), model.ER)
 		res, err := core.RoundRobin(s)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +107,7 @@ func TestFullSortsOverNetwork(t *testing.T) {
 			balanced[i] = i % 3
 		}
 		nw := NewNetwork(GroupKeys(balanced, 5))
-		s := model.NewSession(nw, model.ER, model.WithExecutor(nw))
+		s := model.NewSession(nw.Batch(nil), model.ER)
 		res, err := core.SortConstRoundER(s, core.ConstRoundConfig{
 			Lambda:     0.2,
 			D:          10,
@@ -157,8 +154,8 @@ func TestNetworkQuick(t *testing.T) {
 // session id (nonce reuse across sessions would be a protocol smell).
 func TestSessionIDsDistinct(t *testing.T) {
 	nw := NewNetwork(GroupKeys([]int{0, 0, 0, 0}, 3))
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 1}, {A: 2, B: 3}})
-	nw.ExecuteRound([]model.Pair{{A: 0, B: 2}, {A: 1, B: 3}})
+	sameBatch(nw, []model.Pair{{A: 0, B: 1}, {A: 2, B: 3}})
+	sameBatch(nw, []model.Pair{{A: 0, B: 2}, {A: 1, B: 3}})
 	if nw.seq != 4 {
 		t.Fatalf("seq = %d, want 4", nw.seq)
 	}
@@ -174,58 +171,18 @@ func BenchmarkNetworkRound(b *testing.B) {
 	for i := 0; i < 256; i += 2 {
 		pairs = append(pairs, model.Pair{A: i, B: i + 1})
 	}
+	view := nw.Batch(nil)
+	out := make([]bool, len(pairs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw.ExecuteRound(pairs)
-	}
-}
-
-// TestBoundExecutorPerSessionPools is the regression test for the pool
-// rebinding bug: creating a second session over the same network (with a
-// different pool) must not re-route the first session's rounds. Each
-// Bound executor pins its own pool, so rounds land on the pool the
-// session was created with.
-func TestBoundExecutorPerSessionPools(t *testing.T) {
-	labels := make([]int, 32)
-	for i := range labels {
-		labels[i] = i % 2
-	}
-	nw := NewNetwork(GroupKeys(labels, 11))
-	poolA := rt.NewPool(3)
-	defer poolA.Close()
-	poolB := rt.NewPool(3)
-	defer poolB.Close()
-
-	sessA := model.NewSession(nw, model.ER, model.WithExecutor(nw.Bound(poolA)))
-	// Creating a second bound executor (the NewAgentSession path) must
-	// not rebind A's rounds.
-	sessB := model.NewSession(nw, model.ER, model.WithExecutor(nw.Bound(poolB)))
-
-	round := make([]model.Pair, 0, 16)
-	for i := 0; i < 32; i += 2 {
-		round = append(round, model.Pair{A: i, B: i + 1})
-	}
-	if _, err := sessA.Round(round); err != nil {
-		t.Fatal(err)
-	}
-	if jobs := poolA.Stats().Jobs; jobs == 0 {
-		t.Errorf("session A's round did not dispatch on its own pool")
-	}
-	if jobs := poolB.Stats().Jobs; jobs != 0 {
-		t.Errorf("session A's round leaked onto session B's pool (%d jobs)", jobs)
-	}
-	if _, err := sessB.Round(round); err != nil {
-		t.Fatal(err)
-	}
-	if jobs := poolB.Stats().Jobs; jobs == 0 {
-		t.Errorf("session B's round did not dispatch on its own pool")
+		view.SameBatch(pairs, out)
 	}
 }
 
 // TestBatchOracleView: the batch view answers whole chunks with a block
 // of real protocol sessions, matching per-pair handshakes bit for bit
-// — including CR chunks that repeat an agent, which ExecuteRound's ER
-// check would reject.
+// — including CR chunks that repeat an agent, which an ER session would
+// reject.
 func TestBatchOracleView(t *testing.T) {
 	labels := []int{0, 1, 0, 2, 1, 0}
 	nw := NewNetwork(GroupKeys(labels, 21))

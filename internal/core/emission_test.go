@@ -6,7 +6,6 @@ import (
 
 	"ecsort/internal/dist"
 	"ecsort/internal/model"
-	"ecsort/internal/oracle"
 )
 
 // The emission goldens pin what the stats goldens cannot see: the exact
@@ -15,9 +14,10 @@ import (
 // n = 2^12 rows were recorded from the engine before the arenas were
 // pre-sized, the others before the first merge level got its own pass.
 
-// pairStream is an Executor that answers each physical round from labels
-// and folds every emitted pair, in order, and every round boundary into
-// an FNV-1a hash.
+// pairStream is a batch oracle that answers from labels and folds every
+// emitted pair, in order, and every round boundary into an FNV-1a hash.
+// A Workers(1) session calls SameBatch once per physical round, so each
+// call is one round.
 type pairStream struct {
 	labels []int
 	h      uint64
@@ -29,15 +29,18 @@ func newPairStream(labels []int) *pairStream {
 
 func (p *pairStream) mix(v uint64) { p.h = (p.h ^ v) * 1099511628211 }
 
-func (p *pairStream) ExecuteRound(pairs []model.Pair) []bool {
-	out := make([]bool, len(pairs))
+func (p *pairStream) N() int { return len(p.labels) }
+
+// Same answers a sequential Compare without hashing it.
+func (p *pairStream) Same(i, j int) bool { return p.labels[i] == p.labels[j] }
+
+func (p *pairStream) SameBatch(pairs []model.Pair, out []bool) {
 	for i, pair := range pairs {
 		out[i] = p.labels[pair.A] == p.labels[pair.B]
 		p.mix(uint64(pair.A))
 		p.mix(uint64(pair.B))
 	}
 	p.mix(^uint64(0))
-	return out
 }
 
 // classOrderHash hashes the classes exactly as returned, members and
@@ -88,7 +91,7 @@ func TestEmissionOrderGolden(t *testing.T) {
 	} {
 		labels := dist.Labels(dist.NewZeta(2), tc.n, rand.New(rand.NewSource(7)))
 		stream := newPairStream(labels)
-		s := model.NewSession(oracle.NewLabel(labels), tc.s.mode, model.WithExecutor(stream), model.Processors(tc.procs))
+		s := model.NewSession(stream, tc.s.mode, model.Workers(1), model.Processors(tc.procs))
 		res, err := tc.s.sort(s)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

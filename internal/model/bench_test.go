@@ -11,8 +11,9 @@ import (
 // BenchmarkExecute is the tracked-baseline benchmark of physical-round
 // execution (see BENCH_baseline.json and the CI bench smoke): the same
 // one-round workload driven through the persistent runtime pool versus
-// the spawn-per-round path it replaced (fresh goroutines, a WaitGroup,
-// and a result slice every round, reproduced here as a custom executor).
+// the spawn-per-round path it replaced (fresh goroutines and a WaitGroup
+// every round, reproduced here as a batch oracle that a Workers(1)
+// session calls once per physical round).
 // Both variants pin the parallel width to 4 so allocs/op is independent
 // of the runner's core count; run with -cpu 1,4 to see the pool's
 // multi-core win on real hardware.
@@ -35,19 +36,15 @@ func (o mixOracle) Same(i, j int) bool {
 	return o.labels[i] == o.labels[j] && h != 0
 }
 
-// spawnExecutor reproduces the pre-runtime execute path for comparison:
-// per-round goroutines over chunked ranges.
-type spawnExecutor struct {
-	oracle  Oracle
+// spawnOracle reproduces the pre-runtime execute path for comparison:
+// each SameBatch call spawns goroutines over chunked ranges.
+type spawnOracle struct {
+	mixOracle
 	workers int
 }
 
-func (e spawnExecutor) ExecuteRound(pairs []Pair) []bool {
-	out := make([]bool, len(pairs))
-	w := e.workers
-	if w > len(pairs) {
-		w = len(pairs)
-	}
+func (o spawnOracle) SameBatch(pairs []Pair, out []bool) {
+	w := min(o.workers, len(pairs))
 	var wg sync.WaitGroup
 	chunk := (len(pairs) + w - 1) / w
 	for start := 0; start < len(pairs); start += chunk {
@@ -56,12 +53,11 @@ func (e spawnExecutor) ExecuteRound(pairs []Pair) []bool {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				out[i] = e.oracle.Same(pairs[i].A, pairs[i].B)
+				out[i] = o.Same(pairs[i].A, pairs[i].B)
 			}
 		}(start, end)
 	}
 	wg.Wait()
-	return out
 }
 
 func BenchmarkExecute(b *testing.B) {
@@ -99,8 +95,7 @@ func BenchmarkExecute(b *testing.B) {
 		bench(b, NewSession(o, CR, Workers(4), WithPool(pool), Processors(len(pairs))))
 	})
 	b.Run("spawn", func(b *testing.B) {
-		bench(b, NewSession(o, CR,
-			WithExecutor(spawnExecutor{oracle: o, workers: 4}), Processors(len(pairs))))
+		bench(b, NewSession(spawnOracle{o, 4}, CR, Workers(1), Processors(len(pairs))))
 	})
 }
 

@@ -111,33 +111,12 @@ var (
 	ErrERConflict  = errors.New("model: element used twice in one ER round")
 )
 
-// ErrExecutorResults reports a custom Executor that returned a result
-// slice of the wrong length — an executor bug that would otherwise be
-// silently papered over with false answers.
-var ErrExecutorResults = errors.New("model: executor returned wrong result count")
-
 // ErrBadWorkers reports a negative Workers value — a caller bug.
 // Workers panics with an error wrapping this sentinel.
 var ErrBadWorkers = errors.New("model: negative Workers")
 
 // Option configures a Session.
 type Option func(*Session)
-
-// Executor runs the tests of one physical round and returns the answers
-// in order. Custom executors let a session delegate execution to an
-// external substrate — e.g. a simulated distributed agent network that
-// performs real pairwise protocols — while the session keeps accounting
-// and rule enforcement. The executor is called with at most one round's
-// tests at a time; it may run them concurrently.
-type Executor interface {
-	ExecuteRound(pairs []Pair) []bool
-}
-
-// WithExecutor routes round execution through e instead of calling the
-// oracle directly. The oracle is still consulted for N() and by Compare.
-func WithExecutor(e Executor) Option {
-	return func(s *Session) { s.executor = e }
-}
 
 // WithRoundLog records the size of every physical round, retrievable via
 // RoundLog. Off by default (long sequential runs would log one entry per
@@ -203,15 +182,14 @@ func WithContext(ctx context.Context) Option {
 // A Session is not safe for concurrent use: algorithms issue rounds one at
 // a time (the parallelism is inside a round, not across rounds).
 type Session struct {
-	oracle   Oracle
-	mode     Mode
-	n        int
-	procs    int
-	workers  int
-	executor Executor
-	pool     *rt.Pool
-	ctx      context.Context // nil means never cancelled
-	exec     roundExec       // persistent chunk runner, reused every round
+	oracle  Oracle
+	mode    Mode
+	n       int
+	procs   int
+	workers int
+	pool    *rt.Pool
+	ctx     context.Context // nil means never cancelled
+	exec    roundExec       // persistent chunk runner, reused every round
 
 	logRounds bool
 	roundLog  []int
@@ -236,8 +214,8 @@ func NewSession(o Oracle, mode Mode, opts ...Option) *Session {
 		opt(s)
 	}
 	s.exec.oracle = o
-	// Batch capability is resolved once here, not per round: execute and
-	// RunChunk branch on a plain nil check in the hot path.
+	// Batch capability is resolved once here, not per round: RunChunk
+	// branches on a plain nil check in the hot path.
 	s.exec.batch, _ = o.(BatchOracle)
 	if s.procs <= 0 {
 		s.procs = s.n
@@ -341,9 +319,7 @@ func (s *Session) RoundBuf(pairs []Pair, buf []bool) ([]bool, error) {
 				return nil, err
 			}
 		}
-		if err := s.execute(chunk, results[start:end]); err != nil {
-			return nil, err
-		}
+		s.execute(chunk, results[start:end])
 		s.stats.Rounds++
 		s.stats.Comparisons += int64(end - start)
 		if end-start > s.stats.MaxRoundSize {
@@ -428,43 +404,28 @@ func (s *Session) validateCR(pairs []Pair) error {
 	return nil
 }
 
-// execute runs the tests of one physical round on the session's runtime
-// pool (or via the custom executor, if set). The pool splits the pair
-// slice into at most Workers chunks claimed by its persistent
-// goroutines; answers are written by index, so results are bit-identical
+// execute runs the tests of one physical round through RunChunk: whole
+// on the caller when the round is serial, or split by the session's
+// runtime pool into at most Workers chunks claimed by its persistent
+// goroutines. Answers are written by index, so results are bit-identical
 // to Workers(1) no matter how chunks land on workers, and the steady
 // state allocates nothing — no per-round goroutines, closures, or
 // WaitGroups.
-func (s *Session) execute(pairs []Pair, out []bool) error {
-	if s.executor != nil {
-		res := s.executor.ExecuteRound(pairs)
-		if len(res) != len(pairs) {
-			return fmt.Errorf("%w: %d results for %d tests", ErrExecutorResults, len(res), len(pairs))
-		}
-		copy(out, res)
-		return nil
-	}
-	if s.workers <= 1 || len(pairs) < 2 {
-		if s.exec.batch != nil {
-			s.exec.batch.SameBatch(pairs, out)
-			return nil
-		}
-		for i, p := range pairs {
-			out[i] = s.oracle.Same(p.A, p.B)
-		}
-		return nil
-	}
-	// The shared pool is resolved lazily so sessions that never reach a
-	// parallel round — Workers(1), custom executors, Compare-only runs —
-	// don't spin up the process-wide workers.
-	pool := s.pool
-	if pool == nil {
-		pool = rt.Shared()
-	}
+func (s *Session) execute(pairs []Pair, out []bool) {
 	s.exec.pairs, s.exec.out = pairs, out
-	pool.Run(len(pairs), s.workers, &s.exec)
+	if s.workers <= 1 || len(pairs) < 2 {
+		s.exec.RunChunk(0, len(pairs))
+	} else {
+		// The shared pool is resolved lazily so sessions that never reach
+		// a parallel round — Workers(1), Compare-only runs — don't spin up
+		// the process-wide workers.
+		pool := s.pool
+		if pool == nil {
+			pool = rt.Shared()
+		}
+		pool.Run(len(pairs), s.workers, &s.exec)
+	}
 	s.exec.pairs, s.exec.out = nil, nil
-	return nil
 }
 
 // roundExec adapts one physical round to the runtime's chunk interface.

@@ -350,3 +350,32 @@ func TestParallelExecuteAllocs(t *testing.T) {
 		t.Errorf("parallel RoundBuf steady state = %v allocs/op, want 0", allocs)
 	}
 }
+
+func TestRoundLog(t *testing.T) {
+	o := parityOracle{n: 8}
+	s := NewSession(o, ER, Processors(2), WithRoundLog())
+	if _, err := s.Round([]Pair{{0, 1}, {2, 3}, {4, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Compare(0, 2)
+	log := s.RoundLog()
+	want := []int{2, 1, 1}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+}
+
+func TestRoundLogOffByDefault(t *testing.T) {
+	s := NewSession(parityOracle{n: 4}, ER)
+	if _, err := s.Round([]Pair{{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.RoundLog()) != 0 {
+		t.Fatal("round log recorded without WithRoundLog")
+	}
+}

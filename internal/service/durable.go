@@ -57,8 +57,9 @@ func (s *Service) buildSorter(spec OracleSpec) (engine, error) {
 	}
 	if nw, ok := base.(*agents.Network); ok {
 		// Agent collections answer whole worker-pool chunks as waves of
-		// real protocol sessions on the service pool — the batch-oracle
-		// sibling of Network.Bound — instead of one handshake per Same.
+		// real protocol sessions on the service pool — the view
+		// ecsort.NewAgentSession builds on too — instead of one
+		// handshake per Same.
 		base = nw.Batch(s.pool)
 	}
 	eng := engine{algoName: algoName, orc: base}

@@ -404,26 +404,26 @@ func (s *Session) validateCR(pairs []Pair) error {
 	return nil
 }
 
-// execute runs the tests of one physical round through RunChunk: whole
-// on the caller when the round is serial, or split by the session's
-// runtime pool into at most Workers chunks claimed by its persistent
-// goroutines. Answers are written by index, so results are bit-identical
-// to Workers(1) no matter how chunks land on workers, and the steady
-// state allocates nothing — no per-round goroutines, closures, or
-// WaitGroups.
+// execute runs the tests of one physical round through RunChunk. A
+// session built WithPool hands every round to its pool, which splits it
+// into at most Workers chunks claimed by its persistent goroutines, or
+// runs it inline and counts it when it is serial (Workers(1) or a single
+// test). A session without a pool runs a serial round on the caller.
+// Answers are written by index, so results are bit-identical to
+// Workers(1) no matter how chunks land on workers, and the steady state
+// allocates nothing — no per-round goroutines, closures, or WaitGroups.
 func (s *Session) execute(pairs []Pair, out []bool) {
 	s.exec.pairs, s.exec.out = pairs, out
-	if s.workers <= 1 || len(pairs) < 2 {
+	switch {
+	case s.pool != nil:
+		s.pool.Run(len(pairs), s.workers, &s.exec)
+	case s.workers <= 1 || len(pairs) < 2:
 		s.exec.RunChunk(0, len(pairs))
-	} else {
+	default:
 		// The shared pool is resolved lazily so sessions that never reach
 		// a parallel round — Workers(1), Compare-only runs — don't spin up
 		// the process-wide workers.
-		pool := s.pool
-		if pool == nil {
-			pool = rt.Shared()
-		}
-		pool.Run(len(pairs), s.workers, &s.exec)
+		rt.Shared().Run(len(pairs), s.workers, &s.exec)
 	}
 	s.exec.pairs, s.exec.out = nil, nil
 }

@@ -255,6 +255,32 @@ func TestWithPoolMatchesDefault(t *testing.T) {
 	}
 }
 
+// TestPooledSerialRoundsCountInline: a session built WithPool hands
+// every round to its pool, so the rounds the pool runs inline — all of a
+// Workers(1) session's, and a wider session's single-test rounds — show
+// in its Inline counter instead of bypassing the pool.
+func TestPooledSerialRoundsCountInline(t *testing.T) {
+	pool := rt.NewPool(2)
+	defer pool.Close()
+	o := parityOracle{n: 8}
+	serial := NewSession(o, CR, Workers(1), WithPool(pool))
+	for range 3 {
+		if _, err := serial.Round([]Pair{{0, 1}, {2, 3}, {4, 6}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := pool.Stats(); st.Inline != 3 || st.Jobs != 0 {
+		t.Fatalf("3 serial rounds: Inline = %d, Jobs = %d; want 3 and 0", st.Inline, st.Jobs)
+	}
+	wide := NewSession(o, CR, Workers(2), WithPool(pool))
+	if _, err := wide.Round([]Pair{{0, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Inline != 4 || st.Jobs != 0 {
+		t.Fatalf("1-test round on a 2-wide session: Inline = %d, Jobs = %d; want 4 and 0", st.Inline, st.Jobs)
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if ER.String() != "ER" || CR.String() != "CR" {
 		t.Errorf("Mode strings wrong: %v %v", ER, CR)

@@ -187,7 +187,9 @@ func (co *Coordinator) owner(key string) (int, error) {
 // like a collection whose oracle breaker tripped. Remote service
 // failures pass through typed (*service.DegradedError for degraded
 // collections, *RemoteError otherwise). The returned bytes are the
-// node's success body.
+// node's success body. call counts nothing as routed: Do and create
+// count the collection ops they route, so the coordinator's own fleet
+// probes (Health, List) never show as traffic.
 func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, a service.Args) ([]byte, error) {
 	req, err := encodeRequest(nil, o, key, a)
 	if err != nil {
@@ -197,7 +199,6 @@ func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, a se
 	if ra, down := nc.down(); down {
 		return nil, &service.DegradedError{Key: key, RetryAfter: ra}
 	}
-	nc.routed.Add(1)
 	resp, err := nc.t.Call(ctx, req)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -254,6 +255,7 @@ func (co *Coordinator) Do(ctx context.Context, dst []byte, o service.Op, key str
 		if err != nil {
 			return nil, err
 		}
+		co.nodes[idx].routed.Add(1)
 		if body, err = co.call(ctx, idx, op(o), key, a); err != nil {
 			return nil, err
 		}
@@ -298,6 +300,7 @@ func (co *Coordinator) create(ctx context.Context, key string, a service.Args) (
 	}
 	co.mu.Unlock()
 
+	co.nodes[idx].routed.Add(1)
 	body, err := co.call(ctx, idx, op(service.OpCreate), key, a)
 	if err != nil && reserved {
 		// Keep the reservation on a 409: the collection exists on that

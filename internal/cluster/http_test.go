@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -279,6 +280,52 @@ func TestCoordinatorHTTPHealthAndMetrics(t *testing.T) {
 	if !strings.Contains(string(raw), `ecsort_cluster_node_up{node="node-0"} 1`) {
 		t.Error("metrics took the live node down with the dead one")
 	}
+}
+
+// TestFleetProbesNotRouted: the coordinator's own fleet probes — the
+// health poll behind /metrics and /healthz/ready and the listing behind
+// GET /v1/collections — are not requests routed to a node, so they leave
+// ecsort_cluster_routed_total at 0; a create and an ingest count once
+// each, on the owner only.
+func TestFleetProbesNotRouted(t *testing.T) {
+	co, _ := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	get := func(path string) string {
+		w := httptest.NewRecorder()
+		co.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w.Body.String()
+	}
+	check := func(when string, want [2]int) {
+		t.Helper()
+		body := get("/metrics")
+		for i, n := range want {
+			line := fmt.Sprintf("ecsort_cluster_routed_total{node=\"node-%d\"} %d\n", i, n)
+			if !strings.Contains(body, line) {
+				t.Errorf("%s: /metrics lacks %q:\n%s", when, line, body)
+			}
+		}
+	}
+	for range 3 {
+		for _, path := range []string{"/metrics", "/healthz/ready", "/v1/collections"} {
+			get(path)
+		}
+	}
+	check("after 3 rounds of probes", [2]int{0, 0})
+
+	ctx := context.Background()
+	cl := service.NewClient(co)
+	if _, err := cl.CreateCollection(ctx, "k", service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Ingest(ctx, "k", []int{0, 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	owner, err := co.owner("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [2]int
+	want[owner] = 2
+	check("after a create and an ingest", want)
 }
 
 // blockingWriter is a ResponseWriter whose Write blocks on the first

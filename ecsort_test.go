@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ecsort/internal/model"
 )
 
 func TestPublicConstRound(t *testing.T) {
@@ -207,6 +209,62 @@ func TestDistributedSorts(t *testing.T) {
 			t.Fatal("wrong verdicts")
 		}
 	})
+}
+
+// TestAgentSessionEnforcesER: a round that books one agent twice is
+// rejected by the session before any handshake runs, and costs nothing.
+func TestAgentSessionEnforcesER(t *testing.T) {
+	nw := NewAgentNetwork(KeyAgents([]int{0, 0, 0}, 1))
+	s := NewAgentSession(nw, Config{})
+	if _, err := s.Round([]Pair{{A: 0, B: 1}, {A: 1, B: 2}}); !errors.Is(err, model.ErrERConflict) {
+		t.Fatalf("double-booked agent: err = %v, want ErrERConflict", err)
+	}
+	if n := nw.Sessions(); n != 0 {
+		t.Errorf("rejected round ran %d protocol sessions", n)
+	}
+	if st := s.Stats(); st != (Stats{}) {
+		t.Errorf("rejected round charged %+v", st)
+	}
+}
+
+// TestAgentSessionPerSessionPools: each agent session runs its rounds,
+// and the protocol waves inside them, on its own Runtime only, so a
+// second session over the same network re-routes nothing.
+func TestAgentSessionPerSessionPools(t *testing.T) {
+	labels := make([]int, 32)
+	for i := range labels {
+		labels[i] = i % 2
+	}
+	nw := NewAgentNetwork(KeyAgents(labels, 11))
+	poolA, poolB := NewRuntime(3), NewRuntime(3)
+	defer poolA.Close()
+	defer poolB.Close()
+	sessA := NewAgentSession(nw, Config{Runtime: poolA, Workers: 3})
+	sessB := NewAgentSession(nw, Config{Runtime: poolB, Workers: 3})
+
+	round := make([]Pair, 0, 16)
+	for i := 0; i < len(labels); i += 2 {
+		round = append(round, Pair{A: i, B: i + 1})
+	}
+	if _, err := sessA.Round(round); err != nil {
+		t.Fatal(err)
+	}
+	afterA := poolA.Stats()
+	if afterA.Jobs == 0 {
+		t.Error("session A's round did not dispatch on its own pool")
+	}
+	if st := poolB.Stats(); st.Jobs != 0 || st.Inline != 0 {
+		t.Errorf("session A's round leaked onto session B's pool: %+v", st)
+	}
+	if _, err := sessB.Round(round); err != nil {
+		t.Fatal(err)
+	}
+	if poolB.Stats().Jobs == 0 {
+		t.Error("session B's round did not dispatch on its own pool")
+	}
+	if st := poolA.Stats(); st != afterA {
+		t.Errorf("session B's round ran on session A's pool: %+v, then %+v", afterA, st)
+	}
 }
 
 func TestCustomSession(t *testing.T) {

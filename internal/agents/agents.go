@@ -70,7 +70,10 @@ func NewNetwork(agents []Agent) *Network {
 // and a CR chunk may schedule one agent into several concurrent
 // sessions, which is safe because handshakes are pure functions of
 // (sessionID, private state). The pool binding is per view, so a
-// second view never re-routes an earlier session's rounds.
+// second view never re-routes an earlier session's rounds. The chunks of
+// a parallel round take their session-ID blocks in the order they reach
+// the network, so which ID a pair gets, and with it the transcript but
+// never the verdict, can differ between runs.
 func (nw *Network) Batch(p *rt.Pool) model.BatchOracle {
 	return &batchNetwork{nw: nw, pool: p}
 }
@@ -122,8 +125,8 @@ func (nw *Network) Sessions() int64 {
 }
 
 // Same implements model.Oracle by running a single protocol session on
-// the caller. A session over the network itself runs its rounds one
-// handshake at a time; build it over Batch to run each chunk as a wave.
+// the caller. A session over the network itself calls Same once per
+// test; build it over Batch to run each chunk as a wave.
 func (nw *Network) Same(i, j int) bool {
 	nw.mu.Lock()
 	id := nw.seq

@@ -289,9 +289,10 @@ func TestCoordinatorHTTPHealthAndMetrics(t *testing.T) {
 // each, on the owner only.
 func TestFleetProbesNotRouted(t *testing.T) {
 	co, _ := newChanCluster(t, 2, Config{}, service.Config{Shards: 1})
+	h := co.Handler()
 	get := func(path string) string {
 		w := httptest.NewRecorder()
-		co.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
 		return w.Body.String()
 	}
 	check := func(when string, want [2]int) {

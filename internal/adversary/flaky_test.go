@@ -104,10 +104,24 @@ func TestFlakyLatency(t *testing.T) {
 	if d := time.Since(start); d < 10*time.Millisecond {
 		t.Fatalf("latency not injected: call took %v", d)
 	}
-	// Cancellation interrupts the delay.
+	// Cancellation interrupts the delay. The delay is far longer than the
+	// deadline, so the timer cannot fire first however late the call is
+	// scheduled; with a delay of a few deadlines a descheduled caller can
+	// find both ready and select the timer.
+	slow := NewFlaky(oracle.NewLabel(make([]int, 2)), FlakyConfig{Latency: time.Hour})
 	tctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := f.TrySame(tctx, 0, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("latency call err = %v, want deadline", err)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := slow.TrySame(tctx, 0, 1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("latency call err = %v, want deadline", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("latency call did not release on ctx cancellation")
 	}
 }

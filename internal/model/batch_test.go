@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -119,6 +120,75 @@ func TestBatchRoundEquivalenceAndChunkCount(t *testing.T) {
 		if got := bo.batches.Load(); got*5 > int64(len(pairs)) {
 			t.Errorf("workers=%d: %d batch invocations for %d pairs; want >= 5x amortization",
 				workers, got, len(pairs))
+		}
+	}
+}
+
+// flipBatchOracle answers rounds the opposite of Same, so a test can
+// tell which path produced an answer.
+type flipBatchOracle struct{ parityOracle }
+
+func (o flipBatchOracle) SameBatch(pairs []Pair, out []bool) {
+	for i, p := range pairs {
+		out[i] = !o.Same(p.A, p.B)
+	}
+}
+
+// TestBatchOracleRoutesRounds: a session answers its rounds through
+// SameBatch and its sequential Compare calls through Same.
+func TestBatchOracleRoutesRounds(t *testing.T) {
+	s := NewSession(flipBatchOracle{parityOracle{n: 4}}, CR)
+	res, err := s.Round([]Pair{{0, 2}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] || !res[1] {
+		t.Fatalf("SameBatch not consulted: %v", res)
+	}
+	if !s.Compare(0, 2) {
+		t.Fatal("Compare should use Same directly")
+	}
+}
+
+// budgetBatchOracle records how many SameBatch calls it served and the
+// largest chunk any of them carried.
+type budgetBatchOracle struct {
+	parityOracle
+	mu                     sync.Mutex
+	calls, pairs, maxChunk int
+}
+
+func (o *budgetBatchOracle) SameBatch(pairs []Pair, out []bool) {
+	o.mu.Lock()
+	o.calls++
+	o.pairs += len(pairs)
+	o.maxChunk = max(o.maxChunk, len(pairs))
+	o.mu.Unlock()
+	for i, p := range pairs {
+		out[i] = o.Same(p.A, p.B)
+	}
+}
+
+// TestBatchOracleRespectsBudgetSplits: a round larger than the processor
+// budget reaches SameBatch one physical round at a time, so no call
+// carries more than the budget, and a Workers(1) session makes one call
+// per physical round.
+func TestBatchOracleRespectsBudgetSplits(t *testing.T) {
+	pairs := []Pair{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}}
+	for _, workers := range []int{1, 4} {
+		o := &budgetBatchOracle{parityOracle: parityOracle{n: 16}}
+		s := NewSession(o, ER, Processors(2), Workers(workers))
+		if _, err := s.Round(pairs); err != nil {
+			t.Fatal(err)
+		}
+		if o.maxChunk > 2 {
+			t.Errorf("workers=%d: SameBatch saw %d pairs, budget is 2", workers, o.maxChunk)
+		}
+		if o.pairs != len(pairs) {
+			t.Errorf("workers=%d: SameBatch answered %d pairs, want %d", workers, o.pairs, len(pairs))
+		}
+		if workers == 1 && o.calls != 3 { // ceil(5/2)
+			t.Errorf("workers=1: SameBatch calls = %d, want 3", o.calls)
 		}
 	}
 }

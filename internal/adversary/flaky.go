@@ -91,6 +91,15 @@ func (f *Flaky) TrySame(ctx context.Context, i, j int) (bool, error) {
 			t.Stop()
 			return false, ctx.Err()
 		case <-t.C:
+			// select picks either case when both are ready, and a passed
+			// deadline shows in ctx.Err() only once its own timer has run:
+			// a call whose context is over must not answer either way.
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+				return false, context.DeadlineExceeded
+			}
 		}
 	}
 	if stuck {

@@ -104,24 +104,51 @@ func TestFlakyLatency(t *testing.T) {
 	if d := time.Since(start); d < 10*time.Millisecond {
 		t.Fatalf("latency not injected: call took %v", d)
 	}
-	// Cancellation interrupts the delay. The delay is far longer than the
-	// deadline, so the timer cannot fire first however late the call is
-	// scheduled; with a delay of a few deadlines a descheduled caller can
-	// find both ready and select the timer.
-	slow := NewFlaky(oracle.NewLabel(make([]int, 2)), FlakyConfig{Latency: time.Hour})
+	// A call whose deadline passes during the delay fails.
 	tctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
+	if _, err := f.TrySame(tctx, 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("latency call err = %v, want deadline", err)
+	}
+	// Cancellation interrupts the delay rather than waiting it out.
+	slow := NewFlaky(oracle.NewLabel(make([]int, 2)), FlakyConfig{Latency: time.Hour})
+	sctx, scancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer scancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := slow.TrySame(tctx, 0, 1)
+		_, err := slow.TrySame(sctx, 0, 1)
 		errc <- err
 	}()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("latency call err = %v, want deadline", err)
+			t.Fatalf("slow call err = %v, want deadline", err)
 		}
 	case <-time.After(time.Minute):
 		t.Fatal("latency call did not release on ctx cancellation")
 	}
 }
+
+// TestFlakyExpiredContextNeverAnswers: when the delay and the context end
+// together, the call fails. A canceled context against a delay that has
+// run out by the time the call waits leaves both select cases ready.
+func TestFlakyExpiredContextNeverAnswers(t *testing.T) {
+	f := NewFlaky(oracle.NewLabel(make([]int, 2)), FlakyConfig{Latency: time.Nanosecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		if _, err := f.TrySame(ctx, 0, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d on a canceled context: err = %v, want canceled", i, err)
+		}
+	}
+	// A deadline that has passed before its timer canceled the context.
+	if _, err := f.TrySame(pastDeadline{context.Background()}, 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call past its deadline: err = %v, want deadline", err)
+	}
+}
+
+// pastDeadline is a context whose deadline has passed but which is not
+// yet done.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Unix(0, 0), true }

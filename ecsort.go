@@ -414,16 +414,19 @@ func StateAgents(states []uint64) []Agent { return agents.StateRoster(states) }
 
 // NewAgentSession creates an ER session whose rounds execute on the
 // network — each comparison is a real two-goroutine protocol run. The
-// session enforces the ER rule before any handshake runs; each chunk of
-// a round then runs as one wave of protocol sessions on cfg.Runtime, or
-// on the shared pool when it is nil. Each call builds its own view of
-// the network, so a second session never re-routes an earlier session's
-// rounds. Every ER Algorithm accepts the returned session, e.g.:
+// session enforces the ER rule before any handshake runs; each physical
+// round then runs as one wave of protocol sessions on cfg.Runtime, or
+// on the shared pool when it is nil. cfg.Workers does not apply: a
+// round is one chunk, so its pairs take session IDs in order and every
+// run's nonces and transcripts are the same. Each call builds its own
+// view of the network, so a second session never re-routes an earlier
+// session's rounds. Every ER Algorithm accepts the returned session,
+// e.g.:
 //
 //	nw := ecsort.NewAgentNetwork(ecsort.KeyAgents(labels, seed))
 //	res, err := ecsort.ER().Sort(ctx, ecsort.NewAgentSession(nw, ecsort.Config{}))
 func NewAgentSession(nw *AgentNetwork, cfg Config) *Session {
-	return model.NewSession(nw.Batch(cfg.Runtime), ModeER, cfg.options()...)
+	return model.NewSession(nw.Batch(cfg.Runtime), ModeER, append(cfg.options(), model.Workers(1))...)
 }
 
 //

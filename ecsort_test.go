@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"ecsort/internal/agents"
 	"ecsort/internal/model"
 )
 
@@ -265,6 +269,60 @@ func TestAgentSessionPerSessionPools(t *testing.T) {
 	if st := poolA.Stats(); st != afterA {
 		t.Errorf("session B's round ran on session A's pool: %+v, then %+v", afterA, st)
 	}
+}
+
+// TestAgentSessionIDsReproducible: an agent session gives every
+// protocol session the same ID, and so the same nonces and transcript,
+// on every run, even when Config asks for 4 workers on a 4-wide pool.
+func TestAgentSessionIDsReproducible(t *testing.T) {
+	labels := make([]int, 256)
+	for i := range labels {
+		labels[i] = i % 5
+	}
+	keys := KeyAgents(labels, 3)
+	pool := NewRuntime(4)
+	defer pool.Close()
+	run := func() map[uint64][]int {
+		log := &sessionLog{met: map[uint64][]int{}}
+		roster := make([]Agent, len(keys))
+		for i, k := range keys {
+			roster[i] = loggedAgent{id: i, inner: k, log: log}
+		}
+		s := NewAgentSession(NewAgentNetwork(roster), Config{Runtime: pool, Workers: 4})
+		if _, err := ER().Sort(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+		for _, ids := range log.met {
+			sort.Ints(ids)
+		}
+		return log.met
+	}
+	want := run()
+	for i := 1; i <= 30; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rerun %d paired agents with session IDs differently", i)
+		}
+	}
+}
+
+// sessionLog records which agents took part in each protocol session.
+type sessionLog struct {
+	mu  sync.Mutex
+	met map[uint64][]int
+}
+
+// loggedAgent logs its side of every session, then runs the handshake.
+type loggedAgent struct {
+	id    int
+	inner Agent
+	log   *sessionLog
+}
+
+func (a loggedAgent) Handshake(sessionID uint64, send chan<- agents.Message, recv <-chan agents.Message) bool {
+	a.log.mu.Lock()
+	a.log.met[sessionID] = append(a.log.met[sessionID], a.id)
+	a.log.mu.Unlock()
+	return a.inner.Handshake(sessionID, send, recv)
 }
 
 func TestCustomSession(t *testing.T) {

@@ -70,10 +70,10 @@ func NewNetwork(agents []Agent) *Network {
 // and a CR chunk may schedule one agent into several concurrent
 // sessions, which is safe because handshakes are pure functions of
 // (sessionID, private state). The pool binding is per view, so a
-// second view never re-routes an earlier session's rounds. The chunks of
-// a parallel round take their session-ID blocks in the order they reach
-// the network, so which ID a pair gets, and with it the transcript but
-// never the verdict, can differ between runs.
+// second view never re-routes an earlier session's rounds. A chunk's
+// pairs take consecutive session IDs in order, so a session that runs
+// each physical round as one chunk (Workers(1)) gets the same IDs on
+// every run.
 func (nw *Network) Batch(p *rt.Pool) model.BatchOracle {
 	return &batchNetwork{nw: nw, pool: p}
 }

@@ -187,9 +187,9 @@ func (co *Coordinator) owner(key string) (int, error) {
 // like a collection whose oracle breaker tripped. Remote service
 // failures pass through typed (*service.DegradedError for degraded
 // collections, *RemoteError otherwise). The returned bytes are the
-// node's success body. call counts nothing as routed: Do and create
-// count the collection ops they route, so the coordinator's own fleet
-// probes (Health, List) never show as traffic.
+// node's success body. call counts a collection op as routed once the
+// node is past its down check; the coordinator's own fleet probes
+// (Health, List) never show as traffic.
 func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, a service.Args) ([]byte, error) {
 	req, err := encodeRequest(nil, o, key, a)
 	if err != nil {
@@ -198,6 +198,9 @@ func (co *Coordinator) call(ctx context.Context, idx int, o op, key string, a se
 	nc := co.nodes[idx]
 	if ra, down := nc.down(); down {
 		return nil, &service.DegradedError{Key: key, RetryAfter: ra}
+	}
+	if o != opHealth && o != opList {
+		nc.routed.Add(1)
 	}
 	resp, err := nc.t.Call(ctx, req)
 	if err != nil {
@@ -255,7 +258,6 @@ func (co *Coordinator) Do(ctx context.Context, dst []byte, o service.Op, key str
 		if err != nil {
 			return nil, err
 		}
-		co.nodes[idx].routed.Add(1)
 		if body, err = co.call(ctx, idx, op(o), key, a); err != nil {
 			return nil, err
 		}
@@ -300,7 +302,6 @@ func (co *Coordinator) create(ctx context.Context, key string, a service.Args) (
 	}
 	co.mu.Unlock()
 
-	co.nodes[idx].routed.Add(1)
 	body, err := co.call(ctx, idx, op(service.OpCreate), key, a)
 	if err != nil && reserved {
 		// Keep the reservation on a 409: the collection exists on that

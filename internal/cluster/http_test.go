@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -327,6 +328,14 @@ func TestFleetProbesNotRouted(t *testing.T) {
 	var want [2]int
 	want[owner] = 2
 	check("after a create and an ingest", want)
+
+	// A request rejected during the owner's down cooldown never reaches it.
+	co.nodes[owner].markDown(errors.New("test: node down"), time.Minute)
+	var de *service.DegradedError
+	if _, err := cl.Ingest(ctx, "k", []int{2}, false); !errors.As(err, &de) {
+		t.Fatalf("ingest to a down owner: err = %v, want DegradedError", err)
+	}
+	check("after an ingest rejected in cooldown", want)
 }
 
 // blockingWriter is a ResponseWriter whose Write blocks on the first

@@ -38,6 +38,10 @@ var mergeHotpaths = map[string][]string{
 		"round",
 		"streamGroup",
 		"mergeGroupsCR",
+		"RunChunk",
+	},
+	"internal/model/model.go": {
+		"RunPass",
 	},
 	"internal/core/incremental.go": {
 		"FlushIn",

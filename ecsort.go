@@ -124,7 +124,9 @@ type Config struct {
 	// 0 means n, the paper's setting.
 	Processors int
 	// Workers is the parallel width of each round: the maximum number
-	// of chunks a round is split into on the runtime pool. 0 means
+	// of chunks a round is split into on the runtime pool. It also
+	// bounds the per-group passes of each CR merge level (SortCR,
+	// SortCRUnknownK), which 1 runs on the caller. 0 means
 	// GOMAXPROCS. Use 1 with order-sensitive oracles (adversaries).
 	Workers int
 	// Runtime is the worker pool rounds execute on. nil means the

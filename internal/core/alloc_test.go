@@ -10,6 +10,7 @@ import (
 	"ecsort/internal/dist"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
+	rt "ecsort/internal/runtime"
 )
 
 // Allocation regression guards for the flat merge engine. The map-keyed
@@ -153,42 +154,54 @@ func partitionMismatch(a Answer, labels []int, elemSeen, labelSeen []bool) strin
 }
 
 // TestSortBytesPerCall bounds the heap bytes one public SortER or
-// SortCRUnknownK call allocates on n = 2^14 zeta(2) labels. Each call
-// builds its own arena, sized once from n; before the arenas were
-// presized, slice growth cost ~810 B per element (ER) and ~400 (CR);
-// before the first merge level skipped the stored singleton level, the
-// arenas cost ~165 (ER) and ~155 (CR); and while each level stored a
-// 48-byte answer header and a leading offset per answer, ~117 (ER) and
-// ~109 (CR).
+// SortCRUnknownK call allocates on n = 2^14 zeta(2) labels, serial and
+// at Workers(4) on a 4-wide pool, where the CR merge levels' per-group
+// passes run in parallel chunks and must not bring scratch of their own.
+// Each call builds its own arena, sized once from n; before the arenas
+// were presized, slice growth cost ~810 B per element (ER) and ~400
+// (CR); before the first merge level skipped the stored singleton
+// level, the arenas cost ~165 (ER) and ~155 (CR); and while each level
+// stored a 48-byte answer header and a leading offset per answer, ~117
+// (ER) and ~109 (CR).
 func TestSortBytesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
 	const n = 1 << 14
-	const maxBytesPerElem = 96 // measured: ~80 (ER), ~64 (CRUnknownK)
+	const maxBytesPerElem = 96 // measured: ~80 (ER), ~68 (CRUnknownK)
 	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
-	for _, tc := range []struct {
+	pool := rt.NewPool(4)
+	defer pool.Close()
+	for _, width := range []struct {
 		name string
-		mode model.Mode
-		sort func(*model.Session) (Result, error)
+		opts []model.Option
 	}{
-		{"SortER", model.ER, SortER},
-		{"SortCRUnknownK", model.CR, SortCRUnknownK},
+		{"Workers(1)", []model.Option{model.Workers(1)}},
+		{"Workers(4)", []model.Option{model.Workers(4), model.WithPool(pool)}},
 	} {
-		best := uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for run := 0; run < 3; run++ { // the minimum discounts stray allocations
-			s := model.NewSession(truth, tc.mode, model.Workers(1))
-			runtime.ReadMemStats(&before)
-			if _, err := tc.sort(s); err != nil {
-				t.Fatal(err)
+		for _, tc := range []struct {
+			name string
+			mode model.Mode
+			sort func(*model.Session) (Result, error)
+		}{
+			{"SortER", model.ER, SortER},
+			{"SortCRUnknownK", model.CR, SortCRUnknownK},
+		} {
+			best := uint64(math.MaxUint64)
+			var before, after runtime.MemStats
+			for run := 0; run < 3; run++ { // the minimum discounts stray allocations
+				s := model.NewSession(truth, tc.mode, width.opts...)
+				runtime.ReadMemStats(&before)
+				if _, err := tc.sort(s); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
 			}
-			runtime.ReadMemStats(&after)
-			best = min(best, after.TotalAlloc-before.TotalAlloc)
-		}
-		if perElem := best / n; perElem > maxBytesPerElem {
-			t.Errorf("%s allocates %d B per call (%d B per element), want <= %d B per element",
-				tc.name, best, perElem, maxBytesPerElem)
+			if perElem := best / n; perElem > maxBytesPerElem {
+				t.Errorf("%s at %s allocates %d B per call (%d B per element), want <= %d B per element",
+					tc.name, width.name, best, perElem, maxBytesPerElem)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"ecsort/internal/dist"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
+	rt "ecsort/internal/runtime"
 )
 
 // Algorithm throughput across input sizes; complements the root-level
@@ -50,7 +51,22 @@ func BenchmarkSortCR(b *testing.B) {
 // per sort as the public entry points run. Workers(1) keeps allocs/op
 // independent of the runner's core count, so the per-sort arena cost is
 // what the allocation gate sees.
-func BenchmarkSortZeta(b *testing.B) {
+func BenchmarkSortZeta(b *testing.B) { benchSortZeta(b, model.Workers(1)) }
+
+// BenchmarkSortZetaParallel runs BenchmarkSortZeta's sorts at Workers(2)
+// on a dedicated 2-wide pool, so each round's tests and each CR merge
+// level's per-group passes run on two goroutines. It has no baseline:
+// its ns/op depends on the runner's cores, and CI runs it ungated in the
+// multi-core pool smoke so the parallel passes also run outside -race.
+func BenchmarkSortZetaParallel(b *testing.B) {
+	pool := rt.NewPool(2)
+	defer pool.Close()
+	benchSortZeta(b, model.Workers(2), model.WithPool(pool))
+}
+
+// benchSortZeta times SortER and SortCRUnknownK on n = 2^16 zeta(2)
+// labels, one fresh session with opts per sort.
+func benchSortZeta(b *testing.B, opts ...model.Option) {
 	const n = 1 << 16
 	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
 	for _, bc := range []struct {
@@ -64,7 +80,7 @@ func BenchmarkSortZeta(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.run(model.NewSession(truth, bc.mode, model.Workers(1))); err != nil {
+				if _, err := bc.run(model.NewSession(truth, bc.mode, opts...)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,7 +37,7 @@ type Incremental struct {
 }
 
 // FoldArena is the scratch of one incremental fold: the merge scratch
-// (pairs, results, union-find, slot tables), the group view over the
+// (pairs, results, slot union-find), the group view over the
 // pending singletons and the answer, and the buffer the merged answer is
 // built into before FlushIn copies it back to the sorter. The zero value
 // is ready to use; buffers grow on demand and are kept across folds, so
@@ -133,7 +133,9 @@ func FlushIn(inc *Incremental, ar *FoldArena) error {
 //ecsort:hotpath
 func (ar *FoldArena) fold(inc *Incremental, group []Answer) error {
 	sc := &ar.sc
-	if err := sc.streamGroup(inc.session, group); err != nil {
+	g := mergeGroup{list: group, hi: len(group)}
+	k, err := sc.streamGroup(inc.session, &g)
+	if err != nil {
 		return err
 	}
 	// A context canceled during the final physical round slips past the
@@ -143,7 +145,10 @@ func (ar *FoldArena) fold(inc *Incremental, group []Answer) error {
 	if err := inc.session.Err(); err != nil {
 		return err
 	}
-	ar.elems, ar.offs = sc.buildMerged(group, ar.elems[:0], append(ar.offs[:0], 0))
+	size := len(inc.pending) + inc.answer.Size()
+	ar.elems, ar.offs = growInts(ar.elems[:0], size), growInts(ar.offs[:0], k+1)
+	ar.offs[0] = 0
+	g.buildMerged(sc.parent, ar.elems, ar.offs[1:], 0)
 	inc.elems = growInts(inc.elems[:0], len(ar.elems))
 	inc.offs = growInts(inc.offs[:0], len(ar.offs))
 	copy(inc.elems, ar.elems)

@@ -7,30 +7,31 @@ import (
 	"sync"
 
 	"ecsort/internal/model"
-	"ecsort/internal/unionfind"
 )
 
 // This file is the flat CR merge engine: the hot path behind SortCR,
 // SortCRUnknownK, MergeGroupCR, and the incremental folds (FlushIn).
-// Cross-representative tests stream into one reusable pair buffer in a
-// canonical order, the equality results fold into a slice-indexed
-// union-find over (answer, class) slots by re-walking that same order —
-// no per-pair bookkeeping is ever stored — and the merged answer is
-// written into flat storage with two passes. All scratch lives in a mergeScratch arena, so steady-state
-// merges allocate nothing beyond the output answer's own backing.
+// A group's cross-representative tests stream into a reusable pair
+// buffer in a canonical order, the equality results fold into an int32
+// union-find over the group's (answer, class) slots by re-walking that
+// same order — no per-pair bookkeeping is ever stored — and the merged
+// answer is written into its destination with two passes. A single group
+// merge runs these steps on the caller; a merge-tree level runs each one
+// as a pass over all of its groups on the session's runtime pool
+// (mergeGroupsCR). Both run the same per-group code and differ only in
+// where a group's output lands. All scratch lives in arenas, so
+// steady-state merges allocate nothing beyond the output answer's own
+// backing.
 
-// mergeScratch is the reusable scratch arena of the flat CR merge engine.
-// The zero value is ready to use; buffers grow on demand and are retained
-// across merges. A mergeScratch is not safe for concurrent use.
+// mergeScratch is the reusable scratch arena of the merge engine: the
+// buffers of a merge's logical round and, for a single group merge, its
+// union-find. The zero value is ready to use; buffers grow on demand and
+// are retained across merges. A mergeScratch is not safe for concurrent
+// use.
 type mergeScratch struct {
 	pairs   []model.Pair // emitted cross tests of the current logical round
 	results []bool       // result buffer threaded through Session.RoundBuf
-	dsu     unionfind.DSU
-	// slotBase[u] is the slot index of group[u]'s first class; slots
-	// number the (answer, class) pairs of one group consecutively.
-	slotBase []int
-	classID  []int // root slot -> output class id, assigned by first appearance
-	cursor   []int // output class id -> write cursor, then offsets scratch
+	parent  []int32      // the group's slot union-find; see unite
 }
 
 // errSmallGroup and errRoundTooWide reject degenerate merge group sizes
@@ -41,17 +42,54 @@ var (
 	errRoundTooWide = errors.New("core: logical round exceeds 2^31-1 tests")
 )
 
+// mergeGroup is the group of answers one merge unites: answers lo..hi-1
+// of list or, when lvl is set, of a merge-tree level, read straight off
+// its pools. Its slots number the group's (answer, class) pairs in
+// order, answer by answer and class by class.
+type mergeGroup struct {
+	list   []Answer
+	lvl    *level
+	lo, hi int
+}
+
+// answer returns answer u of the group, lo <= u < hi.
+//
+//ecsort:hotpath
+func (g *mergeGroup) answer(u int) Answer {
+	if g.lvl != nil {
+		return g.lvl.answer(u)
+	}
+	return g.list[u]
+}
+
+// slots returns the group's slot count, Σ K(u).
+//
+//ecsort:hotpath
+func (g *mergeGroup) slots() int {
+	if g.lvl != nil {
+		return int(g.lvl.bound[g.hi] - g.lvl.bound[g.lo])
+	}
+	slots := 0
+	for _, a := range g.list[g.lo:g.hi] {
+		slots += a.K()
+	}
+	return slots
+}
+
 // appendCross appends every cross-answer representative test of the group
-// to dst in canonical order — for each u < v, each class i of group[u]
-// against each class j of group[v] — and returns the extended slice. The
+// to dst in canonical order — for each u < v, each class i of answer u
+// against each class j of answer v — and returns the extended slice. The
 // unite step re-walks the same order, so no pair-to-slot mapping is ever
 // materialized.
 //
 //ecsort:hotpath
-func appendCross(dst []model.Pair, group []Answer) []model.Pair {
-	for u, gu := range group {
-		for _, gv := range group[u+1:] {
-			dst = appendReps(dst, gu.elems, gu.offs[:gu.K()], gv.elems, gv.offs[:gv.K()])
+func (g *mergeGroup) appendCross(dst []model.Pair) []model.Pair {
+	for u := g.lo; u < g.hi; u++ {
+		a := g.answer(u)
+		as := a.offs[:a.K()]
+		for v := u + 1; v < g.hi; v++ {
+			b := g.answer(v)
+			dst = appendReps(dst, a.elems, as, b.elems, b.offs[:b.K()])
 		}
 	}
 	return dst
@@ -73,97 +111,130 @@ func appendReps(dst []model.Pair, ae, as, be, bs []int) []model.Pair {
 	return dst
 }
 
-// unite folds one group's equality results into the arena's union-find
-// over (answer, class) slots. res must hold the answers to the tests
-// appendCross emitted for this group, in that order.
+// unite folds the group's equality results into parent, a union-find
+// with one entry per slot, and returns the number of merged classes. res
+// must hold the answers to the tests appendCross emits for the group, in
+// that order. A root holds -1 and every other slot a lower slot of its
+// set, so each set's root is its first slot.
 //
 //ecsort:hotpath
-func (sc *mergeScratch) unite(group []Answer, res []bool) {
-	slots := 0
-	sc.slotBase = sc.slotBase[:0]
-	for _, a := range group {
-		sc.slotBase = append(sc.slotBase, slots)
-		slots += a.K()
+func (g *mergeGroup) unite(parent []int32, res []bool) int {
+	for i := range parent {
+		parent[i] = -1
 	}
-	sc.dsu.Reset(slots)
-	idx := 0
-	for u := 0; u < len(group); u++ {
-		ku := group[u].K()
-		for v := u + 1; v < len(group); v++ {
-			kv := group[v].K()
-			for i := 0; i < ku; i++ {
-				for j := 0; j < kv; j++ {
-					if res[idx] {
-						sc.dsu.Union(sc.slotBase[u]+i, sc.slotBase[v]+j)
+	k, idx, bu := len(parent), 0, int32(0)
+	for u := g.lo; u < g.hi; u++ {
+		ku := int32(g.answer(u).K())
+		bv := bu + ku
+		for v := u + 1; v < g.hi; v++ {
+			kv := int32(g.answer(v).K())
+			for i := bu; i < bu+ku; i++ {
+				for j, same := range res[idx : idx+int(kv)] {
+					if same && union(parent, i, bv+int32(j)) {
+						k--
 					}
-					idx++
 				}
+				idx += int(kv)
 			}
+			bv += kv
 		}
+		bu += ku
+	}
+	return k
+}
+
+// find returns the root of slot x's set, halving the path it walks.
+//
+//ecsort:hotpath
+func find(parent []int32, x int32) int32 {
+	for {
+		p := parent[x]
+		if p < 0 {
+			return x
+		}
+		gp := parent[p]
+		if gp < 0 {
+			return p
+		}
+		parent[x] = gp
+		x = gp
 	}
 }
 
-// buildMerged writes the united group as one flat answer appended to the
-// elems/offs destination pools (a level's spare buffers or exact-size
-// fresh slices) and returns the extended pools. offs must end at
-// len(elems): the new answer's first class starts at that shared
-// boundary, and each of its classes appends only its end. Output classes
-// are ordered by the first slot of each united component and members
-// concatenate in slot order — exactly the ordering the map-based engine
-// produced, so results are bit-for-bit identical. Call unite for the
-// group first.
+// union joins the sets of slots a and b and reports whether they were
+// apart. The lower root becomes the root, so a slot's parent always
+// precedes it.
 //
 //ecsort:hotpath
-func (sc *mergeScratch) buildMerged(group []Answer, elems, offs []int) ([]int, []int) {
-	slots := sc.dsu.Len()
-	if cap(sc.classID) < slots {
-		sc.classID = make([]int, slots)
-		sc.cursor = make([]int, slots)
+func union(parent []int32, a, b int32) bool {
+	ra, rb := find(parent, a), find(parent, b)
+	switch {
+	case ra < rb:
+		parent[rb] = ra
+	case rb < ra:
+		parent[ra] = rb
+	default:
+		return false
 	}
-	classID := sc.classID[:slots]
-	sizes := sc.cursor[:slots] // size per output class, then write cursor
-	for i := 0; i < slots; i++ {
-		classID[i] = -1
-	}
-	// Pass 1: assign output class ids by first slot appearance and total
-	// the component sizes.
-	k := 0
-	slot := 0
-	for _, a := range group {
-		for i := 0; i < a.K(); i++ {
-			r := sc.dsu.Find(slot)
-			c := classID[r]
-			if c < 0 {
-				c = k
+	return true
+}
+
+// buildMerged writes the united group as one flat answer: its members
+// into elems, which holds exactly the group's elements, and the end of
+// each merged class into ends, one entry per class unite counted. base
+// is the position of elems[0] in its pool, so the ends are absolute
+// there. Output classes are ordered by the first slot of each united set
+// and members concatenate in slot order — exactly the ordering the
+// map-based engine produced, so results are bit-for-bit identical. It
+// consumes the union-find: call unite for the group first.
+//
+//ecsort:hotpath
+func (g *mergeGroup) buildMerged(parent []int32, elems, ends []int, base int) {
+	// Pass 1: number the classes by first slot and total their sizes. A
+	// visited slot keeps its class c as -2-c, and a slot's parent is an
+	// earlier slot, so one hop finds the class; a root (-1) opens the
+	// next one.
+	k, slot := 0, 0
+	for u := g.lo; u < g.hi; u++ {
+		offs := g.answer(u).offs
+		for i := 1; i < len(offs); i++ {
+			size := offs[i] - offs[i-1]
+			if p := parent[slot]; p >= 0 {
+				code := parent[p]
+				parent[slot] = code
+				ends[-2-code] += size
+			} else {
+				parent[slot] = int32(-2 - k)
+				ends[k] = size
 				k++
-				classID[r] = c
-				sizes[c] = 0
 			}
-			sizes[c] += a.offs[i+1] - a.offs[i]
 			slot++
 		}
 	}
-	// Offsets from sizes, then turn sizes into write cursors.
-	first := len(offs) - 1 // the shared boundary the answer starts at
-	for c := 0; c < k; c++ {
-		offs = append(offs, offs[len(offs)-1]+sizes[c])
-	}
-	for c := 0; c < k; c++ {
-		sizes[c] = offs[first+c]
+	// Sizes to write cursors: each class's cursor starts at its first
+	// position and finishes at its end.
+	at := base
+	for c, size := range ends {
+		ends[c] = at
+		at += size
 	}
 	// Pass 2: place members in slot order.
-	elems = growInts(elems, offs[len(offs)-1])
 	slot = 0
-	for _, a := range group {
-		for i := 0; i < a.K(); i++ {
-			c := classID[sc.dsu.Find(slot)]
-			cls := a.Class(i)
-			copy(elems[sizes[c]:], cls)
-			sizes[c] += len(cls)
+	for u := g.lo; u < g.hi; u++ {
+		a := g.answer(u)
+		for i := 1; i < len(a.offs); i++ {
+			cls := a.elems[a.offs[i-1]:a.offs[i]]
+			c := -2 - parent[slot]
+			at := ends[c]
+			if len(cls) == 1 {
+				elems[at-base] = cls[0]
+			} else {
+				copy(elems[at-base:], cls)
+			}
+			ends[c] = at + len(cls)
 			slot++
 		}
 	}
-	return elems, offs
 }
 
 // growInts extends s to length n, preserving contents and doubling the
@@ -195,18 +266,22 @@ func (sc *mergeScratch) round(s *model.Session) ([]bool, error) {
 }
 
 // streamGroup runs one group's whole merge round through the arena —
-// appendCross → session round → unite — leaving the slot union-find
-// ready for buildMerged.
+// appendCross → session round → unite — and returns the merged class
+// count, leaving the slot union-find in sc.parent ready for buildMerged.
 //
 //ecsort:hotpath
-func (sc *mergeScratch) streamGroup(s *model.Session, group []Answer) error {
-	sc.pairs = appendCross(sc.pairs[:0], group)
+func (sc *mergeScratch) streamGroup(s *model.Session, g *mergeGroup) (int, error) {
+	sc.pairs = g.appendCross(sc.pairs[:0])
 	res, err := sc.round(s)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sc.unite(group, res)
-	return nil
+	slots := g.slots()
+	if cap(sc.parent) < slots {
+		sc.parent = make([]int32, slots)
+	}
+	sc.parent = sc.parent[:slots]
+	return g.unite(sc.parent, res), nil
 }
 
 // scratchPool recycles arenas across the exported one-shot entry points
@@ -219,15 +294,18 @@ var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 // every cross-answer representative test, using the provided arena. The
 // output answer is written into fresh exact-size storage.
 func mergeGroupScratch(s *model.Session, sc *mergeScratch, group []Answer) (Answer, error) {
-	if err := sc.streamGroup(s, group); err != nil {
+	g := mergeGroup{list: group, hi: len(group)}
+	k, err := sc.streamGroup(s, &g)
+	if err != nil {
 		return Answer{}, err
 	}
 	size := 0
 	for _, a := range group {
 		size += a.Size()
 	}
-	elems, offs := sc.buildMerged(group, make([]int, 0, size), append(make([]int, 0, sc.dsu.Len()+1), 0))
-	return Answer{elems: elems, offs: offs}, nil
+	out := Answer{elems: make([]int, size), offs: make([]int, k+1)}
+	g.buildMerged(sc.parent, out.elems, out.offs[1:], 0)
+	return out, nil
 }
 
 // MergePairCR merges two answers in the CR model with one logical round of
@@ -415,15 +493,14 @@ func appendAnswer(a Answer, elems, offs []int) ([]int, []int) {
 }
 
 // crArena is the per-sort state of the batched level merges of SortCR and
-// its variants: the level buffers plus the merge scratch, whose pair and
-// result buffers hold a logical round of n tests, one per processor. Only
-// a logical round wider than that grows the pair buffer, once per level
-// and to its exact width.
+// its variants: the level buffers, the merge scratch, whose pair and
+// result buffers hold a logical round of n tests, one per processor, and
+// the level passes. Only a logical round wider than that grows the pair
+// buffer, once per level and to its exact width.
 type crArena struct {
 	levels
-	sc    mergeScratch
-	cuts  []int32  // per group of the level: the end of its tests in sc.pairs
-	group []Answer // views of the answers of the group being built
+	sc   mergeScratch
+	pass levelPass
 }
 
 // newCRArena sizes the arena for n elements. Its first level comes from
@@ -435,7 +512,10 @@ func newCRArena(n int) *crArena {
 			pairs:   make([]model.Pair, 0, n),
 			results: make([]bool, n),
 		},
-		cuts: make([]int32, 0, (n+3)/4), // ⌈n/4⌉: groups of level 2
+		pass: levelPass{
+			cuts:   make([]int32, 0, (n+3)/4+1), // ⌈n/4⌉ groups of level 2, and a leading 0
+			parent: make([]int32, n),            // one slot per class of a level
+		},
 	}
 }
 
@@ -447,108 +527,130 @@ func mergePairsCR(s *model.Session, ar *crArena) (int, error) {
 	return mergeGroupsCR(s, ar, 2)
 }
 
-// groupShape returns the number of cross-answer representative tests
+// groupTests returns the number of cross-answer representative tests
 // appendCross emits for the group of answers start..end-1,
-// Σ_{u<v} K(u)·K(v), and the group's (answer, class) slot count, Σ K(u).
+// Σ_{u<v} K(u)·K(v).
 //
 //ecsort:hotpath
-func (l *level) groupShape(start, end int) (tests, slots int) {
+func (l *level) groupTests(start, end int) int {
 	sq := 0
 	for u := start; u < end; u++ {
 		k := l.k(u)
 		sq += k * k
 	}
-	slots = int(l.bound[end] - l.bound[start])
-	return (slots*slots - sq) / 2, slots
+	slots := int(l.bound[end] - l.bound[start])
+	return (slots*slots - sq) / 2
 }
 
-// reserve sizes the pair buffer for a logical round of tests and the
-// union-find and class tables for groups of up to slots slots, so the
-// merges of one level never grow them one group at a time.
-//
-//ecsort:hotpath
-func (sc *mergeScratch) reserve(tests, slots int) {
-	if cap(sc.pairs) < tests {
-		sc.pairs = make([]model.Pair, 0, tests)
-	}
-	if cap(sc.classID) < slots {
-		sc.classID = make([]int, slots)
-		sc.cursor = make([]int, slots)
-	}
-	if sc.dsu.Len() < slots {
-		sc.dsu.Reset(slots)
-	}
+// The passes of a merge-tree level, in order; the level's logical round
+// runs between the first two.
+const (
+	passEmit  = iota // emit each group's cross tests
+	passUnite        // unite each group and count its merged classes
+	passBuild        // build each group's merged answer in place
+)
+
+// levelPass runs one pass of a merge-tree level over a chunk of its
+// groups; group gi is answers gi·g .. gi·g+g-1 of lvl, and a short last
+// group, even a single answer, goes through the same passes. Each pass
+// writes only its own groups' ranges, all fixed before it starts: group
+// gi's tests pairs[cuts[gi]:cuts[gi+1]], its slots in parent (one per
+// class of lvl, so its classes' own range), its merged class count in
+// next.bound[gi+1], and its merged answer, which fills exactly the
+// group's element range of lvl and the class range the counts' prefix
+// sums give it. So chunks never share a write, and a level comes out
+// the same at every width.
+type levelPass struct {
+	step   int          // passEmit, passUnite or passBuild
+	g      int          // group size
+	lvl    level        // the level being merged
+	next   level        // the level being built
+	pairs  []model.Pair // the level's logical round
+	res    []bool       // its results
+	cuts   []int32      // group gi's tests are pairs[cuts[gi]:cuts[gi+1]]
+	parent []int32      // the union-find, one slot per class of lvl
 }
 
-// appendCross is appendCross for the group of answers start..end-1 of the
-// level, read straight off its pools: the same tests in the same order,
-// with no answer view built.
+// RunChunk implements runtime.Runner: it runs the current step on groups
+// lo..hi-1.
 //
 //ecsort:hotpath
-func (l *level) appendCross(dst []model.Pair, start, end int) []model.Pair {
-	for u := start; u < end; u++ {
-		for v := u + 1; v < end; v++ {
-			dst = appendReps(dst, l.elems, l.starts(u), l.elems, l.starts(v))
+func (lp *levelPass) RunChunk(lo, hi int) {
+	na := lp.lvl.answers()
+	for gi := lo; gi < hi; gi++ {
+		grp := mergeGroup{lvl: &lp.lvl, lo: gi * lp.g, hi: min(gi*lp.g+lp.g, na)}
+		t0, t1 := lp.cuts[gi], lp.cuts[gi+1]
+		c0, c1 := lp.lvl.bound[grp.lo], lp.lvl.bound[grp.hi]
+		switch lp.step {
+		case passEmit:
+			grp.appendCross(lp.pairs[t0:t0:t1])
+		case passUnite:
+			lp.next.bound[gi+1] = int32(grp.unite(lp.parent[c0:c1], lp.res[t0:t1]))
+		case passBuild:
+			e0, e1 := lp.lvl.offs[c0], lp.lvl.offs[c1]
+			k0, k1 := lp.next.bound[gi], lp.next.bound[gi+1]
+			grp.buildMerged(lp.parent[c0:c1], lp.next.elems[e0:e1], lp.next.offs[k0+1:k1+1], e0)
 		}
 	}
-	return dst
+}
+
+// run runs step over the level's groups on the session's runtime pool.
+//
+//ecsort:hotpath
+func (lp *levelPass) run(s *model.Session, step, groups int) {
+	lp.step = step
+	model.RunPass(s, groups, lp)
 }
 
 // mergeGroupsCR partitions the current level's answers into consecutive
 // groups of size g and merges each group, batching every group's cross
 // tests into one logical round, and returns the new level's answer count.
-// A trailing group smaller than g (possibly a single answer) is merged or
-// carried over. Outputs are written into the arena's spare buffers, which
-// then become current; the input level's buffers are recycled two levels
-// on.
+// A trailing group smaller than g (possibly a single answer, carried
+// over) is merged too. Around the round, the level runs as three passes
+// over its groups on the session's runtime pool (see levelPass), and one
+// serial prefix sum of the groups' class counts places their outputs.
+// Outputs are written into the arena's spare buffers, which then become
+// current; the input level's buffers are recycled two levels on.
 //
 //ecsort:hotpath
 func mergeGroupsCR(s *model.Session, ar *crArena, g int) (int, error) {
 	if g < 2 {
 		return 0, errSmallGroup
 	}
+	lp := &ar.pass
+	lp.lvl, lp.g = ar.current(), g
+	na := lp.lvl.answers()
+	groups := (na + g - 1) / g
+	tests := 0
+	lp.cuts = append(lp.cuts[:0], 0)
+	for start := 0; start < na; start += g {
+		tests += lp.lvl.groupTests(start, min(start+g, na))
+		if tests > math.MaxInt32 {
+			return 0, errRoundTooWide
+		}
+		lp.cuts = append(lp.cuts, int32(tests))
+	}
 	sc := &ar.sc
-	lvl := ar.current()
-	na := lvl.answers()
-	tests, slots := 0, 0
-	for start := 0; start < na; start += g {
-		t, k := lvl.groupShape(start, min(start+g, na))
-		tests, slots = tests+t, max(slots, k)
+	if cap(sc.pairs) < tests {
+		sc.pairs = make([]model.Pair, 0, tests)
 	}
-	if tests > math.MaxInt32 {
-		return 0, errRoundTooWide
-	}
-	sc.reserve(tests, slots)
-	if cap(ar.group) < g {
-		ar.group = make([]Answer, 0, g)
-	}
-	sc.pairs, ar.cuts = sc.pairs[:0], ar.cuts[:0]
-	for start := 0; start < na; start += g {
-		sc.pairs = lvl.appendCross(sc.pairs, start, min(start+g, na))
-		ar.cuts = append(ar.cuts, int32(len(sc.pairs)))
-	}
+	sc.pairs = sc.pairs[:tests]
+	lp.pairs = sc.pairs
+	lp.run(s, passEmit, groups)
 	res, err := sc.round(s)
 	if err != nil {
 		return 0, err
 	}
-	next := ar.spare()
-	lo := int32(0)
-	for gi, hi := range ar.cuts {
-		group := ar.group[:0]
-		for u := gi * g; u < min(gi*g+g, na); u++ {
-			group = append(group, lvl.answer(u))
-		}
-		if len(group) == 1 {
-			// Carry-over: copy into the destination pool so the source
-			// pool can be recycled next level.
-			next.elems, next.offs = appendAnswer(group[0], next.elems, next.offs)
-		} else {
-			sc.unite(group, res[lo:hi])
-			next.elems, next.offs = sc.buildMerged(group, next.elems, next.offs)
-		}
-		next.seal()
-		lo = hi
+	lp.res, lp.next = res, ar.spare()
+	next := &lp.next
+	next.bound = next.bound[:groups+1]
+	lp.run(s, passUnite, groups)
+	for gi := range groups {
+		next.bound[gi+1] += next.bound[gi]
 	}
-	ar.flip(next)
-	return next.answers(), nil
+	next.offs = next.offs[:next.bound[groups]+1]
+	next.elems = next.elems[:lp.lvl.offs[len(lp.lvl.offs)-1]]
+	lp.run(s, passBuild, groups)
+	ar.flip(*next)
+	return groups, nil
 }

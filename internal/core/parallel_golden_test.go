@@ -89,26 +89,39 @@ func TestParallelGoldenBatchOracle(t *testing.T) {
 	}
 }
 
+// TestParallelGoldenDeterminism runs golden cases at widths above 1 on a
+// 4-wide pool, where each round's tests and each CR merge level's
+// per-group passes run in parallel chunks. The CR cases cover both
+// phases of Theorem 1: SortCR with n = 1000, k = 3 and with n = 4096,
+// k = 8 each reach a phase-2 level of 16 answers, merged in groups of
+// 13 and of 9 answers with a short last group, and SortCRUnknownK
+// switches phases on its own.
 func TestParallelGoldenDeterminism(t *testing.T) {
 	pool := rt.NewPool(4)
 	defer pool.Close()
-	goldenCR := goldenByName(t, "SortCR/n=1000/k=3/seed=11")
-	goldenER := goldenByName(t, "SortER/n=1024/k=6/seed=17")
+	cases := []struct {
+		golden string
+		mode   model.Mode
+		n, k   int
+		seed   int64
+		sort   func(*model.Session) (Result, error)
+	}{
+		{"SortCR/n=1000/k=3/seed=11", model.CR, 1000, 3, 11,
+			func(s *model.Session) (Result, error) { return SortCR(s, 3) }},
+		{"SortCR/n=4096/k=8/seed=7", model.CR, 4096, 8, 7,
+			func(s *model.Session) (Result, error) { return SortCR(s, 8) }},
+		{"SortCRUnknownK/n=2048/k=5/seed=13", model.CR, 2048, 5, 13, SortCRUnknownK},
+		{"SortER/n=1024/k=6/seed=17", model.ER, 1024, 6, 17, SortER},
+	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		truthCR := oracle.RandomBalanced(1000, 3, rand.New(rand.NewSource(11)))
-		s := model.NewSession(truthCR, model.CR, model.Workers(workers), model.WithPool(pool))
-		res, err := SortCR(s, 3)
-		if err != nil {
-			t.Fatalf("SortCR workers=%d: %v", workers, err)
+		for _, tc := range cases {
+			truth := oracle.RandomBalanced(tc.n, tc.k, rand.New(rand.NewSource(tc.seed)))
+			s := model.NewSession(truth, tc.mode, model.Workers(workers), model.WithPool(pool))
+			res, err := tc.sort(s)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.golden, workers, err)
+			}
+			checkGolden(t, fmt.Sprintf("%s workers=%d", tc.golden, workers), goldenByName(t, tc.golden), res)
 		}
-		checkGolden(t, fmt.Sprintf("SortCR workers=%d", workers), goldenCR, res)
-
-		truthER := oracle.RandomBalanced(1024, 6, rand.New(rand.NewSource(17)))
-		sER := model.NewSession(truthER, model.ER, model.Workers(workers), model.WithPool(pool))
-		resER, err := SortER(sER)
-		if err != nil {
-			t.Fatalf("SortER workers=%d: %v", workers, err)
-		}
-		checkGolden(t, fmt.Sprintf("SortER workers=%d", workers), goldenER, resER)
 	}
 }

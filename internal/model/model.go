@@ -135,10 +135,13 @@ func Processors(p int) Option {
 
 // Workers sets the parallel width of a round: the maximum number of
 // chunks a physical round is split into on the session's runtime pool.
-// Workers(0) restores the default, runtime.GOMAXPROCS(0) at session
-// creation. Use Workers(1) when the oracle's answers depend on query
-// order (adaptive adversaries). Negative values are a caller bug and
-// panic with an error wrapping ErrBadWorkers.
+// It bounds the passes an algorithm runs through RunPass the same way,
+// such as the per-group passes of a CR merge level; Workers(1) runs
+// them on the caller. Workers(0) restores the default,
+// runtime.GOMAXPROCS(0) at session creation. Use Workers(1) when the
+// oracle's answers depend on query order (adaptive adversaries).
+// Negative values are a caller bug and panic with an error wrapping
+// ErrBadWorkers.
 //
 // Actual concurrency is bounded by the pool's width, not by Workers: on
 // the default shared pool that is GOMAXPROCS, so an oracle that blocks
@@ -427,6 +430,29 @@ func (s *Session) execute(pairs []Pair, out []bool) {
 	}
 	s.exec.pairs, s.exec.out = nil, nil
 }
+
+// RunPass runs r over [0, n) on s's runtime pool at s's Workers width,
+// as execute runs a round's tests: the pool splits the range into at most
+// Workers chunks, and a session without a pool uses the shared one. A
+// serial pass — Workers(1), or n < 2 — runs on the caller and is not
+// counted in the pool's Stats. Algorithms use it for the bookkeeping
+// between rounds that splits into independent index ranges, such as a
+// CR merge level's per-group passes; r must write by index, so the
+// outcome is the same at every width.
+//
+//ecsort:hotpath
+func RunPass(s *Session, n int, r rt.Runner) {
+	switch {
+	case s.workers <= 1 || n < 2:
+		r.RunChunk(0, n)
+	case s.pool != nil:
+		s.pool.RunSplit(n, passChunks*s.workers, s.workers, r)
+	default:
+		rt.Shared().RunSplit(n, passChunks*s.workers, s.workers, r)
+	}
+}
+
+const passChunks = 8
 
 // roundExec adapts one physical round to the runtime's chunk interface.
 // It lives inside the Session so taking its address never allocates.

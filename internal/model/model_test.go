@@ -405,3 +405,39 @@ func TestRoundLogOffByDefault(t *testing.T) {
 		t.Fatal("round log recorded without WithRoundLog")
 	}
 }
+
+// indexRunner records every index it is run on.
+type indexRunner struct{ hits []atomic.Int32 }
+
+func (r *indexRunner) RunChunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.hits[i].Add(1)
+	}
+}
+
+// TestRunPassWidth checks that RunPass covers its range once at every
+// width, hands a parallel pass to the session's pool as one job, and
+// runs a serial one — Workers(1), or a single index — on the caller
+// without counting it.
+func TestRunPassWidth(t *testing.T) {
+	pool := rt.NewPool(4)
+	defer pool.Close()
+	for _, tc := range []struct {
+		workers, n int
+		jobs       int64
+	}{{1, 100, 0}, {2, 100, 1}, {4, 100, 1}, {4, 1, 0}, {4, 0, 0}} {
+		s := NewSession(parityOracle{n: 4}, CR, Workers(tc.workers), WithPool(pool))
+		r := &indexRunner{hits: make([]atomic.Int32, tc.n)}
+		before := pool.Stats()
+		RunPass(s, tc.n, r)
+		for i := range r.hits {
+			if h := r.hits[i].Load(); h != 1 {
+				t.Fatalf("workers=%d n=%d: index %d ran %d times", tc.workers, tc.n, i, h)
+			}
+		}
+		st := pool.Stats()
+		if jobs, inline := st.Jobs-before.Jobs, st.Inline-before.Inline; jobs != tc.jobs || inline != 0 {
+			t.Errorf("workers=%d n=%d: %d jobs and %d inline runs, want %d and 0", tc.workers, tc.n, jobs, inline, tc.jobs)
+		}
+	}
+}

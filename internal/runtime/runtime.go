@@ -36,12 +36,17 @@ type Stats struct {
 	// Workers is the pool's parallel width (goroutines executing chunks,
 	// counting the submitter's own participation).
 	Workers int
-	// Jobs counts parallel jobs dispatched through the worker machinery.
+	// Jobs counts parallel jobs dispatched through the worker machinery:
+	// the parallel physical rounds of sessions on the pool and, through
+	// model.RunPass, the parallel passes algorithms run between rounds,
+	// such as the per-group passes of a CR merge level.
 	Jobs int64
 	// Chunks counts chunks executed across all parallel jobs.
 	Chunks int64
 	// Inline counts runs executed serially on the submitting goroutine
-	// (width 1, single-chunk jobs, or a closed pool).
+	// (width 1, single-chunk jobs, or a closed pool). A pass that
+	// model.RunPass runs serially — a Workers(1) session's, or one over
+	// a single index — never reaches the pool and is not counted.
 	Inline int64
 }
 
@@ -139,33 +144,39 @@ func (p *Pool) Close() {
 // inline. Run allocates nothing in steady state.
 //
 //ecsort:hotpath
-func (p *Pool) Run(n, par int, r Runner) {
+func (p *Pool) Run(n, par int, r Runner) { p.RunSplit(n, par, par, r) }
+
+// RunSplit is Run with the chunk count set apart from the width: it
+// splits [0, n) into at most chunks contiguous chunks, as Run does into
+// par, and runs them on at most width goroutines, the caller included,
+// each claiming the next unclaimed chunk as it finishes one. Cutting
+// finer than the width lets the goroutines that start first take over
+// the chunks of one that starts late. width <= 1 (or chunks <= 1, n < 2,
+// or a closed pool) runs the whole range inline.
+//
+//ecsort:hotpath
+func (p *Pool) RunSplit(n, chunks, width int, r Runner) {
 	if n <= 0 {
 		return
 	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 || p.size <= 1 || p.closed.Load() {
+	chunks = min(chunks, n)
+	if chunks <= 1 || width <= 1 || p.size <= 1 || p.closed.Load() {
 		p.inlineRun.Add(1)
 		r.RunChunk(0, n)
 		return
 	}
-	// 2 <= par <= n, so chunk < n and nchunks >= 2: parallel dispatch
+	// 2 <= chunks <= n, so chunk < n and nchunks >= 2: parallel dispatch
 	// always has at least one chunk to hand out.
-	chunk := (n + par - 1) / par
+	chunk := (n + chunks - 1) / chunks
 	nchunks := (n + chunk - 1) / chunk
 	j := p.jobPool.Get().(*job)
 	j.runner, j.n, j.chunk = r, n, chunk
 	j.next.Store(0)
 	j.live.Store(int64(nchunks))
 	j.refs.Store(1) // the submitter's own hold
-	// Announce to at most worker-count peers; the sends are non-blocking
-	// so a saturated pool just leaves more chunks to the submitter.
-	want := nchunks - 1
-	if want > p.size-1 {
-		want = p.size - 1
-	}
+	// Announce to at most width-1 peers; the sends are non-blocking so a
+	// saturated pool just leaves more chunks to the submitter.
+	want := min(nchunks, width, p.size) - 1
 	for sent := 0; sent < want; sent++ {
 		j.refs.Add(1)
 		select {

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // squareRunner writes f(i) by index — the write-by-index contract every
@@ -155,5 +157,52 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 		if v != 16 {
 			t.Fatalf("out[%d] = %d, want 16", i, v)
 		}
+	}
+}
+
+// widthRunner records, per chunk, how many chunks are running at once,
+// and writes f(i) by index.
+type widthRunner struct {
+	squareRunner
+	running, peak atomic.Int64
+}
+
+func (r *widthRunner) RunChunk(lo, hi int) {
+	now := r.running.Add(1)
+	for {
+		peak := r.peak.Load()
+		if now <= peak || r.peak.CompareAndSwap(peak, now) {
+			break
+		}
+	}
+	time.Sleep(100 * time.Microsecond) // let the announced workers arrive
+	r.squareRunner.RunChunk(lo, hi)
+	r.running.Add(-1)
+}
+
+// TestRunSplitBoundsWidth checks that RunSplit cuts the range into its
+// chunk count but runs them on at most width goroutines, however wide
+// the pool, and counts one job of that many chunks.
+func TestRunSplitBoundsWidth(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	for _, width := range []int{2, 3, 4} {
+		out := make([]int, 1000)
+		r := &widthRunner{squareRunner: squareRunner{out: out}}
+		before := p.Stats()
+		p.RunSplit(len(out), 8*width, width, r)
+		checkSquares(t, out)
+		if peak := r.peak.Load(); peak > int64(width) {
+			t.Errorf("width %d: %d chunks ran at once", width, peak)
+		}
+		st := p.Stats()
+		if jobs, chunks := st.Jobs-before.Jobs, st.Chunks-before.Chunks; jobs != 1 || chunks != int64(NumChunks(len(out), 8*width)) {
+			t.Errorf("width %d: %d jobs of %d chunks, want 1 of %d", width, jobs, chunks, NumChunks(len(out), 8*width))
+		}
+	}
+	before := p.Stats()
+	p.RunSplit(100, 16, 1, &squareRunner{out: make([]int, 100)}) // width 1 → inline
+	if st := p.Stats(); st.Inline-before.Inline != 1 || st.Jobs != before.Jobs {
+		t.Errorf("width 1 ran as %d jobs and %d inline runs, want 0 and 1", st.Jobs-before.Jobs, st.Inline-before.Inline)
 	}
 }

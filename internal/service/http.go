@@ -276,7 +276,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// runs its parallel rounds on.
 	rs := s.pool.Stats()
 	m.Family("ecsort_runtime_workers", "gauge", "Parallel width of the shared execution pool.").Int(int64(rs.Workers))
-	m.Family("ecsort_runtime_jobs_total", "counter", "Parallel round jobs dispatched to the pool.").Int(rs.Jobs)
+	m.Family("ecsort_runtime_jobs_total", "counter", "Parallel jobs dispatched to the pool: comparison rounds and merge-level passes.").Int(rs.Jobs)
 	m.Family("ecsort_runtime_chunks_total", "counter", "Work chunks executed across all pool jobs.").Int(rs.Chunks)
 	m.Family("ecsort_runtime_inline_rounds_total", "counter", "Rounds executed serially on the submitting goroutine.").Int(rs.Inline)
 

@@ -62,20 +62,6 @@ func (g *mergeGroup) answer(u int) Answer {
 	return g.list[u]
 }
 
-// slots returns the group's slot count, Σ K(u).
-//
-//ecsort:hotpath
-func (g *mergeGroup) slots() int {
-	if g.lvl != nil {
-		return int(g.lvl.bound[g.hi] - g.lvl.bound[g.lo])
-	}
-	slots := 0
-	for _, a := range g.list[g.lo:g.hi] {
-		slots += a.K()
-	}
-	return slots
-}
-
 // appendCross appends every cross-answer representative test of the group
 // to dst in canonical order — for each u < v, each class i of answer u
 // against each class j of answer v — and returns the extended slice. The
@@ -226,7 +212,7 @@ func (g *mergeGroup) buildMerged(parent []int32, elems, ends []int, base int) {
 			cls := a.elems[a.offs[i-1]:a.offs[i]]
 			c := -2 - parent[slot]
 			at := ends[c]
-			if len(cls) == 1 {
+			if len(cls) == 1 { // most classes of the low levels; cheaper than copy's call
 				elems[at-base] = cls[0]
 			} else {
 				copy(elems[at-base:], cls)
@@ -265,7 +251,7 @@ func (sc *mergeScratch) round(s *model.Session) ([]bool, error) {
 	return res, nil
 }
 
-// streamGroup runs one group's whole merge round through the arena —
+// streamGroup runs a list group's whole merge round through the arena —
 // appendCross → session round → unite — and returns the merged class
 // count, leaving the slot union-find in sc.parent ready for buildMerged.
 //
@@ -276,7 +262,10 @@ func (sc *mergeScratch) streamGroup(s *model.Session, g *mergeGroup) (int, error
 	if err != nil {
 		return 0, err
 	}
-	slots := g.slots()
+	slots := 0
+	for _, a := range g.list {
+		slots += a.K()
+	}
 	if cap(sc.parent) < slots {
 		sc.parent = make([]int32, slots)
 	}

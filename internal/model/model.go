@@ -431,14 +431,14 @@ func (s *Session) execute(pairs []Pair, out []bool) {
 	s.exec.pairs, s.exec.out = nil, nil
 }
 
-// RunPass runs r over [0, n) on s's runtime pool at s's Workers width,
-// as execute runs a round's tests: the pool splits the range into at most
-// Workers chunks, and a session without a pool uses the shared one. A
-// serial pass — Workers(1), or n < 2 — runs on the caller and is not
-// counted in the pool's Stats. Algorithms use it for the bookkeeping
-// between rounds that splits into independent index ranges, such as a
-// CR merge level's per-group passes; r must write by index, so the
-// outcome is the same at every width.
+// RunPass runs r over [0, n) at s's Workers width, on the pool execute
+// runs s's rounds on. The range is cut into passChunks·Workers chunks,
+// claimed one at a time by at most Workers goroutines, the caller
+// included. A serial pass — Workers(1), or n < 2 — runs on the caller
+// and is not counted in the pool's Stats. Algorithms use it for the
+// bookkeeping between rounds that splits into independent index ranges,
+// such as a CR merge level's per-group passes; r must write by index, so
+// the outcome is the same at every width.
 //
 //ecsort:hotpath
 func RunPass(s *Session, n int, r rt.Runner) {
@@ -452,6 +452,12 @@ func RunPass(s *Session, n int, r rt.Runner) {
 	}
 }
 
+// passChunks is how many chunks per goroutine RunPass cuts a pass into.
+// A parked pool worker can take longer to start than one chunk of a
+// pass takes to run; with finer chunks the goroutines already running
+// take over a late worker's share instead of waiting for it. On a
+// 2-vCPU VM, 8 per goroutine made the sort-zeta benchmark's CR merge
+// levels faster than 1 in six of six alternating runs.
 const passChunks = 8
 
 // roundExec adapts one physical round to the runtime's chunk interface.

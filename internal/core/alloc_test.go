@@ -168,7 +168,7 @@ func TestSortBytesPerCall(t *testing.T) {
 		t.Skip("allocation sizes are not meaningful under the race detector")
 	}
 	const n = 1 << 14
-	const maxBytesPerElem = 96 // measured: ~80 (ER), ~68 (CRUnknownK)
+	const maxBytesPerElem = 96 // measured: ~80 (ER), ~67 (CRUnknownK)
 	truth := oracle.NewLabel(dist.Labels(dist.NewZeta(2), n, rand.New(rand.NewSource(7))))
 	pool := rt.NewPool(4)
 	defer pool.Close()

@@ -34,18 +34,17 @@ var mergeHotpaths = map[string][]string{
 		"appendCross",
 		"unite",
 		"buildMerged",
-		"growInts",
-		"round",
-		"streamGroup",
+		"grow",
 		"mergeGroupsCR",
 		"RunChunk",
+		"merge",
 	},
 	"internal/model/model.go": {
 		"RunPass",
 	},
 	"internal/core/incremental.go": {
 		"FlushIn",
-		"fold",
+		"load",
 	},
 }
 
@@ -56,7 +55,7 @@ func TestMergeHotpathAnnotationsPresent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range names {
-			re := regexp.MustCompile(fmt.Sprintf(`(?m)^//ecsort:hotpath\nfunc (\([^)]*\) )?%s\(`, regexp.QuoteMeta(name)))
+			re := regexp.MustCompile(fmt.Sprintf(`(?m)^//ecsort:hotpath\nfunc (\([^)]*\) )?%s(\[[^\]]*\])?\(`, regexp.QuoteMeta(name)))
 			if !re.Match(data) {
 				t.Errorf("%s: %s has lost its //ecsort:hotpath annotation (must sit on the last line of the doc comment)", file, name)
 			}

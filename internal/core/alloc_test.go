@@ -17,8 +17,9 @@ import (
 // engine these bounds replaced spent 213 allocs per MergeGroupCR of 24
 // answers and ~8.7k allocs per 128-element flush; the flat engine's
 // steady state is the output answer's backing (MergeGroupCR) and
-// amortized pool growth (Flush). Workers(1) keeps the session off the
-// goroutine-spawning execute path, which allocates by nature.
+// amortized pool growth (Flush). Workers(1) runs every round and merge
+// pass on the calling goroutine, so no runtime pool is started and its
+// warm-up cannot show in the counts.
 
 func TestMergeGroupCRAllocs(t *testing.T) {
 	if raceEnabled {

@@ -35,11 +35,6 @@ type Answer struct {
 	offs []int
 }
 
-// singletonOffs is the shared offset table of every single-element
-// answer. It is read-only by the Answer immutability contract, so all
-// singleton views alias it instead of allocating.
-var singletonOffs = []int{0, 1}
-
 // NewAnswer builds an answer from explicit classes, copying them into
 // flat storage. Intended for tests and answer construction at the edges;
 // the merge engine builds flat storage directly.
@@ -60,26 +55,6 @@ func NewAnswer(classes [][]int) Answer {
 		a.offs = append(a.offs, len(a.elems))
 	}
 	return a
-}
-
-// Singleton returns the trivial answer for the single element e.
-func Singleton(e int) Answer {
-	return Answer{elems: []int{e}, offs: singletonOffs}
-}
-
-// Singletons returns one singleton answer per element 0..n-1: the leaves
-// of the Theorem 1 and Theorem 2 merge trees. SortCR and SortER never
-// build them — their first level merges the leaves in pairs straight into
-// the arena. All answers are views into one shared backing array, so
-// setup is two allocations instead of 2n.
-func Singletons(n int) []Answer {
-	pool := make([]int, n)
-	answers := make([]Answer, n)
-	for i := range answers {
-		pool[i] = i
-		answers[i] = Answer{elems: pool[i : i+1 : i+1], offs: singletonOffs}
-	}
-	return answers
 }
 
 // K returns the number of classes in the answer.
@@ -119,24 +94,6 @@ func (a Answer) Class(i int) []int { return a.elems[a.offs[i]:a.offs[i+1]] }
 //ecsort:hotpath
 func (a Answer) Rep(i int) int { return a.elems[a.offs[i]] }
 
-// Reps returns the representative element of each class (the first
-// member). The slice is freshly allocated; hot paths use Rep directly.
-func (a Answer) Reps() []int {
-	reps := make([]int, a.K())
-	for i := range reps {
-		reps[i] = a.Rep(i)
-	}
-	return reps
-}
-
-// Elements returns all elements covered by the answer, class by class, as
-// a fresh slice.
-func (a Answer) Elements() []int {
-	out := make([]int, a.Size())
-	copy(out, a.span())
-	return out
-}
-
 // Classes materializes the partition as [][]int. The classes are views
 // into one freshly copied backing array (two allocations total), sharing
 // no memory with the answer, so callers may hold the result across arena
@@ -159,8 +116,7 @@ func (a Answer) Classes() [][]int {
 // Flat returns the answer's backing element slice and offset table as
 // read-only views: class i occupies elems[offs[i]:offs[i+1]]. offs is nil
 // for the empty answer. Every answer the package hands out — NewAnswer,
-// Singleton, Singletons, the Merge* entry points, Incremental.Flat —
-// starts at offset 0: offs[0] == 0 and elems holds exactly the answer's
+// the Merge* entry points, Incremental.Flat — starts at offset 0: offs[0] == 0 and elems holds exactly the answer's
 // elements. Snapshot publishers rely on that to copy a whole partition
 // with two memmoves.
 func (a Answer) Flat() (elems, offs []int) { return a.elems, a.offs }

@@ -90,9 +90,10 @@ func benchSortZeta(b *testing.B, opts ...model.Option) {
 
 // BenchmarkMergeGroup is the tracked-baseline benchmark of one compounding
 // group merge — the phase 2 step every flush and sort funnels through. It
-// owns its scratch arena, warmed by one merge before timing, so a GC that
-// empties the exported entry points' scratch pool cannot show up in
-// allocs/op; TestMergeGroupCRAllocs covers the pooled MergeGroupCR.
+// runs MergeGroupCR's merge on its own fold arena, warmed by one merge
+// before timing, so a GC that empties MergeGroupCR's arena pool cannot
+// show up in allocs/op; TestMergeGroupCRAllocs covers the pooled
+// MergeGroupCR.
 func BenchmarkMergeGroup(b *testing.B) {
 	truth := oracle.RandomBalanced(512, 8, rand.New(rand.NewSource(31)))
 	s := model.NewSession(truth, model.CR, model.Workers(1))
@@ -111,16 +112,19 @@ func BenchmarkMergeGroup(b *testing.B) {
 	for i := range group {
 		group[i] = NewAnswer(lvl.answer(i).Classes())
 	}
-	var sc mergeScratch
-	if _, err := mergeGroupScratch(s, &sc, group); err != nil {
-		b.Fatal(err)
+	var fold FoldArena
+	merge := func() {
+		out, err := fold.sc.merge(s, fold.load(nil, group...), level{bound: fold.bound}, len(group))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fold.bound = out.bound
 	}
+	merge()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mergeGroupScratch(s, &sc, group); err != nil {
-			b.Fatal(err)
-		}
+		merge()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -88,13 +89,32 @@ func (tw *arenaTwin) check(t *testing.T, what string) {
 	}
 }
 
+// sliceRanges appends the backing memory range [start, end) of every
+// slice with capacity among v's fields, nested structs included.
+func sliceRanges(v reflect.Value, dst [][2]uintptr) [][2]uintptr {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			dst = sliceRanges(v.Field(i), dst)
+		}
+	case reflect.Slice:
+		if v.Cap() > 0 {
+			start := v.Pointer()
+			dst = append(dst, [2]uintptr{start, start + uintptr(v.Cap())*v.Type().Elem().Size()})
+		}
+	}
+	return dst
+}
+
 // TestSharedFoldArenaMatchesOwn drives eight sorters over different
 // universes through random interleaved adds, folds, deletes, class
 // invalidations and folds cancelled mid-round, all shared-arena folds on
 // one FoldArena. Each sorter's twin folds the same steps with Flush on
 // its private arena; after every step the twins must agree on the flat
 // answer, the cost and the pending buffer, so borrowing an arena that
-// other sorters left in any state changes nothing.
+// other sorters left in any state changes nothing. After every step the
+// arena must also hold no slice of any sorter's pools: it keeps copies,
+// so it never pins a dropped sorter's buffers.
 func TestSharedFoldArenaMatchesOwn(t *testing.T) {
 	sizes := []int{1, 2, 3, 17, 100, 511, 1024, 2048}
 	for _, seed := range []int64{1, 2, 3} {
@@ -190,8 +210,15 @@ func TestSharedFoldArenaMatchesOwn(t *testing.T) {
 					cancelled++
 				}
 				tw.check(t, what)
-				if len(ar.group) != 0 || slices.ContainsFunc(ar.group[:cap(ar.group)], func(a Answer) bool { return a.elems != nil }) {
-					t.Fatalf("%s: the arena's group view still holds answers after the fold", what)
+				held := sliceRanges(reflect.ValueOf(ar), nil)
+				for _, other := range twins {
+					for _, pool := range sliceRanges(reflect.ValueOf(*other.shared), nil) {
+						for _, r := range held {
+							if r[0] < pool[1] && pool[0] < r[1] {
+								t.Fatalf("%s: the arena holds a slice of a sorter's pools after the fold", what)
+							}
+						}
+					}
 				}
 			}
 			if folds == 0 || cancelled == 0 {

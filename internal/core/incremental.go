@@ -36,19 +36,48 @@ type Incremental struct {
 	arena   *FoldArena // Flush's private arena; see ownArena
 }
 
-// FoldArena is the scratch of one incremental fold: the merge scratch
-// (pairs, results, slot union-find), the group view over the
-// pending singletons and the answer, and the buffer the merged answer is
-// built into before FlushIn copies it back to the sorter. The zero value
-// is ready to use; buffers grow on demand and are kept across folds, so
+// FoldArena is the scratch of one incremental fold: the level-merge
+// scratch (pair and result buffers, cuts, slot union-find), the
+// one-group level the fold merges — copies of the pending singletons and
+// of the answer — and the merged level's bounds. The merged elements
+// and offsets go straight into the sorter's pools. The zero value is
+// ready to use; buffers grow by doubling and are kept across folds, so
 // an owner that folds many sorters one at a time — a service shard —
-// holds one fold's scratch instead of one per sorter. A FoldArena is not
-// safe for concurrent use.
+// holds one fold's scratch instead of one per sorter. The arena holds
+// copies, never a view of a sorter. A FoldArena is not safe for
+// concurrent use.
 type FoldArena struct {
-	sc    mergeScratch
-	group []Answer
-	elems []int
-	offs  []int
+	sc    levelPass
+	lvl   level   // the group being merged, copied in by load
+	bound []int32 // the merged level's bounds: 0 and its class count
+}
+
+// load empties the arena's level and copies into it, one answer each,
+// the singletons of pending and then the answers of group, and returns
+// the level.
+//
+//ecsort:hotpath
+func (ar *FoldArena) load(pending []int, group ...Answer) level {
+	size, classes := len(pending), len(pending)
+	for _, a := range group {
+		size += a.Size()
+		classes += a.K()
+	}
+	l := level{
+		elems: append(grow(ar.lvl.elems, size)[:0], pending...),
+		offs:  append(grow(ar.lvl.offs, classes+1)[:0], 0),
+		bound: append(grow(ar.lvl.bound, len(pending)+len(group)+1)[:0], 0),
+	}
+	for i := range pending {
+		l.offs = append(l.offs, i+1)
+		l.seal()
+	}
+	for _, a := range group {
+		l.elems, l.offs = appendAnswer(a, l.elems, l.offs)
+		l.seal()
+	}
+	ar.lvl = l
+	return l
 }
 
 // NewIncremental creates an incremental sorter over the session's
@@ -101,59 +130,28 @@ func (inc *Incremental) ownArena() *FoldArena {
 
 // FlushIn is Flush on a borrowed arena: it folds inc's buffered elements
 // into its answer using ar's scratch, so one arena can serve any number
-// of sorters folded one at a time. The merged answer is built in the
-// arena and copied back into the sorter's answer pool, and the arena's
-// group view is cleared on return, so ar never pins a sorter's buffers.
-// Classes, costs and emission order are those of Flush. In steady state
-// a fold allocates nothing: the group is a view over the pending buffer,
-// the cross tests stream through the arena, and the answer pool only
-// grows, by doubling.
+// of sorters folded one at a time. The fold copies the pending
+// singletons, then the answer, onto the arena's level and merges them as
+// one group straight into the sorter's answer pools, so ar never holds a
+// view of a sorter. Classes, costs and emission order are those of
+// Flush. A fold whose context ended, even during its last round, commits
+// nothing: the answer and the pending buffer stay intact for the retry.
+// In steady state a fold allocates nothing: the arena's buffers and the
+// answer pools only grow, by doubling.
 //
 //ecsort:hotpath
 func FlushIn(inc *Incremental, ar *FoldArena) error {
 	if len(inc.pending) == 0 {
 		return nil
 	}
-	group := ar.group[:0]
-	for i := range inc.pending {
-		group = append(group, Answer{elems: inc.pending[i : i+1 : i+1], offs: singletonOffs})
-	}
-	if inc.answer.K() > 0 {
-		group = append(group, inc.answer)
-	}
-	err := ar.fold(inc, group)
-	clear(group)
-	ar.group = group[:0]
-	return err
-}
-
-// fold merges group — inc's pending singletons, then its answer — in the
-// arena and commits the result to inc.
-//
-//ecsort:hotpath
-func (ar *FoldArena) fold(inc *Incremental, group []Answer) error {
-	sc := &ar.sc
-	g := mergeGroup{list: group, hi: len(group)}
-	k, err := sc.streamGroup(inc.session, &g)
+	lvl := ar.load(inc.pending, inc.answer)
+	out, err := ar.sc.merge(inc.session, lvl, level{elems: inc.elems, offs: inc.offs, bound: ar.bound}, lvl.answers())
 	if err != nil {
 		return err
 	}
-	// A context canceled during the final physical round slips past the
-	// per-round check inside the session; re-check before committing so
-	// an aborted fold never publishes a merge built from a poisoned
-	// round. The pending buffer stays intact for the retry.
-	if err := inc.session.Err(); err != nil {
-		return err
-	}
-	size := len(inc.pending) + inc.answer.Size()
-	ar.elems, ar.offs = growInts(ar.elems[:0], size), growInts(ar.offs[:0], k+1)
-	ar.offs[0] = 0
-	g.buildMerged(sc.parent, ar.elems, ar.offs[1:], 0)
-	inc.elems = growInts(inc.elems[:0], len(ar.elems))
-	inc.offs = growInts(inc.offs[:0], len(ar.offs))
-	copy(inc.elems, ar.elems)
-	copy(inc.offs, ar.offs)
-	inc.answer = Answer{elems: inc.elems, offs: inc.offs}
+	ar.bound = out.bound
+	inc.elems, inc.offs = out.elems, out.offs
+	inc.answer = out.answer(0)
 	inc.pending = inc.pending[:0]
 	inc.flushes++
 	return nil

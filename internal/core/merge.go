@@ -11,28 +11,18 @@ import (
 
 // This file is the flat CR merge engine: the hot path behind SortCR,
 // SortCRUnknownK, MergeGroupCR, and the incremental folds (FlushIn).
-// A group's cross-representative tests stream into a reusable pair
-// buffer in a canonical order, the equality results fold into an int32
-// union-find over the group's (answer, class) slots by re-walking that
-// same order — no per-pair bookkeeping is ever stored — and the merged
-// answer is written into its destination with two passes. A single group
-// merge runs these steps on the caller; a merge-tree level runs each one
-// as a pass over all of its groups on the session's runtime pool
-// (mergeGroupsCR). Both run the same per-group code and differ only in
-// where a group's output lands. All scratch lives in arenas, so
-// steady-state merges allocate nothing beyond the output answer's own
-// backing.
-
-// mergeScratch is the reusable scratch arena of the merge engine: the
-// buffers of a merge's logical round and, for a single group merge, its
-// union-find. The zero value is ready to use; buffers grow on demand and
-// are retained across merges. A mergeScratch is not safe for concurrent
-// use.
-type mergeScratch struct {
-	pairs   []model.Pair // emitted cross tests of the current logical round
-	results []bool       // result buffer threaded through Session.RoundBuf
-	parent  []int32      // the group's slot union-find; see unite
-}
+// Every CR group merge is a level merge (levelPass.merge): the answers
+// lie on a flat level and merge in consecutive groups. A merge-tree
+// level of SortCR has many groups; MergeGroupCR and a fold copy their
+// answers onto a level of one group (FoldArena.load). A group's
+// cross-representative tests stream into a reusable pair buffer in a
+// canonical order, the equality results fold into an int32 union-find
+// over the group's (answer, class) slots by re-walking that same order —
+// no per-pair bookkeeping is ever stored — and the merged answer is
+// written into its destination with two passes. Each step runs as a
+// pass over the level's groups on the session's runtime pool. All
+// scratch lives in arenas, so steady-state merges allocate nothing
+// beyond the output answer's own backing.
 
 // errSmallGroup and errRoundTooWide reject degenerate merge group sizes
 // and logical rounds too wide for a level's int32 cuts; predeclared so the
@@ -43,23 +33,12 @@ var (
 )
 
 // mergeGroup is the group of answers one merge unites: answers lo..hi-1
-// of list or, when lvl is set, of a merge-tree level, read straight off
-// its pools. Its slots number the group's (answer, class) pairs in
-// order, answer by answer and class by class.
+// of a level, read straight off its pools. Its slots number the group's
+// (answer, class) pairs in order, answer by answer and class by class,
+// so they are the level's classes bound[lo]..bound[hi]-1.
 type mergeGroup struct {
-	list   []Answer
 	lvl    *level
 	lo, hi int
-}
-
-// answer returns answer u of the group, lo <= u < hi.
-//
-//ecsort:hotpath
-func (g *mergeGroup) answer(u int) Answer {
-	if g.lvl != nil {
-		return g.lvl.answer(u)
-	}
-	return g.list[u]
 }
 
 // appendCross appends every cross-answer representative test of the group
@@ -70,28 +49,18 @@ func (g *mergeGroup) answer(u int) Answer {
 //
 //ecsort:hotpath
 func (g *mergeGroup) appendCross(dst []model.Pair) []model.Pair {
+	l := g.lvl
+	elems := l.elems
 	for u := g.lo; u < g.hi; u++ {
-		a := g.answer(u)
-		as := a.offs[:a.K()]
+		as := l.starts(u)
 		for v := u + 1; v < g.hi; v++ {
-			b := g.answer(v)
-			dst = appendReps(dst, a.elems, as, b.elems, b.offs[:b.K()])
-		}
-	}
-	return dst
-}
-
-// appendReps appends a test of every representative of one answer against
-// every representative of another, in class order, and returns the
-// extended slice. Each answer is given as its element pool and the
-// positions of its class representatives in that pool.
-//
-//ecsort:hotpath
-func appendReps(dst []model.Pair, ae, as, be, bs []int) []model.Pair {
-	for _, i := range as {
-		x := ae[i]
-		for _, j := range bs {
-			dst = append(dst, model.Pair{A: x, B: be[j]})
+			bs := l.starts(v)
+			for _, i := range as {
+				x := elems[i]
+				for _, j := range bs {
+					dst = append(dst, model.Pair{A: x, B: elems[j]})
+				}
+			}
 		}
 	}
 	return dst
@@ -110,10 +79,10 @@ func (g *mergeGroup) unite(parent []int32, res []bool) int {
 	}
 	k, idx, bu := len(parent), 0, int32(0)
 	for u := g.lo; u < g.hi; u++ {
-		ku := int32(g.answer(u).K())
+		ku := int32(g.lvl.k(u))
 		bv := bu + ku
 		for v := u + 1; v < g.hi; v++ {
-			kv := int32(g.answer(v).K())
+			kv := int32(g.lvl.k(v))
 			for i := bu; i < bu+ku; i++ {
 				for j, same := range res[idx : idx+int(kv)] {
 					if same && union(parent, i, bv+int32(j)) {
@@ -166,154 +135,81 @@ func union(parent []int32, a, b int32) bool {
 }
 
 // buildMerged writes the united group as one flat answer: its members
-// into elems, which holds exactly the group's elements, and the end of
-// each merged class into ends, one entry per class unite counted. base
-// is the position of elems[0] in its pool, so the ends are absolute
-// there. Output classes are ordered by the first slot of each united set
-// and members concatenate in slot order — exactly the ordering the
-// map-based engine produced, so results are bit-for-bit identical. It
-// consumes the union-find: call unite for the group first.
+// into elems, and the end of each merged class into ends, one entry per
+// class unite counted. elems is cut from the merged level's pool at the
+// group's element range on the level, and the ends are absolute in that
+// pool. Output
+// classes are ordered by the first slot of each united set and members
+// concatenate in slot order — exactly the ordering the map-based engine
+// produced, so results are bit-for-bit identical. It consumes the
+// union-find: call unite for the group first.
 //
 //ecsort:hotpath
-func (g *mergeGroup) buildMerged(parent []int32, elems, ends []int, base int) {
+func (g *mergeGroup) buildMerged(parent []int32, elems, ends []int) {
+	l := g.lvl
+	offs := l.offs[l.bound[g.lo] : l.bound[g.hi]+1] // slot s is class offs[s]..offs[s+1]
 	// Pass 1: number the classes by first slot and total their sizes. A
 	// visited slot keeps its class c as -2-c, and a slot's parent is an
 	// earlier slot, so one hop finds the class; a root (-1) opens the
 	// next one.
-	k, slot := 0, 0
-	for u := g.lo; u < g.hi; u++ {
-		offs := g.answer(u).offs
-		for i := 1; i < len(offs); i++ {
-			size := offs[i] - offs[i-1]
-			if p := parent[slot]; p >= 0 {
-				code := parent[p]
-				parent[slot] = code
-				ends[-2-code] += size
-			} else {
-				parent[slot] = int32(-2 - k)
-				ends[k] = size
-				k++
-			}
-			slot++
+	k := 0
+	for slot, p := range parent {
+		size := offs[slot+1] - offs[slot]
+		if p >= 0 {
+			code := parent[p]
+			parent[slot] = code
+			ends[-2-code] += size
+		} else {
+			parent[slot] = int32(-2 - k)
+			ends[k] = size
+			k++
 		}
 	}
 	// Sizes to write cursors: each class's cursor starts at its first
 	// position and finishes at its end.
+	base := offs[0]
 	at := base
 	for c, size := range ends {
 		ends[c] = at
 		at += size
 	}
 	// Pass 2: place members in slot order.
-	slot = 0
-	for u := g.lo; u < g.hi; u++ {
-		a := g.answer(u)
-		for i := 1; i < len(a.offs); i++ {
-			cls := a.elems[a.offs[i-1]:a.offs[i]]
-			c := -2 - parent[slot]
-			at := ends[c]
-			if len(cls) == 1 { // most classes of the low levels; cheaper than copy's call
-				elems[at-base] = cls[0]
-			} else {
-				copy(elems[at-base:], cls)
-			}
-			ends[c] = at + len(cls)
-			slot++
+	for slot, code := range parent {
+		cls := l.elems[offs[slot]:offs[slot+1]]
+		c := -2 - code
+		at := ends[c]
+		if len(cls) == 1 { // most classes of the low levels; cheaper than copy's call
+			elems[at-base] = cls[0]
+		} else {
+			copy(elems[at-base:], cls)
 		}
+		ends[c] = at + len(cls)
 	}
 }
 
-// growInts extends s to length n, preserving contents and doubling the
-// capacity when a reallocation is needed so pool growth amortizes away.
+// grow returns s resized to length n, reusing its backing when the
+// capacity allows and otherwise allocating max(n, 2·cap(s)), so a buffer
+// that keeps growing reallocates only O(log n) times. The contents are
+// not kept.
 //
 //ecsort:hotpath
-func growInts(s []int, n int) []int {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		grown := make([]int, n, max(n, 2*cap(s)))
-		copy(grown, s)
-		return grown
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
 
-// round executes one logical round of the arena's emitted pairs through
-// the session, keeping the result buffer for reuse when it grew.
-//
-//ecsort:hotpath
-func (sc *mergeScratch) round(s *model.Session) ([]bool, error) {
-	res, err := s.RoundBuf(sc.pairs, sc.results)
-	if err != nil {
-		return nil, err
-	}
-	if cap(res) > cap(sc.results) {
-		sc.results = res
-	}
-	return res, nil
-}
-
-// streamGroup runs a list group's whole merge round through the arena —
-// appendCross → session round → unite — and returns the merged class
-// count, leaving the slot union-find in sc.parent ready for buildMerged.
-//
-//ecsort:hotpath
-func (sc *mergeScratch) streamGroup(s *model.Session, g *mergeGroup) (int, error) {
-	sc.pairs = g.appendCross(sc.pairs[:0])
-	res, err := sc.round(s)
-	if err != nil {
-		return 0, err
-	}
-	slots := 0
-	for _, a := range g.list {
-		slots += a.K()
-	}
-	if cap(sc.parent) < slots {
-		sc.parent = make([]int32, slots)
-	}
-	sc.parent = sc.parent[:slots]
-	return g.unite(sc.parent, res), nil
-}
-
-// scratchPool recycles arenas across the exported one-shot entry points
-// (MergePairCR, MergeGroupCR), keeping their steady state allocation-free
-// too. Long-lived callers own one directly: SortCR in its crArena, the
-// incremental folds in a FoldArena.
-var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// mergeGroupScratch merges a group of answers with one logical round of
-// every cross-answer representative test, using the provided arena. The
-// output answer is written into fresh exact-size storage.
-func mergeGroupScratch(s *model.Session, sc *mergeScratch, group []Answer) (Answer, error) {
-	g := mergeGroup{list: group, hi: len(group)}
-	k, err := sc.streamGroup(s, &g)
-	if err != nil {
-		return Answer{}, err
-	}
-	size := 0
-	for _, a := range group {
-		size += a.Size()
-	}
-	out := Answer{elems: make([]int, size), offs: make([]int, k+1)}
-	g.buildMerged(sc.parent, out.elems, out.offs[1:], 0)
-	return out, nil
-}
-
-// MergePairCR merges two answers in the CR model with one logical round of
-// K(a)·K(b) concurrent representative tests. The session splits the round
-// if it exceeds the processor budget.
-func MergePairCR(s *model.Session, a, b Answer) (Answer, error) {
-	if s.Mode() != model.CR {
-		return Answer{}, fmt.Errorf("core: MergePairCR requires a CR session, got %v", s.Mode())
-	}
-	sc := scratchPool.Get().(*mergeScratch)
-	defer scratchPool.Put(sc)
-	group := [2]Answer{a, b}
-	return mergeGroupScratch(s, sc, group[:])
-}
+// foldPool recycles the arenas of MergeGroupCR, keeping its steady state
+// allocation-free beyond the merged answer. Long-lived callers own their
+// scratch: SortCR in its crArena, the incremental folds in a FoldArena.
+var foldPool = sync.Pool{New: func() any { return new(FoldArena) }}
 
 // MergeGroupCR merges a whole group of answers in the CR model with one
 // logical round containing every cross-answer representative test — the
 // compounding step of phase 2 of the Theorem 1 algorithm. Matching classes
-// are united transitively.
+// are united transitively. The group is copied onto a pooled arena's
+// level and merged as one group into fresh storage.
 func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 	switch len(group) {
 	case 0:
@@ -324,9 +220,15 @@ func MergeGroupCR(s *model.Session, group []Answer) (Answer, error) {
 	if s.Mode() != model.CR {
 		return Answer{}, fmt.Errorf("core: MergeGroupCR requires a CR session, got %v", s.Mode())
 	}
-	sc := scratchPool.Get().(*mergeScratch)
-	defer scratchPool.Put(sc)
-	return mergeGroupScratch(s, sc, group)
+	ar := foldPool.Get().(*FoldArena)
+	defer foldPool.Put(ar)
+	lvl := ar.load(nil, group...)
+	out, err := ar.sc.merge(s, lvl, level{bound: ar.bound}, len(group))
+	if err != nil {
+		return Answer{}, err
+	}
+	ar.bound = out.bound
+	return out.answer(0), nil
 }
 
 // level is one level of a merge tree in flat form. Its answers' classes
@@ -464,9 +366,10 @@ func (lv *levels) flip(next level) {
 }
 
 // appendAnswer copies a's classes into the elems/offs destination pools,
-// whose offsets must end at len(elems) as for buildMerged, and returns
-// the extended pools — the carry-over path for an answer with no
-// partner, so the source pool can be recycled next level.
+// whose offsets must end at len(elems), and returns the extended pools:
+// the ER carry-over path for an answer with no partner, so the source
+// pool can be recycled next level, and how FoldArena.load copies the
+// answers of a group onto its level.
 //
 //ecsort:hotpath
 func appendAnswer(a Answer, elems, offs []int) ([]int, []int) {
@@ -482,14 +385,13 @@ func appendAnswer(a Answer, elems, offs []int) ([]int, []int) {
 }
 
 // crArena is the per-sort state of the batched level merges of SortCR and
-// its variants: the level buffers, the merge scratch, whose pair and
-// result buffers hold a logical round of n tests, one per processor, and
-// the level passes. Only a logical round wider than that grows the pair
-// buffer, once per level and to its exact width.
+// its variants: the level buffers and the level-merge scratch, whose pair
+// and result buffers hold a logical round of n tests, one per processor,
+// and whose union-find holds one slot per class of a level. Only a
+// logical round wider than n tests grows the pair and result buffers.
 type crArena struct {
 	levels
-	sc   mergeScratch
-	pass levelPass
+	sc levelPass
 }
 
 // newCRArena sizes the arena for n elements. Its first level comes from
@@ -497,13 +399,11 @@ type crArena struct {
 func newCRArena(n int) *crArena {
 	return &crArena{
 		levels: newLevels(n),
-		sc: mergeScratch{
+		sc: levelPass{
 			pairs:   make([]model.Pair, 0, n),
 			results: make([]bool, n),
-		},
-		pass: levelPass{
-			cuts:   make([]int32, 0, (n+3)/4+1), // ⌈n/4⌉ groups of level 2, and a leading 0
-			parent: make([]int32, n),            // one slot per class of a level
+			cuts:    make([]int32, 0, (n+3)/4+1), // ⌈n/4⌉ groups of level 2, and a leading 0
+			parent:  make([]int32, n),            // one slot per class of a level
 		},
 	}
 }
@@ -514,6 +414,21 @@ func newCRArena(n int) *crArena {
 // processor groups.
 func mergePairsCR(s *model.Session, ar *crArena) (int, error) {
 	return mergeGroupsCR(s, ar, 2)
+}
+
+// mergeGroupsCR merges the current level's answers in consecutive groups
+// of size g (see levelPass.merge) into the arena's spare buffers, makes
+// the merged level current and returns its answer count. The input
+// level's buffers are recycled two levels on.
+//
+//ecsort:hotpath
+func mergeGroupsCR(s *model.Session, ar *crArena, g int) (int, error) {
+	next, err := ar.sc.merge(s, ar.current(), ar.spare(), g)
+	if err != nil {
+		return 0, err
+	}
+	ar.flip(next)
+	return next.answers(), nil
 }
 
 // groupTests returns the number of cross-answer representative tests
@@ -531,33 +446,38 @@ func (l *level) groupTests(start, end int) int {
 	return (slots*slots - sq) / 2
 }
 
-// The passes of a merge-tree level, in order; the level's logical round
-// runs between the first two.
+// The passes of a level merge, in order; the level's logical round runs
+// between the first two.
 const (
 	passEmit  = iota // emit each group's cross tests
 	passUnite        // unite each group and count its merged classes
 	passBuild        // build each group's merged answer in place
 )
 
-// levelPass runs one pass of a merge-tree level over a chunk of its
-// groups; group gi is answers gi·g .. gi·g+g-1 of lvl, and a short last
-// group, even a single answer, goes through the same passes. Each pass
-// writes only its own groups' ranges, all fixed before it starts: group
-// gi's tests pairs[cuts[gi]:cuts[gi+1]], its slots in parent (one per
-// class of lvl, so its classes' own range), its merged class count in
-// next.bound[gi+1], and its merged answer, which fills exactly the
-// group's element range of lvl and the class range the counts' prefix
-// sums give it. So chunks never share a write, and a level comes out
-// the same at every width.
+// levelPass is the scratch of the level merge (merge): the buffers of a
+// level's logical round, the groups' cuts into it and the slot
+// union-find, and, while a merge runs, the level it reads and the level
+// it builds. RunChunk runs one pass of the merge over a chunk of the
+// level's groups; group gi is answers gi·g .. gi·g+g-1 of lvl, and a
+// short last group, even a single answer, goes through the same passes.
+// Each pass writes only its own groups' ranges, all fixed before it
+// starts: group gi's tests pairs[cuts[gi]:cuts[gi+1]], its slots in
+// parent (one per class of lvl, so its classes' own range), its merged
+// class count in next.bound[gi+1], and its merged answer, which fills
+// exactly the group's element range of lvl and the class range the
+// counts' prefix sums give it. So chunks never share a write, and a
+// level comes out the same at every width. The zero value is ready to
+// use; the buffers grow by doubling and are kept across merges. A
+// levelPass is not safe for concurrent use.
 type levelPass struct {
-	step   int          // passEmit, passUnite or passBuild
-	g      int          // group size
-	lvl    level        // the level being merged
-	next   level        // the level being built
-	pairs  []model.Pair // the level's logical round
-	res    []bool       // its results
-	cuts   []int32      // group gi's tests are pairs[cuts[gi]:cuts[gi+1]]
-	parent []int32      // the union-find, one slot per class of lvl
+	step    int          // passEmit, passUnite or passBuild
+	g       int          // group size
+	lvl     level        // the level being merged
+	next    level        // the level being built
+	pairs   []model.Pair // the level's logical round
+	results []bool       // its results, written by Session.RoundBuf
+	cuts    []int32      // group gi's tests are pairs[cuts[gi]:cuts[gi+1]]
+	parent  []int32      // the union-find, one slot per class of lvl
 }
 
 // RunChunk implements runtime.Runner: it runs the current step on groups
@@ -574,11 +494,11 @@ func (lp *levelPass) RunChunk(lo, hi int) {
 		case passEmit:
 			grp.appendCross(lp.pairs[t0:t0:t1])
 		case passUnite:
-			lp.next.bound[gi+1] = int32(grp.unite(lp.parent[c0:c1], lp.res[t0:t1]))
+			lp.next.bound[gi+1] = int32(grp.unite(lp.parent[c0:c1], lp.results[t0:t1]))
 		case passBuild:
 			e0, e1 := lp.lvl.offs[c0], lp.lvl.offs[c1]
 			k0, k1 := lp.next.bound[gi], lp.next.bound[gi+1]
-			grp.buildMerged(lp.parent[c0:c1], lp.next.elems[e0:e1], lp.next.offs[k0+1:k1+1], e0)
+			grp.buildMerged(lp.parent[c0:c1], lp.next.elems[e0:e1], lp.next.offs[k0+1:k1+1])
 		}
 	}
 }
@@ -591,55 +511,67 @@ func (lp *levelPass) run(s *model.Session, step, groups int) {
 	model.RunPass(s, groups, lp)
 }
 
-// mergeGroupsCR partitions the current level's answers into consecutive
-// groups of size g and merges each group, batching every group's cross
-// tests into one logical round, and returns the new level's answer count.
+// merge partitions lvl's answers into consecutive groups of size g and
+// merges each group, batching every group's cross tests into one logical
+// round, and returns the merged level: its answer gi is group gi merged.
 // A trailing group smaller than g (possibly a single answer, carried
-// over) is merged too. Around the round, the level runs as three passes
-// over its groups on the session's runtime pool (see levelPass), and one
+// over) is merged too. Around the round, the merge runs as three passes
+// over the groups on the session's runtime pool (see levelPass), and one
 // serial prefix sum of the groups' class counts places their outputs.
-// Outputs are written into the arena's spare buffers, which then become
-// current; the input level's buffers are recycled two levels on.
+//
+// The merged level is built in next's pools, of which only the capacity
+// is used: a pool too small for the merged level is replaced, by
+// doubling. next must share no storage with lvl. A round that ran after
+// the session's context ended builds nothing: the context is checked
+// again after the round, since the session checks it only before each
+// physical round, and on any error merge returns before next's pools
+// are written. merge keeps no view of lvl or next once it returns.
 //
 //ecsort:hotpath
-func mergeGroupsCR(s *model.Session, ar *crArena, g int) (int, error) {
+func (lp *levelPass) merge(s *model.Session, lvl, next level, g int) (level, error) {
 	if g < 2 {
-		return 0, errSmallGroup
+		return level{}, errSmallGroup
 	}
-	lp := &ar.pass
-	lp.lvl, lp.g = ar.current(), g
-	na := lp.lvl.answers()
+	na := lvl.answers()
 	groups := (na + g - 1) / g
+	lp.cuts = grow(lp.cuts, groups+1)
+	lp.cuts[0] = 0
 	tests := 0
-	lp.cuts = append(lp.cuts[:0], 0)
-	for start := 0; start < na; start += g {
-		tests += lp.lvl.groupTests(start, min(start+g, na))
-		if tests > math.MaxInt32 {
-			return 0, errRoundTooWide
-		}
-		lp.cuts = append(lp.cuts, int32(tests))
-	}
-	sc := &ar.sc
-	if cap(sc.pairs) < tests {
-		sc.pairs = make([]model.Pair, 0, tests)
-	}
-	sc.pairs = sc.pairs[:tests]
-	lp.pairs = sc.pairs
-	lp.run(s, passEmit, groups)
-	res, err := sc.round(s)
-	if err != nil {
-		return 0, err
-	}
-	lp.res, lp.next = res, ar.spare()
-	next := &lp.next
-	next.bound = next.bound[:groups+1]
-	lp.run(s, passUnite, groups)
 	for gi := range groups {
-		next.bound[gi+1] += next.bound[gi]
+		tests += lvl.groupTests(gi*g, min(gi*g+g, na))
+		if tests > math.MaxInt32 {
+			return level{}, errRoundTooWide
+		}
+		lp.cuts[gi+1] = int32(tests)
 	}
-	next.offs = next.offs[:next.bound[groups]+1]
-	next.elems = next.elems[:lp.lvl.offs[len(lp.lvl.offs)-1]]
+	lp.lvl, lp.g = lvl, g
+	defer lp.release()
+	lp.pairs, lp.results = grow(lp.pairs, tests), grow(lp.results, tests)
+	lp.run(s, passEmit, groups)
+	if _, err := s.RoundBuf(lp.pairs, lp.results); err != nil {
+		return level{}, err
+	}
+	if err := s.Err(); err != nil {
+		return level{}, err
+	}
+	lp.parent = grow(lp.parent, int(lvl.bound[na]))
+	next.bound = grow(next.bound, groups+1)
+	next.bound[0] = 0
+	lp.next = next
+	lp.run(s, passUnite, groups)
+	nb := lp.next.bound
+	for gi := range groups {
+		nb[gi+1] += nb[gi]
+	}
+	lp.next.offs = grow(lp.next.offs, int(nb[groups])+1)
+	lp.next.offs[0] = 0
+	lp.next.elems = grow(lp.next.elems, lvl.offs[len(lvl.offs)-1])
 	lp.run(s, passBuild, groups)
-	ar.flip(*next)
-	return groups, nil
+	return lp.next, nil
 }
+
+// release drops the merge's views of the level it read and the level it
+// built, so the scratch never pins a caller's pools between merges.
+//
+//ecsort:hotpath
+func (lp *levelPass) release() { lp.lvl, lp.next = level{}, level{} }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ecsort/internal/model"
@@ -55,11 +58,63 @@ func loadLevel(ar *crArena, answers []Answer) {
 	ar.elems[0], ar.offs[0], ar.bound[0], ar.cur = l.elems, l.offs, l.bound, 0
 }
 
-// TestMergeLevelMatchesGroupMerges checks the level passes against the
-// single-group path: the next level mergeGroupsCR builds must hold, as
-// answer i, exactly the answer MergeGroupCR makes of group i — the same
-// classes in the same order — at every width, and a level's stats must
-// not depend on the width. Levels have random shapes, groups 2–7
+// refMerge is the test's own group merge, written without the engine: a
+// plain union-find over the group's (answer, class) slots, driven by Same
+// on every cross-answer representative pair. It returns the merged
+// classes, in order of each class's first slot with members in slot
+// order, and the Σ_{u<v} K(u)·K(v) tests it asked.
+func refMerge(o model.Oracle, group []Answer) ([][]int, int64) {
+	var slots [][]int // the members of each slot
+	var owner []int   // the answer each slot belongs to
+	for u, a := range group {
+		for i := range a.K() {
+			slots = append(slots, a.Class(i))
+			owner = append(owner, u)
+		}
+	}
+	parent := make([]int, len(slots))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	var tests int64
+	for i := range slots {
+		for j := i + 1; j < len(slots); j++ {
+			if owner[i] == owner[j] {
+				continue
+			}
+			tests++
+			if o.Same(slots[i][0], slots[j][0]) {
+				parent[find(j)] = find(i)
+			}
+		}
+	}
+	classOf := map[int]int{} // root slot → output class
+	var classes [][]int
+	for i, members := range slots {
+		r := find(i)
+		c, ok := classOf[r]
+		if !ok {
+			c = len(classes)
+			classOf[r] = c
+			classes = append(classes, nil)
+		}
+		classes[c] = append(classes[c], members...)
+	}
+	return classes, tests
+}
+
+// TestMergeLevelMatchesGroupMerges checks both CR merge entry points
+// against refMerge: the next level mergeGroupsCR builds must hold, as
+// answer i, exactly refMerge's merge of group i — the same classes in
+// the same order — at every width, as must MergeGroupCR of the group
+// alone, and both must ask refMerge's number of tests; a level's stats
+// must not depend on the width. Levels have random shapes, groups 2–7
 // answers, and a trailing short group or a carried single answer, under
 // a label oracle and a non-transitive one, with and without a processor
 // budget that splits the level's round.
@@ -98,13 +153,21 @@ func TestMergeLevelMatchesGroupMerges(t *testing.T) {
 			var want [][][]int
 			var wantComparisons int64
 			for lo := 0; lo < na; lo += g {
+				group := answers[lo:min(lo+g, na)]
+				classes, tests := refMerge(o, group)
+				want = append(want, classes)
+				wantComparisons += tests
 				s := model.NewSession(o, model.CR, model.Workers(1))
-				merged, err := MergeGroupCR(s, answers[lo:min(lo+g, na)])
+				merged, err := MergeGroupCR(s, group)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, merged.Classes())
-				wantComparisons += s.Stats().Comparisons
+				if got := merged.Classes(); !reflect.DeepEqual(got, classes) {
+					t.Fatalf("trial %d, %T: MergeGroupCR of answers %d..%d = %v, the reference gives %v", trial, o, lo, lo+len(group)-1, got, classes)
+				}
+				if got := s.Stats().Comparisons; got != tests {
+					t.Fatalf("trial %d, %T: MergeGroupCR of answers %d..%d made %d comparisons, the reference %d", trial, o, lo, lo+len(group)-1, got, tests)
+				}
 			}
 			for _, procs := range []int{0, 97} {
 				var first model.Stats
@@ -124,12 +187,12 @@ func TestMergeLevelMatchesGroupMerges(t *testing.T) {
 					next := ar.current()
 					for i := range want {
 						if classes := next.answer(i).Classes(); !reflect.DeepEqual(classes, want[i]) {
-							t.Fatalf("%s: answer %d (g=%d, na=%d) = %v, MergeGroupCR gives %v", where, i, g, na, classes, want[i])
+							t.Fatalf("%s: answer %d (g=%d, na=%d) = %v, the reference gives %v", where, i, g, na, classes, want[i])
 						}
 					}
 					st := s.Stats()
 					if st.Comparisons != wantComparisons {
-						t.Errorf("%s: %d comparisons, the groups' merges make %d", where, st.Comparisons, wantComparisons)
+						t.Errorf("%s: %d comparisons, the reference asks %d", where, st.Comparisons, wantComparisons)
 					}
 					if wi == 0 {
 						first = st
@@ -139,5 +202,83 @@ func TestMergeLevelMatchesGroupMerges(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCancelOnLastTestCommitsNothing cancels the context on the last
+// test of a sort or fold, after the session's last check before a
+// physical round. SortCR, SortCRUnknownK and an incremental fold must
+// each still return context.Canceled instead of an answer built from
+// that round, and the fold must leave the sorter's answer and pending
+// buffer as they were.
+func TestCancelOnLastTestCommitsNothing(t *testing.T) {
+	labels := make([]int, 64)
+	for i := range labels {
+		labels[i] = i * 7 % 4
+	}
+	// armed returns a session whose oracle cancels its context on test
+	// number last, counting from the session's first test.
+	armed := func(last int64) (*model.Session, *cancelOracle) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		o := &cancelOracle{Oracle: oracle.NewLabel(labels), left: int(last), cancel: cancel}
+		return model.NewSession(o, model.CR, model.Workers(1), model.WithContext(ctx)), o
+	}
+	for _, tc := range []struct {
+		name string
+		sort func(*model.Session) (Result, error)
+	}{
+		{"SortCR", func(s *model.Session) (Result, error) { return SortCR(s, 4) }},
+		{"SortCRUnknownK", SortCRUnknownK},
+	} {
+		free := model.NewSession(oracle.NewLabel(labels), model.CR, model.Workers(1))
+		if _, err := tc.sort(free); err != nil {
+			t.Fatal(err)
+		}
+		s, o := armed(free.Stats().Comparisons)
+		res, err := tc.sort(s)
+		if o.cancel != nil {
+			t.Fatalf("%s: the sort ended before its last test", tc.name)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled on its last test, returned %d classes and error %v, want context.Canceled", tc.name, len(res.Classes), err)
+		}
+	}
+
+	s, o := armed(0)
+	o.cancel = nil // disarmed until the last fold
+	inc, err := NewIncremental(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range 40 {
+		if err := inc.Add(e); err != nil {
+			t.Fatal(err)
+		}
+		if e == 23 {
+			if err := inc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	elems, offs := inc.Flat()
+	elems, offs = slices.Clone(elems), slices.Clone(offs)
+	pending := slices.Clone(inc.PendingElements())
+	p, k := len(pending), len(offs)-1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inc.SetContext(ctx)
+	o.left, o.cancel = p*k+p*(p-1)/2, cancel
+	if err := inc.Flush(); !errors.Is(err, context.Canceled) {
+		t.Errorf("fold cancelled on its last test returned %v, want context.Canceled", err)
+	}
+	if o.cancel != nil {
+		t.Fatal("the fold ended before its last test")
+	}
+	if e, f := inc.Flat(); !slices.Equal(e, elems) || !slices.Equal(f, offs) {
+		t.Errorf("cancelled fold changed the answer: %v %v, was %v %v", e, f, elems, offs)
+	}
+	if got := inc.PendingElements(); !slices.Equal(got, pending) {
+		t.Errorf("cancelled fold changed the pending buffer: %v, was %v", got, pending)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -453,9 +454,9 @@ func TestWireCodec(t *testing.T) {
 		key string
 		a   service.Args
 	}{
-		{op(service.OpIngest), "key-1", service.Args{Items: []int{0, 7, 1 << 40, -5}, Flush: true}},
+		{op(service.OpIngest), "key-1", service.Args{Items: []int{0, 7, math.MaxInt, -5}, Flush: true}},
 		{op(service.OpClassOf), "k", service.Args{Element: -3, Flush: true}},
-		{op(service.OpInvalidate), "k", service.Args{Element: 1 << 33}},
+		{op(service.OpInvalidate), "k", service.Args{Element: math.MinInt}},
 		{op(service.OpCreate), "new", service.Args{Spec: &service.OracleSpec{Kind: service.KindLabel, Labels: []int{0, 1, 1}}}},
 		{op(service.OpResilience), "k", service.Args{Resilience: &service.ResilienceSpec{Votes: 3, TimeoutMs: 9}}},
 		{opList, "", service.Args{}},

@@ -20,12 +20,12 @@ func (o parityOracle) Same(i, j int) bool { return i%2 == j%2 }
 // countingOracle records how many times Same is invoked.
 type countingOracle struct {
 	n     int
-	calls int64
+	calls atomic.Int64
 }
 
 func (o *countingOracle) N() int { return o.n }
 func (o *countingOracle) Same(i, j int) bool {
-	atomic.AddInt64(&o.calls, 1)
+	o.calls.Add(1)
 	return false
 }
 
@@ -106,8 +106,8 @@ func TestProcessorBudgetSplitsRounds(t *testing.T) {
 	if st.MaxRoundSize != 3 {
 		t.Errorf("MaxRoundSize = %d, want 3", st.MaxRoundSize)
 	}
-	if o.calls != 7 {
-		t.Errorf("oracle calls = %d, want 7", o.calls)
+	if calls := o.calls.Load(); calls != 7 {
+		t.Errorf("oracle calls = %d, want 7", calls)
 	}
 }
 

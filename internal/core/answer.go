@@ -116,9 +116,9 @@ func (a Answer) Classes() [][]int {
 // Flat returns the answer's backing element slice and offset table as
 // read-only views: class i occupies elems[offs[i]:offs[i+1]]. offs is nil
 // for the empty answer. Every answer the package hands out — NewAnswer,
-// the Merge* entry points, Incremental.Flat — starts at offset 0: offs[0] == 0 and elems holds exactly the answer's
-// elements. Snapshot publishers rely on that to copy a whole partition
-// with two memmoves.
+// the Merge* entry points, Incremental.Flat — starts at offset 0:
+// offs[0] == 0 and elems holds exactly the answer's elements. Snapshot
+// publishers rely on that to copy a whole partition with two memmoves.
 func (a Answer) Flat() (elems, offs []int) { return a.elems, a.offs }
 
 // MergePairER merges two answers in the ER model using the Latin-square

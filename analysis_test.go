@@ -45,6 +45,8 @@ var mergeHotpaths = map[string][]string{
 	"internal/core/incremental.go": {
 		"FlushIn",
 		"load",
+		"fold",
+		"ask",
 	},
 }
 

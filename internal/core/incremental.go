@@ -2,16 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ecsort/internal/model"
 )
 
 // Incremental maintains a complete equivalence class sorting answer while
 // elements arrive over time — the online counterpart of the batch sorts,
-// built from the same Answer merge calculus. New elements join as
-// singleton answers and are folded in with the compounding technique:
-// each insert buffers the element, and Flush (or any query) merges all
-// buffered singletons into the main answer with one CR group round.
+// built from the same Answer merge calculus. Each insert buffers the
+// element, and Flush (or any query) folds all buffered elements into the
+// main answer in at most two CR rounds: each buffered element against
+// the answer's representatives, then only the elements no class matched
+// among themselves.
 //
 // This is the library feature the paper's applications want in steady
 // state: a convention where interns keep arriving, a fleet where machines
@@ -39,17 +41,18 @@ type Incremental struct {
 // FoldArena is the scratch of one incremental fold: the level-merge
 // scratch (pair and result buffers, cuts, slot union-find), the
 // one-group level the fold merges — copies of the pending singletons and
-// of the answer — and the merged level's bounds. The merged elements
-// and offsets go straight into the sorter's pools. The zero value is
-// ready to use; buffers grow by doubling and are kept across folds, so
-// an owner that folds many sorters one at a time — a service shard —
-// holds one fold's scratch instead of one per sorter. The arena holds
-// copies, never a view of a sorter. A FoldArena is not safe for
-// concurrent use.
+// of the answer — the slots of the pending elements that matched no
+// class, and the merged level's bounds. The merged elements and offsets
+// go straight into the sorter's pools. The zero value is ready to use;
+// buffers grow by doubling and are kept across folds, so an owner that
+// folds many sorters one at a time — a service shard — holds one fold's
+// scratch instead of one per sorter. The arena holds copies, never a
+// view of a sorter. A FoldArena is not safe for concurrent use.
 type FoldArena struct {
-	sc    levelPass
-	lvl   level   // the group being merged, copied in by load
-	bound []int32 // the merged level's bounds: 0 and its class count
+	sc        levelPass
+	lvl       level   // the group being merged, copied in by load
+	unmatched []int32 // the slots fold's second round tests
+	bound     []int32 // the merged level's bounds: 0 and its class count
 }
 
 // load empties the arena's level and copies into it, one answer each,
@@ -80,6 +83,104 @@ func (ar *FoldArena) load(pending []int, group ...Answer) level {
 	return l
 }
 
+// fold merges lvl, the level load built from p pending singletons and an
+// answer of k classes, into next's pools as one answer, in two logical
+// rounds over the level's slot union-find. The first tests each pending
+// element, in arrival order, against the k representatives (p·k tests)
+// and unites the hits. The second tests only the u pending elements that
+// no class matched, pairwise in arrival order (u(u−1)/2 tests), and is
+// skipped when u < 2: a pending element that matched a class is never
+// tested against another, because that answer is implied by transitivity
+// (the knowledge-graph rule of Figure 2). With a consistent oracle the
+// united sets are those of one round over the whole group, so
+// buildMerged writes the same answer. The context is checked after each
+// round, since the session checks it only before each physical round;
+// on any error fold returns before next's pools are written.
+//
+//ecsort:hotpath
+func (ar *FoldArena) fold(s *model.Session, lvl, next level) (level, error) {
+	p := lvl.answers() - 1
+	pending, reps := lvl.elems[:p], lvl.starts(p)
+	k := len(reps)
+	if p*k+p*(p-1)/2 > math.MaxInt32 { // the two rounds' most tests
+		return level{}, errRoundTooWide
+	}
+	pairs := grow(ar.sc.pairs, p*k)[:0]
+	for _, x := range pending {
+		for _, r := range reps {
+			pairs = append(pairs, model.Pair{A: x, B: lvl.elems[r]})
+		}
+	}
+	res, err := ar.ask(s, pairs)
+	if err != nil {
+		return level{}, err
+	}
+	parent := grow(ar.sc.parent, p+k)
+	ar.sc.parent = parent
+	for i := range parent {
+		parent[i] = -1
+	}
+	classes := p + k
+	ar.unmatched = ar.unmatched[:0]
+	for i := range pending {
+		hit := false
+		for j, same := range res[i*k : i*k+k] {
+			if same {
+				hit = true
+				if union(parent, int32(i), int32(p+j)) {
+					classes--
+				}
+			}
+		}
+		if !hit {
+			ar.unmatched = append(ar.unmatched, int32(i))
+		}
+	}
+	if u := ar.unmatched; len(u) >= 2 {
+		pairs = grow(pairs, len(u)*(len(u)-1)/2)[:0]
+		for a, i := range u {
+			for _, j := range u[a+1:] {
+				pairs = append(pairs, model.Pair{A: pending[i], B: pending[j]})
+			}
+		}
+		if res, err = ar.ask(s, pairs); err != nil {
+			return level{}, err
+		}
+		at := 0
+		for a, i := range u {
+			for _, j := range u[a+1:] {
+				if res[at] && union(parent, i, j) {
+					classes--
+				}
+				at++
+			}
+		}
+	}
+	next.bound = grow(next.bound, 2)
+	next.bound[0], next.bound[1] = 0, int32(classes)
+	next.offs = grow(next.offs, classes+1)
+	next.offs[0] = 0
+	next.elems = grow(next.elems, len(lvl.elems))
+	g := mergeGroup{lvl: &lvl, lo: 0, hi: p + 1}
+	g.buildMerged(parent, next.elems, next.offs[1:])
+	return next, nil
+}
+
+// ask runs pairs, kept as the arena's pair buffer, as one logical round
+// and returns their results, or the error of a round that failed or ran
+// after the session's context ended.
+//
+//ecsort:hotpath
+func (ar *FoldArena) ask(s *model.Session, pairs []model.Pair) ([]bool, error) {
+	ar.sc.pairs = pairs
+	ar.sc.results = grow(ar.sc.results, len(pairs))
+	res, err := s.RoundBuf(pairs, ar.sc.results)
+	if err == nil {
+		err = s.Err()
+	}
+	return res, err
+}
+
 // NewIncremental creates an incremental sorter over the session's
 // elements. Elements must still be drawn from 0..N()-1 (the oracle
 // defines the universe); they may be added in any order, each at most
@@ -106,10 +207,11 @@ func (inc *Incremental) Add(e int) error {
 	return nil
 }
 
-// Flush folds all buffered elements into the answer. Buffered singletons
-// and the current answer merge as one CR group — a single logical round
-// of at most (|pending| + k)² representative tests. It folds on the
-// sorter's private arena; see FlushIn for the fold itself.
+// Flush folds all buffered elements into the answer: p buffered elements
+// into an answer of k classes cost p·k tests in one logical round, plus
+// u(u−1)/2 in a second round among the u elements that matched no class.
+// It folds on the sorter's private arena; see FlushIn for the fold
+// itself.
 //
 //ecsort:hotpath
 func (inc *Incremental) Flush() error {
@@ -131,13 +233,14 @@ func (inc *Incremental) ownArena() *FoldArena {
 // FlushIn is Flush on a borrowed arena: it folds inc's buffered elements
 // into its answer using ar's scratch, so one arena can serve any number
 // of sorters folded one at a time. The fold copies the pending
-// singletons, then the answer, onto the arena's level and merges them as
-// one group straight into the sorter's answer pools, so ar never holds a
-// view of a sorter. Classes, costs and emission order are those of
-// Flush. A fold whose context ended, even during its last round, commits
-// nothing: the answer and the pending buffer stay intact for the retry.
-// In steady state a fold allocates nothing: the arena's buffers and the
-// answer pools only grow, by doubling.
+// singletons, then the answer, onto the arena's level and merges them in
+// two rounds (see FoldArena.fold) straight into the sorter's answer
+// pools, so ar never holds a view of a sorter. Classes, costs and
+// emission order are those of Flush. A fold whose context ended, even
+// during its last round, commits nothing: the answer and the pending
+// buffer stay intact for the retry. In steady state a fold allocates
+// nothing: the arena's buffers and the answer pools only grow, by
+// doubling.
 //
 //ecsort:hotpath
 func FlushIn(inc *Incremental, ar *FoldArena) error {
@@ -145,7 +248,7 @@ func FlushIn(inc *Incremental, ar *FoldArena) error {
 		return nil
 	}
 	lvl := ar.load(inc.pending, inc.answer)
-	out, err := ar.sc.merge(inc.session, lvl, level{elems: inc.elems, offs: inc.offs, bound: ar.bound}, lvl.answers())
+	out, err := ar.fold(inc.session, lvl, level{elems: inc.elems, offs: inc.offs, bound: ar.bound})
 	if err != nil {
 		return err
 	}
@@ -204,7 +307,7 @@ func (inc *Incremental) Has(e int) bool {
 func (inc *Incremental) Pending() int { return len(inc.pending) }
 
 // Flushes returns how many non-empty flushes have folded batches into
-// the answer — the number of compounding CR group rounds spent so far.
+// the answer: the number of folds, each of one or two logical rounds.
 func (inc *Incremental) Flushes() int { return inc.flushes }
 
 // Snapshot returns a copy of the classes merged so far, excluding pending

@@ -13,8 +13,10 @@ import (
 // SortCRUnknownK, MergeGroupCR, and the incremental folds (FlushIn).
 // Every CR group merge is a level merge (levelPass.merge): the answers
 // lie on a flat level and merge in consecutive groups. A merge-tree
-// level of SortCR has many groups; MergeGroupCR and a fold copy their
-// answers onto a level of one group (FoldArena.load). A group's
+// level of SortCR has many groups; MergeGroupCR copies its answers onto
+// a level of one group (FoldArena.load). A fold loads its pending
+// singletons and answer the same way, but asks its tests in two rounds
+// (FoldArena.fold) before the same union-find and build. A group's
 // cross-representative tests stream into a reusable pair buffer in a
 // canonical order, the equality results fold into an int32 union-find
 // over the group's (answer, class) slots by re-walking that same order —

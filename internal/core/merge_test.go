@@ -210,7 +210,8 @@ func TestMergeLevelMatchesGroupMerges(t *testing.T) {
 // physical round. SortCR, SortCRUnknownK and an incremental fold must
 // each still return context.Canceled instead of an answer built from
 // that round, and the fold must leave the sorter's answer and pending
-// buffer as they were.
+// buffer as they were. A fold of two rounds is also cancelled on the
+// last test of its first round.
 func TestCancelOnLastTestCommitsNothing(t *testing.T) {
 	labels := make([]int, 64)
 	for i := range labels {
@@ -218,7 +219,7 @@ func TestCancelOnLastTestCommitsNothing(t *testing.T) {
 	}
 	// armed returns a session whose oracle cancels its context on test
 	// number last, counting from the session's first test.
-	armed := func(last int64) (*model.Session, *cancelOracle) {
+	armed := func(labels []int, last int64) (*model.Session, *cancelOracle) {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		o := &cancelOracle{Oracle: oracle.NewLabel(labels), left: int(last), cancel: cancel}
@@ -235,7 +236,7 @@ func TestCancelOnLastTestCommitsNothing(t *testing.T) {
 		if _, err := tc.sort(free); err != nil {
 			t.Fatal(err)
 		}
-		s, o := armed(free.Stats().Comparisons)
+		s, o := armed(labels, free.Stats().Comparisons)
 		res, err := tc.sort(s)
 		if o.cancel != nil {
 			t.Fatalf("%s: the sort ended before its last test", tc.name)
@@ -245,40 +246,68 @@ func TestCancelOnLastTestCommitsNothing(t *testing.T) {
 		}
 	}
 
-	s, o := armed(0)
-	o.cancel = nil // disarmed until the last fold
-	inc, err := NewIncremental(s)
-	if err != nil {
-		t.Fatal(err)
+	// Each fold folds elements 24..39 into the answer over 0..23. Under
+	// labels every one of them matches a class, so the fold is one round;
+	// under mixed the first 24 elements hold two labels and the pending
+	// ones four, so 8 match nothing and a second round follows.
+	mixed := make([]int, 64)
+	for i := range mixed {
+		mixed[i] = i % 2
+		if i >= 24 {
+			mixed[i] = i % 4
+		}
 	}
-	for e := range 40 {
-		if err := inc.Add(e); err != nil {
+	for _, tc := range []struct {
+		name   string
+		labels []int
+		round1 bool // cancel on the last test of round 1, not of the fold
+	}{
+		{"one-round fold", labels, false},
+		{"two-round fold, round 1", mixed, true},
+		{"two-round fold", mixed, false},
+	} {
+		s, o := armed(tc.labels, 0)
+		o.cancel = nil // disarmed until the last fold
+		inc, err := NewIncremental(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if e == 23 {
-			if err := inc.Flush(); err != nil {
+		for e := range 40 {
+			if err := inc.Add(e); err != nil {
 				t.Fatal(err)
 			}
+			if e == 23 {
+				if err := inc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	elems, offs := inc.Flat()
-	elems, offs = slices.Clone(elems), slices.Clone(offs)
-	pending := slices.Clone(inc.PendingElements())
-	p, k := len(pending), len(offs)-1
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	inc.SetContext(ctx)
-	o.left, o.cancel = p*k+p*(p-1)/2, cancel
-	if err := inc.Flush(); !errors.Is(err, context.Canceled) {
-		t.Errorf("fold cancelled on its last test returned %v, want context.Canceled", err)
-	}
-	if o.cancel != nil {
-		t.Fatal("the fold ended before its last test")
-	}
-	if e, f := inc.Flat(); !slices.Equal(e, elems) || !slices.Equal(f, offs) {
-		t.Errorf("cancelled fold changed the answer: %v %v, was %v %v", e, f, elems, offs)
-	}
-	if got := inc.PendingElements(); !slices.Equal(got, pending) {
-		t.Errorf("cancelled fold changed the pending buffer: %v, was %v", got, pending)
+		elems, offs := inc.Flat()
+		elems, offs = slices.Clone(elems), slices.Clone(offs)
+		pending := slices.Clone(inc.PendingElements())
+		p, k := len(pending), len(offs)-1
+		cut := nextFoldTests(t, inc, oracle.NewLabel(tc.labels))
+		if tc.round1 {
+			if cut-p*k < 1 {
+				t.Fatalf("%s: the fold asks %d tests, no second round after its %d", tc.name, cut, p*k)
+			}
+			cut = p * k
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		inc.SetContext(ctx)
+		o.left, o.cancel = cut, cancel
+		if err := inc.Flush(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled on test %d, returned %v, want context.Canceled", tc.name, cut, err)
+		}
+		if o.cancel != nil {
+			t.Fatalf("%s: the fold ended before its test %d", tc.name, cut)
+		}
+		if e, f := inc.Flat(); !slices.Equal(e, elems) || !slices.Equal(f, offs) {
+			t.Errorf("%s: cancelled fold changed the answer: %v %v, was %v %v", tc.name, e, f, elems, offs)
+		}
+		if got := inc.PendingElements(); !slices.Equal(got, pending) {
+			t.Errorf("%s: cancelled fold changed the pending buffer: %v, was %v", tc.name, got, pending)
+		}
 	}
 }

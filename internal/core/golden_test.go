@@ -39,14 +39,18 @@ type goldenCase struct {
 	fingerprint  uint64
 }
 
-// Captured from the pre-rewrite engine at commit 85ba685.
+// Captured from the pre-rewrite engine at commit 85ba685, except the
+// Incremental row's comparisons and rounds, re-recorded when a fold
+// began testing its pending elements against the answer first and only
+// the unmatched ones among themselves (206336 comparisons in 104 rounds
+// before).
 var goldenCases = []goldenCase{
 	{"SortCR/n=4096/k=8/seed=7", 35470, 13, 4096, 0x84a87755d67b3c9b},
 	{"SortCR/n=1000/k=3/seed=11", 3569, 8, 729, 0xf4736a3fe523b394},
 	{"SortCR/n=100/k=10/seed=12", 909, 11, 100, 0xea5848df44aa14d7},
 	{"SortCRUnknownK/n=2048/k=5/seed=13", 11425, 11, 2048, 0x89be98f4310c57ec},
 	{"SortER/n=1024/k=6/seed=17", 3915, 49, 512, 0xc3c680dc821ccfef},
-	{"Incremental/n=2048/k=8/seed=23/batch=192", 206336, 104, 2048, 0xba0007a7d8bd8735},
+	{"Incremental/n=2048/k=8/seed=23/batch=192", 33184, 19, 2048, 0xba0007a7d8bd8735},
 	{"SortCR/n=500/k=6/seed=29/procs=97", 3007, 35, 97, 0x7671511128f1e65b},
 }
 

@@ -22,16 +22,18 @@ import (
 // knows its registry name, the read-concurrency mode its session must
 // be in, and how to run itself. Sort installs ctx on the session, so
 // cancellation is checked between physical rounds and the sort returns
-// ctx.Err() promptly. Algorithm values are stateless and safe to reuse
-// across sorts and goroutines (randomized regimens re-seed their rng
-// from the configured seed on every Sort, so repeated runs are
-// reproducible).
+// ctx.Err() promptly; it checks ctx once more when the regimen returns,
+// so a sort whose ctx ended during its last round returns no answer.
+// Algorithm values are stateless and safe to reuse across sorts and
+// goroutines (randomized regimens re-seed their rng from the configured
+// seed on every Sort, so repeated runs are reproducible).
 type Algorithm interface {
 	// Name is the regimen's registry name, recorded in Result.Algorithm.
 	Name() string
 	// Mode is the comparison-model variant the session must be in.
 	Mode() model.Mode
-	// Sort runs the regimen on s, checking ctx between physical rounds.
+	// Sort runs the regimen on s, checking ctx between physical rounds
+	// and after the last.
 	Sort(ctx context.Context, s *model.Session) (core.Result, error)
 }
 
@@ -46,11 +48,16 @@ type alg struct {
 func (a alg) Name() string     { return a.name }
 func (a alg) Mode() model.Mode { return a.mode }
 
+// Sort checks the context again after the regimen returns, because the
+// session checks it only before each physical round.
 func (a alg) Sort(ctx context.Context, s *model.Session) (core.Result, error) {
 	if ctx != nil {
 		s.SetContext(ctx)
 	}
 	res, err := a.run(s)
+	if err == nil {
+		err = s.Err()
+	}
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -308,6 +308,44 @@ func TestSortAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// TestSortCancelledOnLastTest cancels the context on the last test of
+// every registry regimen's sort, after the session's last check before a
+// physical round. Each sort must return context.Canceled and no answer,
+// not one built from that round.
+func TestSortCancelledOnLastTest(t *testing.T) {
+	hints := Hints{K: 3, Lambda: 0.2, Seed: 1}
+	for _, info := range Infos() {
+		k := 3
+		if info.Name == "two-class-er" {
+			k = 2 // the regimen's promise
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			a, err := ByName(info.Name, hints)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", info.Name, err)
+			}
+			base, _ := balanced(240, k, 7)
+			// A free run counts the sort's tests; at Workers(1) every run
+			// asks them in the same order.
+			free := &cancellingOracle{inner: base}
+			if _, err := Run(context.Background(), free, a, model.Workers(1)); err != nil {
+				t.Fatal(err)
+			}
+			last := free.count.Load()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			o := &cancellingOracle{inner: base, after: last, cancel: cancel}
+			res, err := Run(ctx, o, a, model.Workers(1))
+			if got := o.count.Load(); got != last {
+				t.Fatalf("the sort asked %d tests, the free run %d", got, last)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled on its last test, returned %d classes and error %v, want context.Canceled", len(res.Classes), err)
+			}
+		})
+	}
+}
+
 func TestRunNilAlgorithm(t *testing.T) {
 	if _, err := Run(context.Background(), oracle.NewLabel([]int{0, 1}), nil); err == nil {
 		t.Fatal("nil algorithm accepted")

@@ -209,13 +209,6 @@ func (b *batchSorter) Flush(*core.FoldArena) error {
 	}
 	s := model.NewSession(newSubOracle(b.base, b.members), b.alg.Mode(), b.opts...)
 	res, err := b.alg.Sort(b.ctx, s)
-	if err == nil {
-		// The session checks the context only before each physical
-		// round, so a sort whose context ended during its last round
-		// still returns an answer; refuse it, as the incremental fold
-		// does.
-		err = b.ctx.Err()
-	}
 	if err != nil {
 		// The answer and pending count are untouched, so a failed fold
 		// (cancellation, a const-round λ overestimate) leaves the

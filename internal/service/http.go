@@ -270,7 +270,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("ecsort_elements_ingested_total", "counter", "Elements accepted across all collections.").Int(totalElems)
 	m.Family("ecsort_elements_pending", "gauge", "Buffered elements awaiting a flush.").Int(totalPending)
 	m.Family("ecsort_batches_total", "counter", "Accepted ingest batches.").Int(totalBatches)
-	m.Family("ecsort_flushes_total", "counter", "Compounding flush rounds executed.").Int(totalFlushes)
+	m.Family("ecsort_flushes_total", "counter", "Folds of pending elements into collection answers.").Int(totalFlushes)
 
 	// Execution runtime: the persistent pool every collection's session
 	// runs its parallel rounds on.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ecsort/internal/model"
 )
@@ -55,9 +56,10 @@ type FoldArena struct {
 	bound     []int32 // the merged level's bounds: 0 and its class count
 }
 
-// load empties the arena's level and copies into it, one answer each,
-// the singletons of pending and then the answers of group, and returns
-// the level.
+// load empties the arena's level and copies into it the pending
+// elements, if any, as one answer of singleton classes, then the answers
+// of group, and returns the level. Unlike an answer's classes, the
+// pending singletons are not known to be distinct.
 //
 //ecsort:hotpath
 func (ar *FoldArena) load(pending []int, group ...Answer) level {
@@ -69,10 +71,12 @@ func (ar *FoldArena) load(pending []int, group ...Answer) level {
 	l := level{
 		elems: append(grow(ar.lvl.elems, size)[:0], pending...),
 		offs:  append(grow(ar.lvl.offs, classes+1)[:0], 0),
-		bound: append(grow(ar.lvl.bound, len(pending)+len(group)+1)[:0], 0),
+		bound: append(grow(ar.lvl.bound, len(group)+2)[:0], 0),
 	}
-	for i := range pending {
-		l.offs = append(l.offs, i+1)
+	if len(pending) > 0 {
+		for i := range pending {
+			l.offs = append(l.offs, i+1)
+		}
 		l.seal()
 	}
 	for _, a := range group {
@@ -83,61 +87,45 @@ func (ar *FoldArena) load(pending []int, group ...Answer) level {
 	return l
 }
 
-// fold merges lvl, the level load built from p pending singletons and an
-// answer of k classes, into next's pools as one answer, in two logical
-// rounds over the level's slot union-find. The first tests each pending
-// element, in arrival order, against the k representatives (p·k tests)
-// and unites the hits. The second tests only the u pending elements that
-// no class matched, pairwise in arrival order (u(u−1)/2 tests), and is
-// skipped when u < 2: a pending element that matched a class is never
-// tested against another, because that answer is implied by transitivity
-// (the knowledge-graph rule of Figure 2). With a consistent oracle the
-// united sets are those of one round over the whole group, so
-// buildMerged writes the same answer. The context is checked after each
-// round, since the session checks it only before each physical round;
-// on any error fold returns before next's pools are written.
+// fold merges lvl — the level load built from p pending elements and an
+// answer of k classes — into next's pools as one answer, in two logical
+// rounds over the level's slot union-find. The first is the level
+// merge's round for the group of its two answers: each pending element,
+// in arrival order, against the k representatives (p·k tests), united
+// by the level merge's unite. The second tests only the u pending
+// elements that matched no class, pairwise in arrival order (u(u−1)/2
+// tests), and is skipped when u < 2. Two pending elements that each
+// matched a class are never tested against each other, because
+// transitivity answers that pair (the knowledge-graph rule of Figure 2).
+// With a consistent oracle the united sets are those of one round over
+// every pair, so buildMerged writes the same answer. The context is
+// checked after each round, since the session checks it only before
+// each physical round; on any error fold returns before next's pools
+// are written.
 //
 //ecsort:hotpath
 func (ar *FoldArena) fold(s *model.Session, lvl, next level) (level, error) {
-	p := lvl.answers() - 1
-	pending, reps := lvl.elems[:p], lvl.starts(p)
-	k := len(reps)
+	g := mergeGroup{lvl: &lvl, lo: 0, hi: 2}
+	p, k := lvl.k(0), lvl.k(1)
 	if p*k+p*(p-1)/2 > math.MaxInt32 { // the two rounds' most tests
 		return level{}, errRoundTooWide
 	}
-	pairs := grow(ar.sc.pairs, p*k)[:0]
-	for _, x := range pending {
-		for _, r := range reps {
-			pairs = append(pairs, model.Pair{A: x, B: lvl.elems[r]})
-		}
-	}
-	res, err := ar.ask(s, pairs)
+	res, err := ar.ask(s, g.appendCross(grow(ar.sc.pairs, p*k)[:0]))
 	if err != nil {
 		return level{}, err
 	}
 	parent := grow(ar.sc.parent, p+k)
 	ar.sc.parent = parent
-	for i := range parent {
-		parent[i] = -1
-	}
-	classes := p + k
+	classes := g.unite(parent, res)
 	ar.unmatched = ar.unmatched[:0]
-	for i := range pending {
-		hit := false
-		for j, same := range res[i*k : i*k+k] {
-			if same {
-				hit = true
-				if union(parent, int32(i), int32(p+j)) {
-					classes--
-				}
-			}
-		}
-		if !hit {
+	for i := range p {
+		if !slices.Contains(res[i*k:i*k+k], true) {
 			ar.unmatched = append(ar.unmatched, int32(i))
 		}
 	}
 	if u := ar.unmatched; len(u) >= 2 {
-		pairs = grow(pairs, len(u)*(len(u)-1)/2)[:0]
+		pending := lvl.elems[:p]
+		pairs := grow(ar.sc.pairs, len(u)*(len(u)-1)/2)[:0]
 		for a, i := range u {
 			for _, j := range u[a+1:] {
 				pairs = append(pairs, model.Pair{A: pending[i], B: pending[j]})
@@ -161,7 +149,6 @@ func (ar *FoldArena) fold(s *model.Session, lvl, next level) (level, error) {
 	next.offs = grow(next.offs, classes+1)
 	next.offs[0] = 0
 	next.elems = grow(next.elems, len(lvl.elems))
-	g := mergeGroup{lvl: &lvl, lo: 0, hi: p + 1}
 	g.buildMerged(parent, next.elems, next.offs[1:])
 	return next, nil
 }

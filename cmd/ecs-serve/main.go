@@ -1,9 +1,10 @@
 // Command ecs-serve runs the equivalence class sorting classification
 // service: a long-running HTTP/JSON server where each collection owns an
 // incremental sorter over a pluggable equivalence oracle, collections
-// are sharded across single-writer goroutines, batched inserts are
-// folded with one compounding round per flush, and reads are served from
-// copy-on-flush snapshots.
+// are sharded across single-writer goroutines, each flush folds batched
+// inserts into the answer in at most two rounds (the inserts against the
+// known classes, then the unmatched ones among themselves), and reads
+// are served from copy-on-flush snapshots.
 //
 // Usage:
 //
@@ -39,7 +40,7 @@
 //	curl localhost:8080/metrics
 //
 // Each collection may pin its own sorting regimen via the PUT body's
-// "algorithm" field (default: the incremental compounding engine);
+// "algorithm" field (default: the incremental engine);
 // GET /v1/algorithms lists the registry with hint requirements.
 //
 // The same binary scales past one machine. A backend node serves the

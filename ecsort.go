@@ -216,8 +216,9 @@ type Recorder = model.Recorder
 func NewRecorder(o Oracle) *Recorder { return model.NewRecorder(o) }
 
 // Incremental maintains a complete classification while elements arrive
-// over time, folding buffered arrivals in with single compounding rounds
-// (the online counterpart of CR).
+// over time, folding buffered arrivals in with at most two CR rounds per
+// flush: the arrivals against the known classes, then the unmatched ones
+// among themselves.
 type Incremental = core.Incremental
 
 // NewIncremental creates an incremental sorter over the oracle's
@@ -237,7 +238,7 @@ type ServiceConfig = service.Config
 
 // Service is a long-running classification engine: named collections,
 // each an Incremental sorter over a pluggable oracle, sharded across
-// single-writer goroutines with batched compounding flushes and
+// single-writer goroutines with batched flushes and
 // copy-on-flush snapshots for lock-free reads. Serve it over HTTP with
 // its Handler method (see cmd/ecs-serve) or drive it in process.
 type Service = service.Service

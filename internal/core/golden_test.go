@@ -40,10 +40,8 @@ type goldenCase struct {
 }
 
 // Captured from the pre-rewrite engine at commit 85ba685, except the
-// Incremental row's comparisons and rounds, re-recorded when a fold
-// began testing its pending elements against the answer first and only
-// the unmatched ones among themselves (206336 comparisons in 104 rounds
-// before).
+// Incremental row's comparisons and rounds: they count the two-round
+// fold, which asks no test between two elements that matched a class.
 var goldenCases = []goldenCase{
 	{"SortCR/n=4096/k=8/seed=7", 35470, 13, 4096, 0x84a87755d67b3c9b},
 	{"SortCR/n=1000/k=3/seed=11", 3569, 8, 729, 0xf4736a3fe523b394},

@@ -42,7 +42,7 @@ type engine struct {
 // buildSorter constructs the classification stack a spec asks for: the
 // ground-truth oracle, optionally wrapped in fault injection
 // (spec.Faults) and the resilience middleware (any Faults or Resilience
-// setting), feeding the incremental compounding engine by default or a
+// setting), feeding the incremental engine by default or a
 // batch regimen from the registry. Spec errors surface here — at create
 // time and again on recovery, where a checkpointed spec that no longer
 // validates must fail the boot rather than silently drop a collection.

@@ -65,9 +65,9 @@ type Config struct {
 	// collections are hashed across. 0 means 8.
 	Shards int
 	// BatchSize is the pending-element threshold that triggers a flush
-	// during ingestion. 0 flushes after every ingest call (one
-	// compounding round per HTTP batch); larger values accumulate across
-	// calls and amortize further, at the cost of staler snapshots.
+	// during ingestion. 0 flushes after every ingest call (one fold per
+	// HTTP batch); larger values accumulate across calls and amortize
+	// further, at the cost of staler snapshots.
 	BatchSize int
 	// FlushInterval, when positive, bounds snapshot staleness: each
 	// shard flushes its dirty collections at this period even if no
@@ -193,7 +193,7 @@ type CollectionInfo struct {
 	Pending int64 `json:"pending"`
 	// Batches counts accepted ingest calls.
 	Batches int64 `json:"batches"`
-	// Flushes counts compounding rounds spent (snapshot publications).
+	// Flushes counts folds (snapshot publications).
 	Flushes int64 `json:"flushes"`
 	// Classes is the class count of the current snapshot.
 	Classes int `json:"classes"`

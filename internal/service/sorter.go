@@ -11,10 +11,10 @@ import (
 )
 
 // sorter is what a collection needs from its classification engine. The
-// default implementation is core.Incremental (online compounding CR
-// folds); batchSorter adapts any batch Algorithm from the registry so a
-// collection can run ER or const-round regimens instead. A sorter keeps
-// only the state that outlives a fold; the fold's scratch is the
+// default implementation is core.Incremental (online CR folds of at most
+// two rounds); batchSorter adapts any batch Algorithm from the registry
+// so a collection can run ER or const-round regimens instead. A sorter
+// keeps only the state that outlives a fold; the fold's scratch is the
 // caller's, passed to Flush.
 type sorter interface {
 	// Add buffers element e; it rejects out-of-range and duplicates.
@@ -155,8 +155,9 @@ func (o *subBatchOracle) SameBatch(pairs []model.Pair, out []bool) {
 // (on a fresh session whose costs accumulate into Stats). That trades
 // fold cost for the regimen's guarantees — e.g. const-round-er spends
 // O(1) physical rounds per fold no matter how large the collection has
-// grown, where the compounding fold's single logical round widens with
-// (batch + k)².
+// grown, where the incremental fold's first logical round widens with
+// batch·k and its second with the square of the batch's new-class
+// elements.
 type batchSorter struct {
 	alg  algo.Algorithm
 	base model.Oracle

@@ -2,9 +2,11 @@
 // long-running classification service: named collections, each owning a
 // core.Incremental session over a pluggable oracle, sharded across
 // independent single-writer goroutines so ingestion for different
-// collections never contends. Batched inserts are folded with one
-// compounding CR group round per flush, and answers are served from
-// copy-on-flush snapshots so reads never block writes.
+// collections never contends. A flush folds the batched inserts into the
+// answer in at most two CR rounds — each insert against the known
+// classes, then the inserts no class matched among themselves — and
+// answers are served from copy-on-flush snapshots so reads never block
+// writes.
 //
 // The HTTP layer in this package (Handler) is a thin JSON mapping over
 // the Go API (CreateCollection / Ingest / Classes / CollectionStats);
@@ -67,7 +69,9 @@ type GraphSpec struct {
 }
 
 // AlgorithmIncremental is the default collection regimen: the online
-// incremental sorter folding each batch with one compounding CR round.
+// incremental sorter, folding each batch in at most two CR rounds — the
+// batch against the answer's classes, then the elements no class
+// matched among themselves.
 const AlgorithmIncremental = "incremental"
 
 // OracleSpec declares the ground-truth oracle behind a collection. Kind
@@ -88,7 +92,7 @@ type OracleSpec struct {
 
 	// Algorithm selects the sorting regimen folding this collection's
 	// batches. Empty or "incremental" keeps the default online
-	// compounding engine; any registry name (er, const-round-er, auto,
+	// incremental engine; any registry name (er, const-round-er, auto,
 	// ...) re-sorts the ingested sub-universe with that regimen on every
 	// flush. "auto" plans from the K/Lambda hints with the online flag
 	// set, landing on the incremental engine when the plan is in the CR

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"ecsort/internal/graphs"
 	"ecsort/internal/model"
@@ -32,14 +33,6 @@ type ConstRoundConfig struct {
 	MaxRetries int
 	// Rng drives the random Hamiltonian cycles. Required.
 	Rng *rand.Rand
-	// StrictSCC selects anchors as strongly connected components of the
-	// directed "equal" edges, the literal reading of Theorem 3. The
-	// default uses undirected connected components, which is sound
-	// because equivalence is symmetric (an equal edge is traversable
-	// both ways) and never produces smaller anchors. StrictSCC exists to
-	// validate that reading and for apples-to-apples comparisons with
-	// the theorem's statement.
-	StrictSCC bool
 }
 
 // SortConstRoundER solves equivalence class sorting in the exclusive-read
@@ -56,6 +49,12 @@ type ConstRoundConfig struct {
 //  3. Each anchor sweeps all still-unclassified elements |C| at a time
 //     (step 3): ⌈targets/|C|⌉ ≤ 8/λ rounds per anchor, and at most
 //     ⌊1/λ⌋ anchors, so O(1) rounds in total.
+//
+// Theorem 3 names strongly connected components of the directed cycle
+// edges; the anchors here are connected components of the equal edges.
+// An equality test is symmetric, so every equal edge can be traversed
+// both ways, and a connected component is never smaller than the
+// strongly connected one the theorem promises.
 //
 // If some element matches no anchor, the random graph failed to seed that
 // element's class with a large component; the algorithm redraws and
@@ -84,18 +83,35 @@ func SortConstRoundER(s *model.Session, cfg ConstRoundConfig) (Result, error) {
 	if d == 0 {
 		d = graphs.DegreeForLambda(cfg.Lambda)
 	}
-	for attempt := 0; ; attempt++ {
-		res, ok, err := constRoundAttempt(s, n, d, cfg.Lambda, cfg.StrictSCC, cfg.Rng)
-		if err != nil {
-			return Result{}, err
+	// Anchors: components of size ≥ max(1, ⌊λn/8⌋), per step 3's bound
+	// |C| ≥ λn/8 (Theorem 3 with γ = 1/4 gives λn/4; the paper uses the
+	// slack λn/8).
+	threshold := max(1, int(cfg.Lambda*float64(n)/8))
+	return constRound(s, d, cfg.MaxRetries, cfg.Rng, func(dsu *unionfind.DSU, comps [][]int) (bool, error) {
+		anchors := comps
+		for i, c := range comps {
+			if len(c) < threshold {
+				anchors = comps[:i]
+				break
+			}
 		}
-		if ok {
-			return res, nil
+		if len(anchors) == 0 {
+			return false, nil
 		}
-		if attempt >= cfg.MaxRetries {
-			return Result{}, ErrConstRoundFailed
+		// Merge anchors of the same class: all representative pairs via
+		// the circle schedule (disjoint per round, ≤ |anchors| rounds).
+		reps := make([]int, len(anchors))
+		for i, c := range anchors {
+			reps[i] = c[0]
 		}
-	}
+		for _, round := range sched.AllPairs(reps) {
+			if _, err := uniteRound(s, dsu, round); err != nil {
+				return false, err
+			}
+		}
+		unmatched, err := sweepAnchors(s, dsu, anchors)
+		return len(unmatched) == 0, err
+	})
 }
 
 // tinySortER classifies n ∈ {1,2} elements directly.
@@ -113,117 +129,90 @@ func tinySortER(s *model.Session, n int) (Result, error) {
 	return Result{Classes: [][]int{{0}, {1}}, Stats: s.Stats()}, nil
 }
 
-func constRoundAttempt(s *model.Session, n, d int, lambda float64, strictSCC bool, rng *rand.Rand) (Result, bool, error) {
+// constRound is the loop the constant-round sorts share. Each attempt
+// draws H_d, tests its edges in at most 3d rounds of disjoint pairs and
+// unites every equal edge in one union-find. finish gets that union-find
+// and its components, largest first with ties broken by smallest member,
+// classifies what the components leave and reports whether every element
+// found its class; if not, the next attempt draws again, up to
+// maxRetries times, and then ErrConstRoundFailed is returned.
+func constRound(s *model.Session, d, maxRetries int, rng *rand.Rand, finish func(dsu *unionfind.DSU, comps [][]int) (bool, error)) (Result, error) {
+	n := s.N()
 	dsu := unionfind.New(n)
-
-	// Step 2: test the edges of H_d, cycle by cycle, in disjoint rounds.
-	h := graphs.NewHamiltonian(n, d, rng)
-	var allEdges []model.Pair
-	var allResults []bool
-	for _, round := range h.ERRounds() {
-		res, err := s.Round(round)
-		if err != nil {
-			return Result{}, false, err
-		}
-		allEdges = append(allEdges, round...)
-		allResults = append(allResults, res...)
-	}
-	for i, e := range allEdges {
-		if allResults[i] {
-			dsu.Union(e.A, e.B)
-		}
-	}
-
-	// Anchors: components of size ≥ max(1, ⌊λn/8⌋), per step 3's bound
-	// |C| ≥ λn/8 (Theorem 3 with γ = 1/4 gives λn/4; the paper uses the
-	// slack λn/8).
-	threshold := int(lambda * float64(n) / 8)
-	if threshold < 1 {
-		threshold = 1
-	}
-	var components [][]int
-	if strictSCC {
-		var equalEdges []model.Pair
-		for i, e := range allEdges {
-			if allResults[i] {
-				equalEdges = append(equalEdges, e)
+	for attempt := 0; ; attempt++ {
+		dsu.Reset(n)
+		for _, round := range graphs.NewHamiltonian(n, d, rng).ERRounds() {
+			if _, err := uniteRound(s, dsu, round); err != nil {
+				return Result{}, err
 			}
 		}
-		components = graphs.StronglyConnectedComponents(n, equalEdges)
-	} else {
-		components = graphs.ComponentsFromEqualities(n, allEdges, allResults)
-	}
-	var anchors [][]int
-	for _, c := range components {
-		if len(c) >= threshold {
-			anchors = append(anchors, c)
-		}
-	}
-	if len(anchors) == 0 {
-		return Result{}, false, nil
-	}
-
-	// Merge anchors of the same class: all representative pairs via the
-	// circle schedule (disjoint per round, ≤ |anchors| rounds).
-	reps := make([]int, len(anchors))
-	for i, c := range anchors {
-		reps[i] = c[0]
-	}
-	for _, round := range sched.AllPairs(reps) {
-		res, err := s.Round(round)
+		comps := dsu.Groups()
+		sort.SliceStable(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+		ok, err := finish(dsu, comps)
 		if err != nil {
-			return Result{}, false, err
+			return Result{}, err
 		}
-		for i, eq := range res {
-			if eq {
-				dsu.Union(round[i].A, round[i].B)
-			}
+		if ok {
+			return Result{Classes: dsu.Groups(), Stats: s.Stats()}, nil
+		}
+		if attempt >= maxRetries {
+			return Result{}, ErrConstRoundFailed
 		}
 	}
+}
 
-	// Sweep: each anchor classifies the elements outside every anchor,
-	// |C| targets per round. Elements already matched to an earlier
-	// anchor are dropped from later sweeps.
+// sweepAnchors sweeps every element outside anchors with each anchor in
+// turn, |anchor| targets per round (step 3 of Theorem 4), uniting each
+// match with its anchor. An element an anchor matched is not swept by
+// the next. It returns the elements no anchor matched, in increasing
+// order.
+func sweepAnchors(s *model.Session, dsu *unionfind.DSU, anchors [][]int) ([]int, error) {
+	n := dsu.Len()
 	inAnchor := make([]bool, n)
 	for _, c := range anchors {
 		for _, e := range c {
 			inAnchor[e] = true
 		}
 	}
-	var targets []int
+	var left []int
 	for e := 0; e < n; e++ {
 		if !inAnchor[e] {
-			targets = append(targets, e)
+			left = append(left, e)
 		}
 	}
-	matched := make([]bool, n)
 	for _, anchor := range anchors {
-		var remaining []int
-		for _, t := range targets {
-			if !matched[t] {
-				remaining = append(remaining, t)
-			}
-		}
-		if len(remaining) == 0 {
+		if len(left) == 0 {
 			break
 		}
-		for _, round := range sched.Sweep(anchor, remaining) {
-			res, err := s.Round(round)
+		// Sweep copies the targets into its rounds, so the ones this
+		// anchor leaves unmatched can reuse left's storage.
+		rounds := sched.Sweep(anchor, left)
+		left = left[:0]
+		for _, round := range rounds {
+			res, err := uniteRound(s, dsu, round)
 			if err != nil {
-				return Result{}, false, err
+				return nil, err
 			}
 			for i, eq := range res {
-				if eq {
-					dsu.Union(round[i].A, round[i].B)
-					matched[round[i].B] = true
+				if !eq {
+					left = append(left, round[i].B)
 				}
 			}
 		}
 	}
-	for _, t := range targets {
-		if !matched[t] {
-			return Result{}, false, nil // some class had no anchor: retry
+	return left, nil
+}
+
+// uniteRound runs one ER round and unites each pair that tested equal.
+func uniteRound(s *model.Session, dsu *unionfind.DSU, round []model.Pair) ([]bool, error) {
+	res, err := s.Round(round)
+	if err != nil {
+		return nil, err
+	}
+	for i, eq := range res {
+		if eq {
+			dsu.Union(round[i].A, round[i].B)
 		}
 	}
-	return Result{Classes: dsu.Groups(), Stats: s.Stats()}, true, nil
+	return res, nil
 }

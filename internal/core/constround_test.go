@@ -155,55 +155,6 @@ func TestConstRoundRetrySafety(t *testing.T) {
 	}
 }
 
-// TestConstRoundStrictSCC: the literal Theorem 3 reading (directed SCC
-// anchors) must agree with the default undirected-component variant.
-func TestConstRoundStrictSCC(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for trial := 0; trial < 8; trial++ {
-		truth := oracle.RandomBalanced(120, 3, rng)
-		strict := model.NewSession(truth, model.ER)
-		res, err := SortConstRoundER(strict, ConstRoundConfig{
-			Lambda:     0.2,
-			D:          10,
-			MaxRetries: 5,
-			StrictSCC:  true,
-			Rng:        rand.New(rand.NewSource(int64(trial))),
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		checkResult(t, res, truth)
-	}
-}
-
-// TestConstRoundStrictSCCNeverLargerAnchors: directed SCCs are contained
-// in undirected components, so the strict variant can only see smaller or
-// equal anchors — with enough cycles both succeed, and the strict one
-// never spends fewer comparisons on sweeps.
-func TestConstRoundStrictSCCCost(t *testing.T) {
-	truth := oracle.RandomBalanced(200, 2, rand.New(rand.NewSource(26)))
-	run := func(strict bool) int64 {
-		s := model.NewSession(truth, model.ER)
-		_, err := SortConstRoundER(s, ConstRoundConfig{
-			Lambda:     0.3,
-			D:          12,
-			MaxRetries: 5,
-			StrictSCC:  strict,
-			Rng:        rand.New(rand.NewSource(27)),
-		})
-		if err != nil {
-			t.Fatalf("strict=%v: %v", strict, err)
-		}
-		return s.Stats().Comparisons
-	}
-	loose := run(false)
-	strict := run(true)
-	if strict < loose {
-		t.Errorf("strict SCC variant cheaper (%d) than undirected (%d): anchors cannot be larger",
-			strict, loose)
-	}
-}
-
 // TestLambdaHalvingRecipe exercises the paper's remark: when λ is unknown,
 // halve a failing guess until the algorithm succeeds.
 func TestLambdaHalvingRecipe(t *testing.T) {

@@ -85,11 +85,6 @@ type AdaptiveConstRoundConfig struct {
 	// failure, per the paper's remark following Theorem 4. Defaults to
 	// 0.4 when zero.
 	StartLambda float64
-	// MinLambda stops the halving; below it the input's smallest class
-	// is too small for the constant-round approach to pay off. Defaults
-	// to 4/n when zero (a component threshold below one element is
-	// meaningless).
-	MinLambda float64
 	// D and MaxRetries are passed through to each attempt (see
 	// ConstRoundConfig).
 	D          int
@@ -99,14 +94,15 @@ type AdaptiveConstRoundConfig struct {
 }
 
 // ErrAdaptiveExhausted reports that SortConstRoundERAdaptive halved λ down
-// to its floor without succeeding.
+// to its floor, 4/n, without succeeding.
 var ErrAdaptiveExhausted = errors.New("core: adaptive constant-round sort exhausted its λ budget")
 
 // SortConstRoundERAdaptive runs the Theorem 4 algorithm without knowing
 // λ: start at StartLambda and halve after every failure. Once the guess
 // drops below the true ℓ/n, an attempt succeeds with high probability, so
 // the total rounds remain independent of n (a function of the final λ
-// only).
+// only). The halving stops at 4/n, where the anchor threshold λn/8 is
+// already below one element.
 func SortConstRoundERAdaptive(s *model.Session, cfg AdaptiveConstRoundConfig) (Result, error) {
 	if cfg.Rng == nil {
 		return Result{}, errors.New("core: AdaptiveConstRoundConfig.Rng is required")
@@ -118,12 +114,9 @@ func SortConstRoundERAdaptive(s *model.Session, cfg AdaptiveConstRoundConfig) (R
 	if lambda <= 0 || lambda > 0.4 {
 		return Result{}, fmt.Errorf("core: StartLambda %v outside (0, 0.4]", lambda)
 	}
-	minLambda := cfg.MinLambda
-	if minLambda == 0 {
-		n := s.N()
-		if n > 0 {
-			minLambda = 4 / float64(n)
-		}
+	var minLambda float64
+	if n := s.N(); n > 0 {
+		minLambda = 4 / float64(n)
 	}
 	for lambda > 0 {
 		res, err := SortConstRoundER(s, ConstRoundConfig{

@@ -7,7 +7,6 @@ import (
 
 	"ecsort/internal/graphs"
 	"ecsort/internal/model"
-	"ecsort/internal/sched"
 	"ecsort/internal/unionfind"
 )
 
@@ -45,72 +44,19 @@ func SortTwoClassER(s *model.Session, maxRetries int, rng *rand.Rand) (Result, e
 		return tinySortER(s, n)
 	}
 	const lambda = 0.4 // the majority class is at least n/2 ≥ λn
-	d := graphs.DegreeForLambda(lambda)
-	for attempt := 0; ; attempt++ {
-		res, ok, err := twoClassAttempt(s, n, d, rng)
+	return constRound(s, graphs.DegreeForLambda(lambda), maxRetries, rng, func(dsu *unionfind.DSU, comps [][]int) (bool, error) {
+		// The majority anchor must be large; λn/8 with λ=0.4 is n/20.
+		if len(comps[0]) < max(1, n/20) {
+			return false, nil
+		}
+		others, err := sweepAnchors(s, dsu, comps[:1])
 		if err != nil {
-			return Result{}, err
+			return false, err
 		}
-		if ok {
-			return res, nil
+		// Two-class promise: everything that failed the sweep is one class.
+		for _, e := range others {
+			dsu.Union(others[0], e)
 		}
-		if attempt >= maxRetries {
-			return Result{}, ErrConstRoundFailed
-		}
-	}
-}
-
-func twoClassAttempt(s *model.Session, n, d int, rng *rand.Rand) (Result, bool, error) {
-	h := graphs.NewHamiltonian(n, d, rng)
-	dsu := unionfind.New(n)
-	var edges []model.Pair
-	var results []bool
-	for _, round := range h.ERRounds() {
-		res, err := s.Round(round)
-		if err != nil {
-			return Result{}, false, err
-		}
-		edges = append(edges, round...)
-		results = append(results, res...)
-	}
-	for i, e := range edges {
-		if results[i] {
-			dsu.Union(e.A, e.B)
-		}
-	}
-	comps := graphs.ComponentsFromEqualities(n, edges, results)
-	anchor := comps[0]
-	// The majority anchor must be large; λn/8 with λ=0.4 is n/20.
-	if len(anchor) < max(1, n/20) {
-		return Result{}, false, nil
-	}
-	inAnchor := make([]bool, n)
-	for _, e := range anchor {
-		inAnchor[e] = true
-	}
-	var targets []int
-	for e := 0; e < n; e++ {
-		if !inAnchor[e] {
-			targets = append(targets, e)
-		}
-	}
-	var others []int
-	for _, round := range sched.Sweep(anchor, targets) {
-		res, err := s.Round(round)
-		if err != nil {
-			return Result{}, false, err
-		}
-		for i, eq := range res {
-			if eq {
-				dsu.Union(round[i].A, round[i].B)
-			} else {
-				others = append(others, round[i].B)
-			}
-		}
-	}
-	// Two-class promise: everything that failed the sweep is one class.
-	for i := 1; i < len(others); i++ {
-		dsu.Union(others[0], others[i])
-	}
-	return Result{Classes: dsu.Groups(), Stats: s.Stats()}, true, nil
+		return true, nil
+	})
 }

@@ -1,16 +1,14 @@
 // Package graphs provides the graph substrate for the constant-round ECS
 // algorithm of Theorem 4: unions of random Hamiltonian cycles (the H_d
-// construction of Goodrich, Theorem 3), connected components, and a Tarjan
-// strongly-connected-components routine for the directed view.
+// construction of Goodrich, Theorem 3), their edges split into rounds of
+// disjoint pairs, and the number of cycles d(λ) the theorem needs.
 package graphs
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"ecsort/internal/model"
-	"ecsort/internal/unionfind"
 )
 
 // Hamiltonian is the directed graph H_d on n vertices formed by the union
@@ -39,12 +37,6 @@ func NewHamiltonian(n, d int, rng *rand.Rand) *Hamiltonian {
 	}
 	return h
 }
-
-// N returns the number of vertices.
-func (h *Hamiltonian) N() int { return h.n }
-
-// D returns the number of Hamiltonian cycles in the union.
-func (h *Hamiltonian) D() int { return len(h.cycles) }
 
 // Edges returns the directed edges of every cycle: for cycle c with vertex
 // order v_0, v_1, ..., the edges (v_i, v_{i+1 mod n}).
@@ -95,30 +87,6 @@ func cycleRounds(cyc []int) [][]model.Pair {
 	}
 	c := []model.Pair{edge(n - 1)}
 	return [][]model.Pair{a, b, c}
-}
-
-// ComponentsFromEqualities returns the connected components induced by the
-// subset of edges whose equivalence test answered true. edges and results
-// run in parallel. Components are returned largest first; ties broken by
-// smallest member.
-func ComponentsFromEqualities(n int, edges []model.Pair, results []bool) [][]int {
-	dsu := unionfind.New(n)
-	for i, e := range edges {
-		if results[i] {
-			dsu.Union(e.A, e.B)
-		}
-	}
-	groups := dsu.Groups()
-	// Sort by size descending, stable on smallest member (Groups already
-	// orders by smallest member).
-	sortBySizeDesc(groups)
-	return groups
-}
-
-func sortBySizeDesc(groups [][]int) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		return len(groups[i]) > len(groups[j])
-	})
 }
 
 // DegreeForLambda returns the constant number of Hamiltonian cycles d(λ)

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ecsort/internal/model"
+	"ecsort/internal/unionfind"
 )
 
 func TestEdgesCountAndForm(t *testing.T) {
@@ -98,50 +98,6 @@ func TestERRoundsCoverEdgeSet(t *testing.T) {
 	}
 }
 
-func TestComponentsFromEqualities(t *testing.T) {
-	edges := []model.Pair{{A: 0, B: 1}, {A: 1, B: 2}, {A: 3, B: 4}, {A: 2, B: 3}}
-	results := []bool{true, true, true, false}
-	comps := ComponentsFromEqualities(6, edges, results)
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3 groups", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("largest component = %v, want [0 1 2]", comps[0])
-	}
-	if len(comps[1]) != 2 || comps[1][0] != 3 {
-		t.Fatalf("second component = %v, want [3 4]", comps[1])
-	}
-}
-
-func TestComponentsSortedBySize(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(40)
-		var edges []model.Pair
-		var results []bool
-		for i := 0; i < n; i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
-				continue
-			}
-			edges = append(edges, model.Pair{A: a, B: b})
-			results = append(results, rng.Intn(2) == 0)
-		}
-		comps := ComponentsFromEqualities(n, edges, results)
-		covered := 0
-		for i, c := range comps {
-			covered += len(c)
-			if i > 0 && len(comps[i-1]) < len(c) {
-				return false
-			}
-		}
-		return covered == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDegreeForLambda(t *testing.T) {
 	// d(λ) must be finite, positive, and decreasing in λ.
 	prev := int(1 << 30)
@@ -212,30 +168,17 @@ func TestLargeSubsetHasBigComponent(t *testing.T) {
 		for _, v := range perm[:size] {
 			inW[v] = true
 		}
-		// Keep only edges inside W.
-		var edges []model.Pair
-		var results []bool
+		// Unite only the edges inside W, so the set of any vertex of
+		// W holds only vertices of W.
+		dsu := unionfind.New(n)
 		for _, e := range h.Edges() {
 			if inW[e.A] && inW[e.B] {
-				edges = append(edges, e)
-				results = append(results, true)
+				dsu.Union(e.A, e.B)
 			}
 		}
-		comps := ComponentsFromEqualities(n, edges, results)
-		// comps[0] is the largest; subtract the singletons outside W.
 		best := 0
-		for _, c := range comps {
-			if len(c) > best && inW[c[0]] {
-				sz := 0
-				for _, v := range c {
-					if inW[v] {
-						sz++
-					}
-				}
-				if sz > best {
-					best = sz
-				}
-			}
+		for _, v := range perm[:size] {
+			best = max(best, dsu.SizeOf(v))
 		}
 		if best < size/8 {
 			t.Fatalf("trial %d: largest component in W has %d vertices, want >= %d", trial, best, size/8)

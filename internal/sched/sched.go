@@ -10,8 +10,8 @@
 //     component representatives), done by the circle method used for
 //     round-robin tournaments — |A| rounds (|A|−1 if even);
 //   - every target against one member of a team of known-equivalent
-//     elements (a strongly connected component sweeping the rest of the
-//     input), |team| targets per round.
+//     elements (a component of the equal-tested edges sweeping the rest
+//     of the input), |team| targets per round.
 //
 // The ER merge tree's pair merges (all of A×B for two answers' class
 // representatives) rotate inside internal/core's pairPlan, which emits
@@ -80,9 +80,9 @@ func orient(x, y int) model.Pair {
 // Sweep schedules comparisons of every element in targets against the
 // members of team, assigning in each round up to len(team) distinct
 // targets, one per team member (all pairs disjoint). It is the schedule of
-// step 3 of the constant-round algorithm (Theorem 4): a strongly connected
-// component "sweeps" the rest of the input |C| elements at a time. The
-// sets team and targets must be disjoint.
+// step 3 of the constant-round algorithm (Theorem 4): a component C of the
+// equal-tested edges "sweeps" the rest of the input |C| elements at a
+// time. The sets team and targets must be disjoint.
 //
 // Each target is compared against exactly one team member; which one is
 // immaterial because all members of team are known equivalent.

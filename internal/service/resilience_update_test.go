@@ -225,3 +225,56 @@ func TestProbeWriteAdmission(t *testing.T) {
 		t.Fatalf("rejected write accepted items (ingested %d -> %d)", ingestedBefore, got)
 	}
 }
+
+// TestDegradedFreshReadLeavesProbeSlot: a fresh read of a degraded
+// collection with nothing pending has nothing to fold, so it must not
+// claim the half-open breaker's one probe-write slot. The next write is
+// the probe and reaches the oracle; had the read taken the slot, that
+// write would be refused for another full cooldown without an ask.
+func TestDegradedFreshReadLeavesProbeSlot(t *testing.T) {
+	svc := New(Config{Shards: 1, Workers: 1})
+	defer svc.Close()
+	spec := OracleSpec{
+		Kind: KindLabel, Labels: []int{0, 0, 1, 1},
+		Faults: &FaultSpec{StuckAfter: 1}, // the first call answers, every later one hangs
+		Resilience: &ResilienceSpec{
+			TimeoutMs: 20, Retries: 1,
+			BreakerThreshold: 1, BreakerCooldownMs: 150,
+		},
+	}
+	if err := svc.CreateCollection("f", spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Ingest("f", []int{0, 1}, true); err != nil {
+		t.Fatal(err)
+	}
+	// The repair sweep's re-verification hangs, times out and trips the
+	// breaker with nothing pending.
+	svc.RepairSweep()
+	c := col(t, svc, "f")
+	if _, bad := c.degraded(); !bad {
+		t.Fatal("collection not degraded after the repair sweep")
+	}
+	if p := c.srt.Pending(); p != 0 {
+		t.Fatalf("pending = %d, want 0", p)
+	}
+
+	time.Sleep(200 * time.Millisecond) // past the cooldown: half-open
+	snap, err := svc.Classes("f", true)
+	if err != nil {
+		t.Fatalf("fresh read of a degraded collection: %v", err)
+	}
+	if snap.Size != 2 {
+		t.Fatalf("fresh read served %d elements, want 2", snap.Size)
+	}
+
+	before := c.res.Stats().Attempts
+	ingestedBefore := c.ingested.Load()
+	_, err = svc.Ingest("f", []int{2}, true)
+	if got := c.res.Stats().Attempts; got <= before {
+		t.Fatalf("write after the fresh read made no oracle attempt (%d -> %d; err %v)", before, got, err)
+	}
+	if got := c.ingested.Load(); got != ingestedBefore+1 {
+		t.Fatalf("probe write's batch not accepted (ingested %d -> %d)", ingestedBefore, got)
+	}
+}

@@ -1093,7 +1093,8 @@ func (s *Service) Ingest(key string, items []int, forceFlush bool) (IngestResult
 }
 
 // Flush folds key's pending buffer immediately and publishes a fresh
-// snapshot.
+// snapshot. With nothing pending it returns the published snapshot, which
+// is already current, even while the collection is degraded.
 func (s *Service) Flush(key string) (*Snapshot, error) {
 	sh := s.shardOf(key)
 	c, err := sh.lookup(key)
@@ -1102,12 +1103,14 @@ func (s *Service) Flush(key string) (*Snapshot, error) {
 	}
 	var snap *Snapshot
 	err = s.do(sh, c, "flush", func() error {
-		if ra, _, admitted := c.admitWrite(); !admitted {
-			return &DegradedError{Key: key, RetryAfter: ra}
-		}
 		// With nothing buffered the published snapshot is already
-		// current, so skip the O(n) rebuild a republish would cost.
+		// current: skip the O(n) rebuild a republish would cost, and
+		// leave a half-open breaker's one probe-write slot to a write
+		// that will ask the oracle.
 		if c.srt.Pending() > 0 {
+			if ra, _, admitted := c.admitWrite(); !admitted {
+				return &DegradedError{Key: key, RetryAfter: ra}
+			}
 			if err := s.fold(sh, c); err != nil {
 				return err
 			}

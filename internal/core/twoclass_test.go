@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"ecsort/internal/graphs"
 	"ecsort/internal/model"
 	"ecsort/internal/oracle"
 )
@@ -119,5 +121,47 @@ func TestTwoClassBrokenPromise(t *testing.T) {
 	}
 	if !correct && certErr == nil {
 		t.Fatal("wrong answer passed certification")
+	}
+}
+
+// TestTwoClassLumpsUnmatched: under a broken promise (k = 3) the
+// majority class comes back exactly, and the two minorities, which both
+// fail the sweep, come back lumped into one class.
+func TestTwoClassLumpsUnmatched(t *testing.T) {
+	truth := oracle.RandomSizes([]int{80, 10, 10}, rand.New(rand.NewSource(65)))
+	s := model.NewSession(truth, model.ER)
+	res, err := SortTwoClassER(s, 5, rand.New(rand.NewSource(66)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Class 0 of RandomSizes is the majority; 1 and 2 are lumped.
+	want := truth.Labels()
+	for i, l := range want {
+		want[i] = min(l, 1)
+	}
+	if got := res.Labels(truth.N()); !SameClassification(got, want) {
+		t.Fatalf("classification = %v, want %v", got, want)
+	}
+}
+
+// TestTwoClassSmallMajorityRedraws: when the largest component stays
+// under n/20, SortTwoClassER lumps nothing and draws again until its
+// retries are spent, testing only the d(0.4)·n edges of each draw.
+func TestTwoClassSmallMajorityRedraws(t *testing.T) {
+	// Every element is its own class, so every component is a
+	// singleton, under the threshold 60/20 = 3.
+	const n, retries = 60, 2
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i
+	}
+	s := model.NewSession(oracle.NewLabel(labels), model.ER)
+	_, err := SortTwoClassER(s, retries, rand.New(rand.NewSource(71)))
+	if !errors.Is(err, ErrConstRoundFailed) {
+		t.Fatalf("err = %v, want ErrConstRoundFailed", err)
+	}
+	want := int64((retries + 1) * graphs.DegreeForLambda(0.4) * n)
+	if got := s.Stats().Comparisons; got != want {
+		t.Fatalf("comparisons = %d, want %d", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package graphs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,69 @@ func TestERRoundsCoverEdgeSet(t *testing.T) {
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("edge %v: got %d want %d", k, got[k], v)
+		}
+	}
+}
+
+// TestEachCycleIsHamiltonian: following one cycle's edges from any
+// vertex visits all n vertices before it comes back, so each cycle is a
+// single n-cycle, not a union of shorter ones.
+func TestEachCycleIsHamiltonian(t *testing.T) {
+	f := func(seed int64, nRaw, dRaw uint8) bool {
+		n := 3 + int(nRaw)%40
+		d := 1 + int(dRaw)%4
+		edges := NewHamiltonian(n, d, rand.New(rand.NewSource(seed))).Edges()
+		for c := 0; c < d; c++ {
+			next := make(map[int]int, n)
+			for _, e := range edges[c*n : (c+1)*n] {
+				next[e.A] = e.B
+			}
+			start := edges[c*n].A
+			steps := 1
+			for v := next[start]; v != start && steps <= n; v = next[v] {
+				steps++
+			}
+			if steps != n {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHamiltonianUnionConnected: H_d is connected, as each cycle alone
+// already is, so on a one-class input the equal edges unite every
+// element into one component.
+func TestHamiltonianUnionConnected(t *testing.T) {
+	for _, tc := range []struct{ n, d int }{{3, 1}, {4, 1}, {50, 2}, {101, 3}} {
+		h := NewHamiltonian(tc.n, tc.d, rand.New(rand.NewSource(9)))
+		dsu := unionfind.New(tc.n)
+		for _, e := range h.Edges() {
+			dsu.Union(e.A, e.B)
+		}
+		if dsu.Sets() != 1 {
+			t.Fatalf("n=%d d=%d: %d components, want 1", tc.n, tc.d, dsu.Sets())
+		}
+	}
+}
+
+// TestNewHamiltonianDrawsDPerms: a draw takes exactly d permutations
+// from rng and nothing else, so a sort that redraws H_d on the same rng
+// gets the same cycles run to run.
+func TestNewHamiltonianDrawsDPerms(t *testing.T) {
+	const n, d = 17, 3
+	rng := rand.New(rand.NewSource(11))
+	first := NewHamiltonian(n, d, rng)
+	second := NewHamiltonian(n, d, rng)
+	replay := rand.New(rand.NewSource(11))
+	for _, h := range []*Hamiltonian{first, second} {
+		for c, cyc := range h.cycles {
+			if want := replay.Perm(n); !slices.Equal(cyc, want) {
+				t.Fatalf("cycle %d = %v, want %v", c, cyc, want)
+			}
 		}
 	}
 }
